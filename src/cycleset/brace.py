@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .core import CycleSet, cycle_set
-from .perm import Perm, compose, identity, inverse, is_permutation
+from .perm import Perm, compose, identity, inverse, union_find
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -205,20 +205,11 @@ class LeftBrace:
     @cached_property
     def lambda_orbits(self) -> tuple[tuple[int, ...], ...]:
         """Orbits of the lambda-action on the nonzero elements."""
-        parent = list(range(self.n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        find, union = union_find(self.n)
         for x in range(self.n):
             lm = self.lambda_maps[x]
             for y in range(self.n):
-                a, b = find(y), find(lm[y])
-                if a != b:
-                    parent[max(a, b)] = min(a, b)
+                union(y, lm[y])
         buckets: dict[int, list[int]] = {}
         for y in range(self.n):
             if y == self.zero:

@@ -278,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_enumerate)
 
     p = sub.add_parser("verify", help="scan censuses for counterexamples")
-    p.add_argument("--all", action="store_true", help="run every checker (default)")
     p.add_argument("--suite", default=None, help="comma-separated checker name patterns")
     p.add_argument("--max-size", type=int, default=5)
     p.add_argument("--census", default=None, help="verify a census file instead")

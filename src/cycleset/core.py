@@ -16,23 +16,21 @@ all the machinery from :mod:`cycleset.perm` applies directly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import canon
 from .perm import (
     Perm,
     PermGroup,
     compose,
-    cycle_type,
     generate,
     identity,
     inverse,
     is_permutation,
-    perm_order,
     prime_support,
+    union_find,
 )
 
 Table = tuple[tuple[int, ...], ...]
@@ -181,16 +179,8 @@ class CycleSet:
 
     def retraction(self) -> tuple["CycleSet", tuple[int, ...]]:
         """Quotient by equality of rows; classes labeled by least member."""
-        classes = self._retract_classes
-        cls_of = [0] * self.n
-        for idx, cls in enumerate(classes):
-            for x in cls:
-                cls_of[x] = idx
-        reps = [cls[0] for cls in classes]
-        qtable = tuple(
-            tuple(cls_of[self.table[rx][ry]] for ry in reps) for rx in reps
-        )
-        return cycle_set(qtable), tuple(cls_of)
+        # row equality is always a congruence, so quotient's check is not needed
+        return self._quotient_table(self._retract_classes)
 
     @property
     def is_irretractable(self) -> bool:
@@ -299,11 +289,16 @@ class CycleSet:
         """Quotient by a congruence; classes labeled by least member."""
         if not cong.is_congruence_of(self):
             raise ValueError("partition is not a congruence of this cycle set")
+        return self._quotient_table(cong.classes)
+
+    def _quotient_table(
+        self, classes: tuple[tuple[int, ...], ...]
+    ) -> tuple["CycleSet", tuple[int, ...]]:
         cls_of = [0] * self.n
-        for idx, cls in enumerate(cong.classes):
+        for idx, cls in enumerate(classes):
             for x in cls:
                 cls_of[x] = idx
-        reps = [cls[0] for cls in cong.classes]
+        reps = [cls[0] for cls in classes]
         qtable = tuple(
             tuple(cls_of[self.table[rx][ry]] for ry in reps) for rx in reps
         )
@@ -363,14 +358,6 @@ class Congruence:
             buckets.setdefault(l, []).append(x)
         return cls(tuple(sorted(tuple(sorted(b)) for b in buckets.values())))
 
-    @classmethod
-    def diagonal(cls, n: int) -> "Congruence":
-        return cls(tuple((x,) for x in range(n)))
-
-    @classmethod
-    def total(cls, n: int) -> "Congruence":
-        return cls((tuple(range(n)),))
-
     @property
     def n(self) -> int:
         return sum(len(c) for c in self.classes)
@@ -410,23 +397,7 @@ class Congruence:
 
 def _principal_labels(table: Table, a: int, b: int) -> tuple[int, ...]:
     n = len(table)
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> bool:
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return False
-        if rx < ry:
-            rx, ry = ry, rx
-        parent[rx] = ry
-        return True
-
+    find, union = union_find(n)
     union(a, b)
     changed = True
     while changed:
@@ -445,22 +416,7 @@ def _principal_labels(table: Table, a: int, b: int) -> tuple[int, ...]:
 
 def _join_labels(c: tuple[int, ...], d: tuple[int, ...]) -> tuple[int, ...]:
     n = len(c)
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return
-        if rx < ry:
-            rx, ry = ry, rx
-        parent[rx] = ry
-
+    find, union = union_find(n)
     for labels in (c, d):
         firsts: dict[int, int] = {}
         for x, l in enumerate(labels):

@@ -38,7 +38,12 @@ MAX_N_ENV = "CYCLESET_MAX_N"
 
 def size_cap() -> int:
     raw = os.environ.get(MAX_N_ENV)
-    return int(raw) if raw else DEFAULT_MAX_N
+    if not raw:
+        return DEFAULT_MAX_N
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{MAX_N_ENV} must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -341,23 +346,49 @@ def _search(
     undo(trail)
 
 
+def _first_rows(
+    n: int, symmetry_breaking: bool, diagonal: Perm | None
+) -> Sequence[Perm] | None:
+    """Entry check shared by every census call (size, size cap, degree of
+    the diagonal), then the row-0 candidates of the search; None means every
+    permutation allowed by the diagonal."""
+    if n < 1:
+        raise ValueError("size must be >= 1")
+    cap = size_cap()
+    if n > cap:
+        raise ValueError(
+            f"size {n} exceeds the enumeration cap {cap} (set {MAX_N_ENV} to raise it)"
+        )
+    if diagonal is not None and len(diagonal) != n:
+        raise ValueError("diagonal constraint has wrong degree")
+    if not symmetry_breaking:
+        return None
+    if diagonal is None:
+        return first_row_representatives(n)
+    return _slice_first_rows(n, diagonal)
+
+
 def split_work(
-    n: int, prefix_depth: int, symmetry_breaking: bool = True
+    n: int,
+    prefix_depth: int,
+    symmetry_breaking: bool = True,
+    diagonal: Perm | None = None,
 ) -> tuple[tuple[Perm, ...], ...]:
     """Consistent row prefixes of the given depth.  Searching each prefix
     independently and merging the deduplicated results reproduces the
     unsplit search: prefixes are mutually exclusive and jointly cover it."""
-    if prefix_depth >= n:
-        raise ValueError("prefix depth must be below n")
+    first = _first_rows(n, symmetry_breaking, diagonal)
+    if not 0 <= prefix_depth < n:
+        raise ValueError("prefix depth must be in 0..n-1")
     if prefix_depth == 0:
         return ((),)
-    first = first_row_representatives(n) if symmetry_breaking else None
     prefixes: list[tuple[Perm, ...]] = []
     _search(
         n,
         (),
         prefixes.append,  # type: ignore[arg-type]
         first_rows=first,
+        diagonal=diagonal,
         depth_limit=prefix_depth,
     )
     return tuple(prefixes)
@@ -374,15 +405,9 @@ def _canon_emit_factory(out: set, cancel=None) -> Callable[[Table], None]:
 
 
 def _census_task(args: tuple) -> list[Table]:
-    n, prefix, first_rows, diagonal = args
+    n, prefix, diagonal = args
     out: set[Table] = set()
-    _search(
-        n,
-        prefix,
-        _canon_emit_factory(out),
-        first_rows=first_rows,
-        diagonal=diagonal,
-    )
+    _search(n, prefix, _canon_emit_factory(out), diagonal=diagonal)
     return sorted(out)
 
 
@@ -396,53 +421,39 @@ def enumerate_cycle_sets(
     cancel=None,
     progress: Callable[[str], None] | None = None,
 ) -> Census:
-    """Census of all cycle sets of size n up to isomorphism, filtered."""
-    if n < 1:
-        raise ValueError("size must be >= 1")
-    cap = size_cap()
-    if n > cap:
-        raise ValueError(
-            f"size {n} exceeds the enumeration cap {cap} (set {MAX_N_ENV} to raise it)"
-        )
-    if diagonal is not None and len(diagonal) != n:
-        raise ValueError("diagonal constraint has wrong degree")
+    """Census of all cycle sets of size n up to isomorphism, filtered.
+    With jobs > 1 the search is split by ``split_work`` at the smallest
+    prefix depth giving at least 4 * jobs tasks (at most n - 1), and the
+    tasks run in a process pool."""
     filt = filt or EnumerationFilter()
     start = time.monotonic()
-
-    if not symmetry_breaking:
-        first_rows = None
-    elif diagonal is None:
-        first_rows = first_row_representatives(n)
-    else:
-        first_rows = _slice_first_rows(n, diagonal)
-
     canon_set: set[Table] = set()
-    if jobs <= 1:
-        _search(
+    if jobs <= 1 or n == 1:
+        scan_cycle_sets(
             n,
-            (),
             _canon_emit_factory(canon_set, cancel=cancel),
-            first_rows=first_rows,
+            symmetry_breaking=symmetry_breaking,
             diagonal=diagonal,
             cancel=cancel,
         )
     else:
-        if first_rows is not None:
-            starts: Sequence[Perm] = first_rows
-        elif diagonal is not None:
-            starts = tuple(
-                p for p in permutations(range(n)) if p[0] == diagonal[0]
-            )
-        else:
-            starts = tuple(permutations(range(n)))
-        tasks = [(n, (p,), None, diagonal) for p in starts]
+        depth = 1
+        prefixes = split_work(n, depth, symmetry_breaking, diagonal)
+        while len(prefixes) < 4 * jobs and depth < n - 1:
+            depth += 1
+            prefixes = split_work(n, depth, symmetry_breaking, diagonal)
+        if cancel is not None and cancel.is_set():
+            raise SearchCancelled
+        tasks = [(n, prefix, diagonal) for prefix in prefixes]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            done = 0
-            for part in pool.map(_census_task, tasks):
+            for done, part in enumerate(pool.map(_census_task, tasks), 1):
                 canon_set.update(part)
-                done += 1
                 if progress is not None:
                     progress(f"task {done}/{len(tasks)} merged")
+                if cancel is not None and cancel.is_set():
+                    # leaving the with block alone would wait for every queued task
+                    pool.shutdown(cancel_futures=True)
+                    raise SearchCancelled
 
     for t in canon_set:
         validate_table(t)
@@ -473,23 +484,7 @@ def scan_cycle_sets(
     size makes canonical labeling the dominant cost of a full census.
     Exceptions raised by ``visit`` abort the scan and propagate.  Returns the
     number of tables visited."""
-    if n < 1:
-        raise ValueError("size must be >= 1")
-    cap = size_cap()
-    if n > cap:
-        raise ValueError(
-            f"size {n} exceeds the enumeration cap {cap} (set {MAX_N_ENV} to raise it)"
-        )
-    if diagonal is not None and len(diagonal) != n:
-        raise ValueError("diagonal constraint has wrong degree")
-
-    if not symmetry_breaking:
-        first_rows = None
-    elif diagonal is None:
-        first_rows = first_row_representatives(n)
-    else:
-        first_rows = _slice_first_rows(n, diagonal)
-
+    first_rows = _first_rows(n, symmetry_breaking, diagonal)
     count = 0
 
     def emit(t: Table) -> None:

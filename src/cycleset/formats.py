@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Iterable
 
 from ._version import __version__
 from .brace import LeftBrace, left_brace
 from .core import CycleSet, cycle_set
-from .enumeration import Census, EnumerationFilter
+from .enumeration import Census
 from .perm import Perm, from_cycles, is_permutation
 from .verify import Verdict
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 Perm = tuple[int, ...]
 
@@ -147,6 +147,31 @@ def prime_support(n: int) -> frozenset[int]:
     return frozenset(out)
 
 
+def union_find(n: int) -> tuple[Callable[[int], int], Callable[[int, int], bool]]:
+    """Disjoint-set forest on 0..n-1 as a pair of closures ``find, union``.
+    Every root is the least member of its class, so ``find(x)`` is a
+    canonical class label; ``union`` reports whether two classes merged."""
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x: int, y: int) -> bool:
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            return False
+        if rx < ry:
+            parent[ry] = rx
+        else:
+            parent[rx] = ry
+        return True
+
+    return find, union
+
+
 # ---------------------------------------------------------------------------
 # groups
 
@@ -196,19 +221,10 @@ class PermGroup:
     @cached_property
     def orbits(self) -> tuple[tuple[int, ...], ...]:
         """Orbit partition, orbits sorted by least point."""
-        parent = list(range(self.degree))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        find, union = union_find(self.degree)
         for g in self.generators:
             for i, j in enumerate(g):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
+                union(i, j)
         buckets: dict[int, list[int]] = {}
         for i in range(self.degree):
             buckets.setdefault(find(i), []).append(i)
@@ -255,63 +271,6 @@ class PermGroup:
 
     # -- block systems ------------------------------------------------------
 
-    def minimal_block_systems(self) -> tuple["BlockSystem", ...]:
-        """Minimal nontrivial block systems of a transitive group.
-
-        Uses pairwise seeding: for each pair {a, b} the finest system putting
-        a and b in a common block is grown by union-find under the generators;
-        minimal systems are the inclusion-minimal nontrivial results.
-        """
-        if not self.is_transitive:
-            raise ValueError("block systems require a transitive group")
-        n = self.degree
-        candidates: set[tuple[tuple[int, ...], ...]] = set()
-        for a, b in combinations(range(n), 2):
-            part = self._finest_system_joining(a, b)
-            if part is not None:
-                candidates.add(part)
-        minimal = [
-            part
-            for part in candidates
-            if not any(other != part and _refines(other, part) for other in candidates)
-        ]
-        return tuple(BlockSystem(n, part) for part in sorted(minimal))
-
-    def _finest_system_joining(
-        self, a: int, b: int
-    ) -> tuple[tuple[int, ...], ...] | None:
-        n = self.degree
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x: int, y: int) -> bool:
-            rx, ry = find(x), find(y)
-            if rx == ry:
-                return False
-            parent[rx] = ry
-            return True
-
-        union(a, b)
-        changed = True
-        while changed:
-            changed = False
-            for g in self.generators:
-                for x in range(n):
-                    for y in range(x + 1, n):
-                        if find(x) == find(y) and union(g[x], g[y]):
-                            changed = True
-        buckets: dict[int, list[int]] = {}
-        for i in range(n):
-            buckets.setdefault(find(i), []).append(i)
-        if len(buckets) == 1:
-            return None
-        return tuple(sorted(tuple(sorted(blk)) for blk in buckets.values()))
-
     def block_systems(self) -> tuple["BlockSystem", ...]:
         """All nontrivial block systems of a transitive group.
 
@@ -342,14 +301,6 @@ class PermGroup:
                     part = tuple(sorted(tuple(sorted(b)) for b in images))
                     out.append(BlockSystem(n, part))
         return tuple(sorted(set(out), key=lambda s: s.blocks))
-
-
-def _refines(finer: tuple[tuple[int, ...], ...], coarser: tuple[tuple[int, ...], ...]) -> bool:
-    cls = {}
-    for idx, blk in enumerate(coarser):
-        for x in blk:
-            cls[x] = idx
-    return all(len({cls[x] for x in blk}) == 1 for blk in finer)
 
 
 def generate(gens: Iterable[Sequence[int]], max_order: int = DEFAULT_ORDER_CAP) -> PermGroup:

@@ -29,7 +29,6 @@ from .core import (
 )
 from .perm import (
     Perm,
-    compose,
     cycle_type,
     identity,
     perm_order,

@@ -208,6 +208,12 @@ class TestEnumerate:
         assert code == 2
         assert "exceeds the enumeration cap" in err
 
+    def test_non_integer_cap_is_a_usage_error(self, run, monkeypatch):
+        monkeypatch.setenv("CYCLESET_MAX_N", "8.5")
+        code, _, err = run("enumerate", "-n", "3")
+        assert code == 2
+        assert "CYCLESET_MAX_N must be an integer, got '8.5'" in err
+
 
 class TestVerify:
     def test_suite_pattern_selects_checkers(self, run):
@@ -233,6 +239,11 @@ class TestVerify:
         code, _, err = run("verify", "--suite", "bogus", "--max-size", "2")
         assert code == 2
         assert "no checker matches" in err
+
+    def test_all_flag_removed(self, run):
+        code, _, err = run("verify", "--all", "--max-size", "2")
+        assert code == 2
+        assert "--all" in err
 
     def test_census_file_counterexample_exits_one(self, run, tmp_path):
         lines = [

@@ -159,8 +159,10 @@ class TestRetraction:
     def test_retractions_validate_on_census(self, censuses_small):
         for census in censuses_small.values():
             for X in census.cycle_sets():
-                Y, _ = X.retraction()
+                Y, cls = X.retraction()
                 validate_table(Y.table)
+                rows_equal = Congruence.from_labels([X.table.index(r) for r in X.table])
+                assert X.quotient(rows_equal) == (Y, cls)
 
 
 class TestCabling:

@@ -28,7 +28,7 @@ from cycleset.enumeration import (
     split_work,
 )
 
-KNOWN_COUNTS = {1: 1, 2: 2, 3: 5, 4: 23, 5: 88}
+KNOWN_COUNTS = {1: 1, 2: 2, 3: 5, 4: 23, 5: 88, 6: 595}
 
 
 def _cycle_length_through_zero(p):
@@ -41,8 +41,11 @@ def _cycle_length_through_zero(p):
 
 class TestCounts:
     def test_class_counts_small(self, censuses_small):
-        for n, want in KNOWN_COUNTS.items():
-            assert censuses_small[n].count == want
+        for n, census in censuses_small.items():
+            assert census.count == KNOWN_COUNTS[n]
+
+    def test_class_count_six(self, census6):
+        assert census6.count == KNOWN_COUNTS[6]
 
     def test_representatives_sorted_and_canonical(self, censuses_small):
         from cycleset import canonical_form
@@ -98,6 +101,8 @@ class TestWorkSplitting:
     def test_depth_must_stay_below_size(self):
         with pytest.raises(ValueError):
             split_work(4, 4)
+        with pytest.raises(ValueError):
+            split_work(4, -1)
 
     def test_prefix_union_reproduces_census(self, censuses_small):
         for depth in (1, 2):
@@ -105,7 +110,7 @@ class TestWorkSplitting:
             assert len(set(prefixes)) == len(prefixes)
             merged = set()
             for prefix in prefixes:
-                merged.update(_census_task((4, prefix, None, None)))
+                merged.update(_census_task((4, prefix, None)))
             assert tuple(sorted(merged)) == censuses_small[4].representatives
 
     def test_parallel_run_is_byte_identical(self, censuses_small):
@@ -113,6 +118,26 @@ class TestWorkSplitting:
         parallel = enumerate_cycle_sets(4, jobs=2, progress=messages.append)
         assert parallel.canonical_bytes() == censuses_small[4].canonical_bytes()
         assert messages and all("merged" in m for m in messages)
+
+    def test_parallel_slice_deepens_prefixes(self):
+        # the identity slice at n=5 has only 5 first rows, fewer than
+        # 4 * jobs, so the pool path splits at depth 2
+        ident = tuple(range(5))
+        assert len(split_work(5, 1, diagonal=ident)) == 5
+        messages = []
+        parallel = enumerate_cycle_sets(
+            5, jobs=2, diagonal=ident, progress=messages.append
+        )
+        serial = enumerate_cycle_sets(5, diagonal=ident)
+        assert parallel.canonical_bytes() == serial.canonical_bytes()
+        assert len(messages) == len(split_work(5, 2, diagonal=ident))
+
+    def test_split_checks_cap_and_degree(self, monkeypatch):
+        monkeypatch.delenv("CYCLESET_MAX_N", raising=False)
+        with pytest.raises(ValueError, match="exceeds the enumeration cap"):
+            split_work(size_cap() + 1, 1)
+        with pytest.raises(ValueError, match="wrong degree"):
+            split_work(3, 1, diagonal=(1, 0))
 
 
 class TestDiagonalConstraint:
@@ -312,6 +337,11 @@ class TestSizeCap:
         monkeypatch.setenv("CYCLESET_MAX_N", "9")
         assert size_cap() == 9
 
+    def test_non_integer_env_names_the_variable(self, monkeypatch):
+        monkeypatch.setenv("CYCLESET_MAX_N", "eight")
+        with pytest.raises(ValueError, match="CYCLESET_MAX_N must be an integer, got 'eight'"):
+            enumerate_cycle_sets(3)
+
     def test_nonpositive_size_rejected(self):
         with pytest.raises(ValueError):
             enumerate_cycle_sets(0)
@@ -325,6 +355,12 @@ class TestCancellation:
         ev.set()
         with pytest.raises(SearchCancelled):
             enumerate_cycle_sets(5, cancel=ev)
+
+    def test_set_event_aborts_parallel_search(self):
+        ev = threading.Event()
+        ev.set()
+        with pytest.raises(SearchCancelled):
+            enumerate_cycle_sets(5, jobs=2, cancel=ev)
 
     def test_unset_event_leaves_census_unchanged(self, censuses_small):
         census = enumerate_cycle_sets(5, cancel=threading.Event())
