@@ -5,7 +5,25 @@ propagation: for every pair of known rows x, y the cycloid law pins the rows
 indexed by x.y and y.x to each other (sigma_{x.y} o sigma_x = sigma_{y.x} o
 sigma_y), so as soon as one of those two rows is known the other is forced
 outright, and when neither is known the pair is parked until one appears.
-The partial diagonal is kept injective throughout.  Every emitted table is
+The partial diagonal is kept injective throughout.
+
+Candidate rows are generated, not scanned.  One index, built once per
+search, lists for every cell (x, v) the permutations p with p[x] = v.  In a
+slice the diagonal, that is the squaring map T(x) = x.x, is fixed, so row d
+starts from the pin (d, T(d)); in the full census row d starts from the
+union of the lists (d, v) over the diagonal values v no known row has
+taken.  Putting y = d and z = x in the cycloid law gives
+T(d.x) = (x.d).T(x), so once row x and row x.d are known, cell (d, x) is
+the point T^-1((x.d).T(x)).  In a slice T^-1 is known everywhere; in the
+full census it is known only on the diagonal values of known rows, and
+otherwise the identity still says that d.x is a row not yet known.  These
+pins are intersected before any row is tried, so only trials that would
+fail anyway are skipped and the emitted tables are the same.
+
+Row 0 is chosen first; below it the search branches on the unknown row with
+the fewest candidates, the lowest index on ties, so the visit order is not
+lexicographic.  The work-splitting mode keeps the fixed order 0, 1, 2, ...
+because its prefixes are the first rows.  Every emitted table is
 canonicalized; deduplication happens on canonical forms, so the output is
 one representative per isomorphism class, sorted, independent of work
 splitting and scheduling.
@@ -19,9 +37,10 @@ canonical forms, and is cross-checked against the brute-force oracle.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from itertools import permutations, product
 from typing import Callable, Iterable, Sequence
@@ -225,30 +244,34 @@ def _search(
     search); ``first_rows`` restricts candidates for row 0; ``diagonal``
     constrains every row x to map x to diagonal[x].  With ``depth_limit``
     set, the search stops as soon as the first depth_limit rows are known
-    and emits just those rows (the work-splitting mode)."""
-    all_perms = tuple(permutations(range(n)))
-    if diagonal is not None:
-        by_level = tuple(
-            tuple(p for p in all_perms if p[x] == diagonal[x]) for x in range(n)
-        )
-    else:
-        by_level = None
+    and emits just those rows (the work-splitting mode).  ``cancel`` is
+    polled at the first node and then every 512 nodes."""
+    # cells[x][v]: the rows p with p[x] == v, in lexicographic order
+    cells: list[list[list[Perm]]] = [[[] for _ in range(n)] for _ in range(n)]
+    for p in permutations(range(n)):
+        for x, v in enumerate(p):
+            cells[x][v].append(p)
 
     rows: list[Perm | None] = [None] * n
-    diag_used = [False] * n
+    # owner[v]: the known row whose diagonal entry is v, or -1
+    owner = [-1] * n
+    # t_inv[v]: the point a with T(a) = v where it is already determined
+    if diagonal is None:
+        t_inv = owner
+    else:
+        t_inv = [-1] * n
+        for x, v in enumerate(diagonal):
+            t_inv[v] = x
     pending: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    counter = [0]
+    nodes = 0
 
     def force(y: int, q: Perm, trail: list, queue: list) -> bool:
-        if diagonal is not None and q[y] != diagonal[y]:
-            return False
         v = q[y]
-        if diag_used[v]:
+        if owner[v] >= 0 or (diagonal is not None and v != diagonal[y]):
             return False
         rows[y] = q
+        owner[v] = y
         trail.append((0, y))
-        diag_used[v] = True
-        trail.append((1, v))
         queue.append(y)
         return True
 
@@ -275,7 +298,7 @@ def _search(
                 q[rx[i]] = rb[rj[i]]
             return force(a, tuple(q), trail, queue)
         pending[a].append((x, j))
-        trail.append((2, a))
+        trail.append((1, a))
         return True
 
     def place(x: int, p: Perm, trail: list) -> bool:
@@ -299,34 +322,72 @@ def _search(
     def undo(trail: list) -> None:
         for kind, v in reversed(trail):
             if kind == 0:
+                owner[rows[v][v]] = -1  # type: ignore[index]
                 rows[v] = None
-            elif kind == 1:
-                diag_used[v] = False
             else:
                 pending[v].pop()
 
-    def extend(d: int) -> None:
-        counter[0] += 1
-        if cancel is not None and counter[0] % 512 == 0 and cancel.is_set():
+    def candidates(d: int) -> Sequence[Perm]:
+        """The rows that agree with every cell of row d that T already pins.
+        Where row x and row c = x.d are known, T(d.x) = c.T(x) names the
+        value of cell x through T^-1, or, in the full census when no known
+        row has that diagonal value, says only that d.x is an unknown row."""
+        pins = [] if diagonal is None else [(d, diagonal[d])]
+        unknown_only: list[int] = []
+        for x in range(n):
+            rx = rows[x]
+            if rx is not None:
+                rc = rows[rx[d]]
+                if rc is not None:
+                    a = t_inv[rc[rx[x]]]
+                    if a >= 0:
+                        pins.append((x, a))
+                    else:
+                        unknown_only.append(x)
+        if pins:
+            x, v = pins[0]
+            cands: Sequence[Perm] = cells[x][v]
+            for x, v in pins[1:]:
+                cands = [p for p in cands if p[x] == v]
+            if diagonal is None:
+                cands = [p for p in cands if owner[p[d]] < 0]
+        else:
+            # full census, nothing pinned: any unused diagonal value
+            cands = [p for v in range(n) if owner[v] < 0 for p in cells[d][v]]
+        for x in unknown_only:
+            cands = [p for p in cands if rows[p[x]] is None]
+        return cands
+
+    def extend() -> None:
+        nonlocal nodes
+        nodes += 1
+        if cancel is not None and nodes % 512 == 1 and cancel.is_set():
             raise SearchCancelled
-        while d < n and rows[d] is not None:
-            d += 1
-        if depth_limit is not None and d >= depth_limit:
-            emit(tuple(rows[:depth_limit]))  # type: ignore[arg-type]
-            return
-        if d == n:
+        unknown = [x for x in range(n) if rows[x] is None]
+        if depth_limit is not None:
+            # prefixes are rows 0 .. depth_limit - 1, so keep the fixed order
+            if not unknown or unknown[0] >= depth_limit:
+                emit(tuple(rows[:depth_limit]))  # type: ignore[arg-type]
+                return
+            unknown = unknown[:1]
+        elif not unknown:
             emit(tuple(rows))  # type: ignore[arg-type]
             return
-        if d == 0 and first_rows is not None:
-            cands: Sequence[Perm] = first_rows
-        elif by_level is not None:
-            cands = by_level[d]
+        if unknown[0] == 0 and first_rows is not None:
+            d, cands = 0, first_rows
         else:
-            cands = all_perms
+            # the most constrained row, lowest index on ties
+            d, cands = -1, None
+            for x in unknown:
+                c = candidates(x)
+                if cands is None or len(c) < len(cands):
+                    d, cands = x, c
+                    if not c:
+                        return
         for p in cands:
             trail: list = []
             if place(d, p, trail):
-                extend(d + 1)
+                extend()
             undo(trail)
 
     # replay the pinned prefix, tolerating rows it already forced
@@ -342,7 +403,7 @@ def _search(
             ok = False
             break
     if ok:
-        extend(0)
+        extend()
     undo(trail)
 
 
@@ -350,7 +411,7 @@ def _first_rows(
     n: int, symmetry_breaking: bool, diagonal: Perm | None
 ) -> Sequence[Perm] | None:
     """Entry check shared by every census call (size, size cap, degree of
-    the diagonal), then the row-0 candidates of the search; None means every
+    the diagonal and that it is a permutation), then the row-0 candidates of the search; None means every
     permutation allowed by the diagonal."""
     if n < 1:
         raise ValueError("size must be >= 1")
@@ -359,8 +420,11 @@ def _first_rows(
         raise ValueError(
             f"size {n} exceeds the enumeration cap {cap} (set {MAX_N_ENV} to raise it)"
         )
-    if diagonal is not None and len(diagonal) != n:
-        raise ValueError("diagonal constraint has wrong degree")
+    if diagonal is not None:
+        if len(diagonal) != n:
+            raise ValueError("diagonal constraint has wrong degree")
+        if sorted(diagonal) != list(range(n)):
+            raise ValueError("diagonal constraint is not a permutation")
     if not symmetry_breaking:
         return None
     if diagonal is None:
@@ -404,10 +468,25 @@ def _canon_emit_factory(out: set, cancel=None) -> Callable[[Table], None]:
     return emit
 
 
+# the pool's stop event, set in each worker process by _init_worker
+_worker_cancel = None
+
+
+def _init_worker(cancel) -> None:
+    global _worker_cancel
+    _worker_cancel = cancel
+
+
 def _census_task(args: tuple) -> list[Table]:
     n, prefix, diagonal = args
     out: set[Table] = set()
-    _search(n, prefix, _canon_emit_factory(out), diagonal=diagonal)
+    _search(
+        n,
+        prefix,
+        _canon_emit_factory(out, cancel=_worker_cancel),
+        diagonal=diagonal,
+        cancel=_worker_cancel,
+    )
     return sorted(out)
 
 
@@ -424,7 +503,10 @@ def enumerate_cycle_sets(
     """Census of all cycle sets of size n up to isomorphism, filtered.
     With jobs > 1 the search is split by ``split_work`` at the smallest
     prefix depth giving at least 4 * jobs tasks (at most n - 1), and the
-    tasks run in a process pool."""
+    tasks run in a process pool.  Setting ``cancel`` raises
+    ``SearchCancelled`` at the next poll of the search, or within about
+    0.1 s on the pool path, whose running tasks then stop at their own
+    next poll."""
     filt = filt or EnumerationFilter()
     start = time.monotonic()
     canon_set: set[Table] = set()
@@ -442,18 +524,35 @@ def enumerate_cycle_sets(
         while len(prefixes) < 4 * jobs and depth < n - 1:
             depth += 1
             prefixes = split_work(n, depth, symmetry_breaking, diagonal)
-        if cancel is not None and cancel.is_set():
-            raise SearchCancelled
-        tasks = [(n, prefix, diagonal) for prefix in prefixes]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for done, part in enumerate(pool.map(_census_task, tasks), 1):
-                canon_set.update(part)
-                if progress is not None:
-                    progress(f"task {done}/{len(tasks)} merged")
-                if cancel is not None and cancel.is_set():
-                    # leaving the with block alone would wait for every queued task
-                    pool.shutdown(cancel_futures=True)
-                    raise SearchCancelled
+        ctx = multiprocessing.get_context()
+        stop = ctx.Event()
+        with ProcessPoolExecutor(
+            max_workers=jobs,
+            mp_context=ctx,
+            initializer=_init_worker,
+            initargs=(stop,),
+        ) as pool:
+            waiting = {
+                pool.submit(_census_task, (n, prefix, diagonal)) for prefix in prefixes
+            }
+            merged = 0
+            try:
+                while waiting:
+                    if cancel is not None and cancel.is_set():
+                        raise SearchCancelled
+                    done, waiting = wait(
+                        waiting, timeout=0.1, return_when=FIRST_COMPLETED
+                    )
+                    for future in done:
+                        canon_set.update(future.result())
+                        merged += 1
+                        if progress is not None:
+                            progress(f"task {merged}/{len(prefixes)} merged")
+            finally:
+                # running tasks stop at their next poll and queued ones are
+                # dropped, so leaving the with block does not wait for them
+                stop.set()
+                pool.shutdown(cancel_futures=True)
 
     for t in canon_set:
         validate_table(t)

@@ -2,7 +2,9 @@
 filters, determinism, and the size cap."""
 
 import threading
-from itertools import permutations
+import time
+from collections import Counter
+from itertools import permutations, product
 
 import pytest
 
@@ -23,6 +25,7 @@ from cycleset.enumeration import (
     ENGINE_VERSION,
     _census_task,
     _diagonal_stabilizer,
+    _naive_valid,
     _slice_first_rows,
     first_row_representatives,
     split_work,
@@ -145,6 +148,12 @@ class TestDiagonalConstraint:
         with pytest.raises(ValueError):
             enumerate_cycle_sets(3, diagonal=(1, 0, 3, 2))
 
+    def test_non_permutation_rejected(self):
+        for diag in ((0, 0, 1), (0, 1, 7)):
+            for broken in (True, False):
+                with pytest.raises(ValueError, match="not a permutation"):
+                    enumerate_cycle_sets(3, diagonal=diag, symmetry_breaking=broken)
+
     def test_slices_partition_the_census(self, censuses_small):
         # one diagonal representative per cycle type of the squaring map;
         # the constrained searches must tile the full census exactly
@@ -169,11 +178,14 @@ class TestDiagonalConstraint:
                     n, diagonal=diag, symmetry_breaking=False
                 )
                 assert broken.representatives == plain.representatives
-        diag = from_cycles(5, [(0, 1)])
-        broken = enumerate_cycle_sets(5, diagonal=diag)
-        plain = enumerate_cycle_sets(5, diagonal=diag, symmetry_breaking=False)
-        assert broken.representatives == plain.representatives
-        assert len(broken.representatives) == 24
+        # at 5, a transposition and the paper's p-cycle slices: T a 3-cycle
+        # and T a 5-cycle
+        for cycs, count in (([(0, 1)], 24), ([(0, 1, 2)], 9), ([(0, 1, 2, 3, 4)], 1)):
+            diag = from_cycles(5, cycs)
+            broken = enumerate_cycle_sets(5, diagonal=diag)
+            plain = enumerate_cycle_sets(5, diagonal=diag, symmetry_breaking=False)
+            assert broken.representatives == plain.representatives
+            assert len(broken.representatives) == count
 
     def test_slice_first_rows_are_orbit_representatives(self):
         diag = from_cycles(5, [(0, 1)])
@@ -216,6 +228,29 @@ class TestScan:
         scan_cycle_sets(4, seen.append, diagonal=diag)
         assert all(tuple(t[x][x] for x in range(4)) == diag for t in seen)
         assert {canonical_table(t) for t in seen} == set(sliced.representatives)
+
+    def test_scan_counts(self):
+        # pins the tables the search emits, so pruning that loses or repeats
+        # a table shows even where the classes survive
+        assert scan_cycle_sets(5, lambda t: None) == 792
+        involution = from_cycles(6, [(0, 1), (2, 3), (4, 5)])
+        assert scan_cycle_sets(6, lambda t: None, diagonal=involution) == 415
+        assert scan_cycle_sets(6, lambda t: None, diagonal=tuple(range(6))) == 2959
+
+    def test_unbroken_scan_visits_each_valid_table_once(self):
+        # the element-form oracle over every table of rows, per diagonal slice
+        for n in (1, 2, 3):
+            perms = list(permutations(range(n)))
+            valid = [t for t in product(perms, repeat=n) if _naive_valid(t, n)]
+            for diag in [None, *perms]:
+                seen = []
+                scan_cycle_sets(n, seen.append, diagonal=diag, symmetry_breaking=False)
+                want = [
+                    t
+                    for t in valid
+                    if diag is None or tuple(t[x][x] for x in range(n)) == diag
+                ]
+                assert Counter(seen) == Counter(want)
 
     def test_unbroken_scan_visits_more_tables(self):
         broken = scan_cycle_sets(3, lambda t: None)
@@ -348,19 +383,32 @@ class TestSizeCap:
 
 
 class TestCancellation:
-    # the search polls the event every 512 nodes; n=5 is the smallest
-    # census whose tree is deep enough to reach a poll
+    # the search polls the event at its first node and then every 512 nodes
     def test_set_event_aborts_search(self):
         ev = threading.Event()
         ev.set()
-        with pytest.raises(SearchCancelled):
-            enumerate_cycle_sets(5, cancel=ev)
+        for n, diag in ((3, None), (4, None), (4, from_cycles(4, [(0, 1)])), (5, None)):
+            with pytest.raises(SearchCancelled):
+                enumerate_cycle_sets(n, diagonal=diag, cancel=ev)
 
     def test_set_event_aborts_parallel_search(self):
         ev = threading.Event()
         ev.set()
         with pytest.raises(SearchCancelled):
             enumerate_cycle_sets(5, jobs=2, cancel=ev)
+
+    def test_event_set_mid_parallel_search_stops_running_tasks(self):
+        ev = threading.Event()
+        timer = threading.Timer(0.5, ev.set)
+        start = time.monotonic()
+        timer.start()
+        try:
+            with pytest.raises(SearchCancelled):
+                enumerate_cycle_sets(6, jobs=2, cancel=ev)
+        finally:
+            timer.cancel()
+            timer.join(5)
+        assert time.monotonic() - start < 5.5
 
     def test_unset_event_leaves_census_unchanged(self, censuses_small):
         census = enumerate_cycle_sets(5, cancel=threading.Event())
