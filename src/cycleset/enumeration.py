@@ -23,9 +23,11 @@ fail anyway are skipped and the emitted tables are the same.
 Row 0 is chosen first; below it the search branches on the unknown row with
 the fewest candidates, the lowest index on ties, so the visit order is not
 lexicographic.  The work-splitting mode keeps the fixed order 0, 1, 2, ...
-because its prefixes are the first rows.  Every emitted table is
-canonicalized; deduplication happens on canonical forms, so the output is
-one representative per isomorphism class, sorted, independent of work
+because its prefixes are the first rows.  Every emitted table is reduced
+to its class key (``canon.class_key``), a complete isomorphism invariant
+that is cheap to compute; once the search is done the full canonical form
+is computed once per distinct key, so the output is one canonical
+representative per isomorphism class, sorted, independent of work
 splitting and scheduling.
 
 Optional symmetry breaking restricts row 0 to one representative per
@@ -458,14 +460,20 @@ def split_work(
     return tuple(prefixes)
 
 
-def _canon_emit_factory(out: set, cancel=None) -> Callable[[Table], None]:
+def _census_classes(
+    search: Callable[[Callable[[Table], None]], object], cancel=None
+) -> set[Table]:
+    """Run ``search`` with a visitor that keeps the class key of each table
+    it emits, then return the canonical form of each distinct key."""
     # canon takes a plain callable, not an Event
     poll = cancel.is_set if cancel is not None else None
+    keys: set[Table] = set()
 
     def emit(t: Table) -> None:
-        out.add(canon.canonical_form(t, cancel=poll))
+        keys.add(canon.class_key(t, cancel=poll))
 
-    return emit
+    search(emit)
+    return {canon.canonical_form(k, cancel=poll) for k in keys}
 
 
 # the pool's stop event, set in each worker process by _init_worker
@@ -479,15 +487,14 @@ def _init_worker(cancel) -> None:
 
 def _census_task(args: tuple) -> list[Table]:
     n, prefix, diagonal = args
-    out: set[Table] = set()
-    _search(
-        n,
-        prefix,
-        _canon_emit_factory(out, cancel=_worker_cancel),
-        diagonal=diagonal,
-        cancel=_worker_cancel,
+    return sorted(
+        _census_classes(
+            lambda emit: _search(
+                n, prefix, emit, diagonal=diagonal, cancel=_worker_cancel
+            ),
+            cancel=_worker_cancel,
+        )
     )
-    return sorted(out)
 
 
 def enumerate_cycle_sets(
@@ -509,16 +516,19 @@ def enumerate_cycle_sets(
     next poll."""
     filt = filt or EnumerationFilter()
     start = time.monotonic()
-    canon_set: set[Table] = set()
     if jobs <= 1 or n == 1:
-        scan_cycle_sets(
-            n,
-            _canon_emit_factory(canon_set, cancel=cancel),
-            symmetry_breaking=symmetry_breaking,
-            diagonal=diagonal,
+        canon_set = _census_classes(
+            lambda emit: scan_cycle_sets(
+                n,
+                emit,
+                symmetry_breaking=symmetry_breaking,
+                diagonal=diagonal,
+                cancel=cancel,
+            ),
             cancel=cancel,
         )
     else:
+        canon_set = set()
         depth = 1
         prefixes = split_work(n, depth, symmetry_breaking, diagonal)
         while len(prefixes) < 4 * jobs and depth < n - 1:

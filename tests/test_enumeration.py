@@ -1,6 +1,7 @@
 """Enumeration engine: oracle agreement, symmetry breaking, work splitting,
 filters, determinism, and the size cap."""
 
+import hashlib
 import threading
 import time
 from collections import Counter
@@ -33,6 +34,16 @@ from cycleset.enumeration import (
 
 KNOWN_COUNTS = {1: 1, 2: 2, 3: 5, 4: 23, 5: 88, 6: 595}
 
+# sha256 of Census.canonical_bytes(), produced by cycleset-enum/1
+CENSUS5_SHA256 = "3f7942e73c4efc93a81b1677a805ec9979d4d17a9ab2d85b9f17261eb32e73fe"
+CENSUS6_SHA256 = "49850eb62801542888d8b74e26d3d76d3e396633be830cec36c91bed52dca3a3"
+INVOLUTION6_SHA256 = "efb8abbec834cea17b2202912aa648b0641531af6f1f81a89373ff7863922957"
+SQUAREFREE6_SHA256 = "ea3791fbbde67e75cec2799451b48a095de8740c9cb35fcaeb4a6fc9264554e1"
+
+
+def _sha256(census):
+    return hashlib.sha256(census.canonical_bytes()).hexdigest()
+
 
 def _cycle_length_through_zero(p):
     length, j = 1, p[0]
@@ -49,6 +60,17 @@ class TestCounts:
 
     def test_class_count_six(self, census6):
         assert census6.count == KNOWN_COUNTS[6]
+
+    def test_census_bytes_pinned(self, censuses_small, census6):
+        assert _sha256(censuses_small[5]) == CENSUS5_SHA256
+        assert _sha256(census6) == CENSUS6_SHA256
+
+    def test_slice_bytes_pinned(self):
+        # squaring map of type (2, 2, 2), then the identity (square-free)
+        involution = enumerate_cycle_sets(6, diagonal=(1, 0, 3, 2, 5, 4))
+        assert (involution.count, _sha256(involution)) == (77, INVOLUTION6_SHA256)
+        squarefree = enumerate_cycle_sets(6, diagonal=tuple(range(6)))
+        assert (squarefree.count, _sha256(squarefree)) == (68, SQUAREFREE6_SHA256)
 
     def test_representatives_sorted_and_canonical(self, censuses_small):
         from cycleset import canonical_form
