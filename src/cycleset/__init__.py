@@ -70,7 +70,6 @@ from .enumeration import (
     SearchCancelled,
     brute_force_census,
     enumerate_cycle_sets,
-    first_row_representatives,
     scan_cycle_sets,
     size_cap,
     split_work,
@@ -103,8 +102,7 @@ __all__ = [
     "AnalysisReport", "analyze",
     # enumeration
     "Census", "EnumerationFilter", "SearchCancelled", "enumerate_cycle_sets",
-    "scan_cycle_sets", "brute_force_census", "first_row_representatives",
-    "split_work", "size_cap",
+    "scan_cycle_sets", "brute_force_census", "split_work", "size_cap",
     # verification
     "CHECKERS", "Counterexample", "Verdict", "run_all", "run_checker",
 ]

@@ -163,16 +163,22 @@ def _colour_cells(rows: Table) -> list[tuple[int, ...]]:
     return [tuple(c) for c in cells]
 
 
-def class_key(
+def class_relabeling(
     table: Sequence[Sequence[int]], cancel: Callable[[], bool] | None = None
-) -> Table:
-    """A relabeling of ``table`` that is equal for two tables exactly when
-    they are isomorphic: the lex-min over the relabelings that keep the
-    refined colour cells in colour order.  Cheaper than ``canonical_form``
-    but a different table in general."""
+) -> tuple[Perm, Table]:
+    """Return (rho, key): a relabeled table that is equal for two tables
+    exactly when they are isomorphic, the lex-min over the relabelings that
+    keep the refined colour cells in colour order, with its relabeling.
+    Cheaper than ``canonical_relabeling`` but a different table in general."""
     rows = tuple(tuple(r) for r in table)
     pres = (
         tuple(chain.from_iterable(parts))
         for parts in product(*(permutations(c) for c in _colour_cells(rows)))
     )
-    return _lex_min(rows, pres, cancel)[1]
+    return _lex_min(rows, pres, cancel)
+
+
+def class_key(
+    table: Sequence[Sequence[int]], cancel: Callable[[], bool] | None = None
+) -> Table:
+    return class_relabeling(table, cancel)[1]

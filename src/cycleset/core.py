@@ -475,8 +475,8 @@ def is_isomorphic(a: CycleSet, b: CycleSet) -> Perm | None:
     """A relabeling carrying ``a`` to ``b``, or None."""
     if a.n != b.n:
         return None
-    ra, ca = canon.canonical_relabeling(a.table)
-    rb, cb = canon.canonical_relabeling(b.table)
-    if ca != cb:
+    ra, ka = canon.class_relabeling(a.table)
+    rb, kb = canon.class_relabeling(b.table)
+    if ka != kb:
         return None
     return compose(inverse(rb), ra)

@@ -5,20 +5,26 @@ propagation: for every pair of known rows x, y the cycloid law pins the rows
 indexed by x.y and y.x to each other (sigma_{x.y} o sigma_x = sigma_{y.x} o
 sigma_y), so as soon as one of those two rows is known the other is forced
 outright, and when neither is known the pair is parked until one appears.
-The partial diagonal is kept injective throughout.
+
+The census is a union of slices, one per diagonal, that is one per
+squaring map T(x) = x.x.  Relabeling a table conjugates its squaring map,
+so with symmetry breaking the full census searches one slice per conjugacy
+class of S_n, that is per partition of n, with T in normal form (its cycles
+on consecutive points, largest first).  Inside a slice, row 0 is restricted
+to ``_slice_first_rows``: one representative per conjugation orbit of the
+relabelings that fix point 0 and commute with T.  This is the only
+symmetry-breaking scheme; it changes only speed, never the set of
+canonical forms, and is cross-checked against the unbroken search and the
+brute-force oracle.  Without symmetry breaking the search is the union of
+all n! slices with no restriction on row 0, so it visits every valid table
+exactly once.
 
 Candidate rows are generated, not scanned.  One index, built once per
-search, lists for every cell (x, v) the permutations p with p[x] = v.  In a
-slice the diagonal, that is the squaring map T(x) = x.x, is fixed, so row d
-starts from the pin (d, T(d)); in the full census row d starts from the
-union of the lists (d, v) over the diagonal values v no known row has
-taken.  Putting y = d and z = x in the cycloid law gives
-T(d.x) = (x.d).T(x), so once row x and row x.d are known, cell (d, x) is
-the point T^-1((x.d).T(x)).  In a slice T^-1 is known everywhere; in the
-full census it is known only on the diagonal values of known rows, and
-otherwise the identity still says that d.x is a row not yet known.  These
-pins are intersected before any row is tried, so only trials that would
-fail anyway are skipped and the emitted tables are the same.
+search, lists for every cell (x, v) the permutations p with p[x] = v, and
+row d starts from the pin (d, T(d)).  Putting y = d and z = x in the
+cycloid law gives T(d.x) = (x.d).T(x), so once row x and row x.d are known,
+cell (d, x) is the point T^-1((x.d).T(x)).  These pins are intersected
+before any row is tried, so only trials that would fail anyway are skipped.
 
 Row 0 is chosen first; below it the search branches on the unknown row with
 the fewest candidates, the lowest index on ties, so the visit order is not
@@ -29,11 +35,6 @@ that is cheap to compute; once the search is done the full canonical form
 is computed once per distinct key, so the output is one canonical
 representative per isomorphism class, sorted, independent of work
 splitting and scheduling.
-
-Optional symmetry breaking restricts row 0 to one representative per
-conjugacy class per length of the cycle through point 0 (every class of
-tables contains such a relabeling); it changes only speed, never the set of
-canonical forms, and is cross-checked against the brute-force oracle.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from typing import Callable, Iterable, Sequence
 from . import canon
 from .canon import SearchCancelled
 from .core import CycleSet, Table, validate_table
-from .perm import Perm, cycle_type
+from .perm import Perm, cycle_type, from_cycles, inverse, is_permutation
 
 ENGINE_VERSION = "cycleset-enum/1"
 DEFAULT_MAX_N = 8
@@ -172,31 +173,18 @@ def _partitions(n: int, largest: int | None = None) -> Iterable[tuple[int, ...]]
             yield (part,) + rest
 
 
-def _rep_with_marked_cycle(parts: Sequence[int], marked: int, n: int) -> Perm:
-    """Permutation with cycle type ``parts`` whose cycle through 0 has length
-    ``marked``; cycles laid out on consecutive points, largest first after
-    the marked one."""
-    rest = list(parts)
-    rest.remove(marked)
-    rest.sort(reverse=True)
-    images = list(range(n))
-    start = 0
-    for length in [marked] + rest:
-        for i in range(length):
-            images[start + i] = start + (i + 1) % length
-        start += length
-    return tuple(images)
-
-
-def first_row_representatives(n: int) -> tuple[Perm, ...]:
-    """One candidate first row per (cycle type, length of the cycle through
-    point 0).  Any table can be relabeled so that its row 0 is one of these,
-    so searching only these first rows loses no isomorphism class."""
+def _normal_forms(n: int) -> tuple[Perm, ...]:
+    """One squaring map per conjugacy class of S_n: for each partition of n,
+    largest part first, the permutation whose cycles are those parts laid
+    out on consecutive points."""
     out = []
     for parts in _partitions(n):
-        for marked in sorted(set(parts)):
-            out.append(_rep_with_marked_cycle(parts, marked, n))
-    return tuple(sorted(set(out)))
+        cycs, start = [], 0
+        for length in parts:
+            cycs.append(range(start, start + length))
+            start += length
+        out.append(from_cycles(n, cycs))
+    return tuple(out)
 
 
 def _diagonal_stabilizer(n: int, diagonal: Perm) -> tuple[Perm, ...]:
@@ -235,16 +223,16 @@ def _slice_first_rows(n: int, diagonal: Perm) -> tuple[Perm, ...]:
 
 def _search(
     n: int,
+    diagonal: Perm,
     prefix: Sequence[Perm],
     emit: Callable[[Table], None],
-    first_rows: Sequence[Perm] | None = None,
-    diagonal: Perm | None = None,
+    symmetry_breaking: bool = True,
     cancel=None,
     depth_limit: int | None = None,
 ) -> None:
-    """Backtracking core.  ``prefix`` pins the first rows (empty for a full
-    search); ``first_rows`` restricts candidates for row 0; ``diagonal``
-    constrains every row x to map x to diagonal[x].  With ``depth_limit``
+    """Backtracking core over the tables whose row x maps x to diagonal[x].
+    ``prefix`` pins the first rows; when it leaves row 0 open, symmetry
+    breaking restricts row 0 to ``_slice_first_rows``.  With ``depth_limit``
     set, the search stops as soon as the first depth_limit rows are known
     and emits just those rows (the work-splitting mode).  ``cancel`` is
     polled at the first node and then every 512 nodes."""
@@ -255,24 +243,14 @@ def _search(
             cells[x][v].append(p)
 
     rows: list[Perm | None] = [None] * n
-    # owner[v]: the known row whose diagonal entry is v, or -1
-    owner = [-1] * n
-    # t_inv[v]: the point a with T(a) = v where it is already determined
-    if diagonal is None:
-        t_inv = owner
-    else:
-        t_inv = [-1] * n
-        for x, v in enumerate(diagonal):
-            t_inv[v] = x
+    t_inv = inverse(diagonal)
     pending: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     nodes = 0
 
     def force(y: int, q: Perm, trail: list, queue: list) -> bool:
-        v = q[y]
-        if owner[v] >= 0 or (diagonal is not None and v != diagonal[y]):
+        if q[y] != diagonal[y]:
             return False
         rows[y] = q
-        owner[v] = y
         trail.append((0, y))
         queue.append(y)
         return True
@@ -324,40 +302,22 @@ def _search(
     def undo(trail: list) -> None:
         for kind, v in reversed(trail):
             if kind == 0:
-                owner[rows[v][v]] = -1  # type: ignore[index]
                 rows[v] = None
             else:
                 pending[v].pop()
 
     def candidates(d: int) -> Sequence[Perm]:
-        """The rows that agree with every cell of row d that T already pins.
-        Where row x and row c = x.d are known, T(d.x) = c.T(x) names the
-        value of cell x through T^-1, or, in the full census when no known
-        row has that diagonal value, says only that d.x is an unknown row."""
-        pins = [] if diagonal is None else [(d, diagonal[d])]
-        unknown_only: list[int] = []
+        """The rows that agree with every cell of row d that T pins: the
+        diagonal cell, and cell x wherever row x and row c = x.d are known,
+        since T(d.x) = c.T(x)."""
+        cands: Sequence[Perm] = cells[d][diagonal[d]]
         for x in range(n):
             rx = rows[x]
             if rx is not None:
                 rc = rows[rx[d]]
                 if rc is not None:
                     a = t_inv[rc[rx[x]]]
-                    if a >= 0:
-                        pins.append((x, a))
-                    else:
-                        unknown_only.append(x)
-        if pins:
-            x, v = pins[0]
-            cands: Sequence[Perm] = cells[x][v]
-            for x, v in pins[1:]:
-                cands = [p for p in cands if p[x] == v]
-            if diagonal is None:
-                cands = [p for p in cands if owner[p[d]] < 0]
-        else:
-            # full census, nothing pinned: any unused diagonal value
-            cands = [p for v in range(n) if owner[v] < 0 for p in cells[d][v]]
-        for x in unknown_only:
-            cands = [p for p in cands if rows[p[x]] is None]
+                    cands = [p for p in cands if p[x] == a]
         return cands
 
     def extend() -> None:
@@ -375,8 +335,8 @@ def _search(
         elif not unknown:
             emit(tuple(rows))  # type: ignore[arg-type]
             return
-        if unknown[0] == 0 and first_rows is not None:
-            d, cands = 0, first_rows
+        if unknown[0] == 0 and symmetry_breaking:
+            d, cands = 0, _slice_first_rows(n, diagonal)
         else:
             # the most constrained row, lowest index on ties
             d, cands = -1, None
@@ -409,12 +369,13 @@ def _search(
     undo(trail)
 
 
-def _first_rows(
+def _diagonals(
     n: int, symmetry_breaking: bool, diagonal: Perm | None
-) -> Sequence[Perm] | None:
+) -> tuple[Perm, ...]:
     """Entry check shared by every census call (size, size cap, degree of
-    the diagonal and that it is a permutation), then the row-0 candidates of the search; None means every
-    permutation allowed by the diagonal."""
+    the diagonal and that it is a permutation), then the diagonals whose
+    slices make up the search: the given one, else one normal form per
+    partition of n, or every permutation without symmetry breaking."""
     if n < 1:
         raise ValueError("size must be >= 1")
     cap = size_cap()
@@ -425,13 +386,12 @@ def _first_rows(
     if diagonal is not None:
         if len(diagonal) != n:
             raise ValueError("diagonal constraint has wrong degree")
-        if sorted(diagonal) != list(range(n)):
+        if not is_permutation(diagonal):
             raise ValueError("diagonal constraint is not a permutation")
-    if not symmetry_breaking:
-        return None
-    if diagonal is None:
-        return first_row_representatives(n)
-    return _slice_first_rows(n, diagonal)
+        return (tuple(diagonal),)
+    if symmetry_breaking:
+        return _normal_forms(n)
+    return tuple(permutations(range(n)))
 
 
 def split_work(
@@ -439,25 +399,26 @@ def split_work(
     prefix_depth: int,
     symmetry_breaking: bool = True,
     diagonal: Perm | None = None,
-) -> tuple[tuple[Perm, ...], ...]:
-    """Consistent row prefixes of the given depth.  Searching each prefix
-    independently and merging the deduplicated results reproduces the
-    unsplit search: prefixes are mutually exclusive and jointly cover it."""
-    first = _first_rows(n, symmetry_breaking, diagonal)
+) -> tuple[tuple[Perm, tuple[Perm, ...]], ...]:
+    """(diagonal, prefix) tasks: for each slice of the search, its
+    consistent row prefixes of the given depth, so depth 0 gives one task
+    per slice.  Searching each task independently and merging the
+    deduplicated results reproduces the unsplit search: tasks are mutually
+    exclusive and jointly cover it."""
+    diagonals = _diagonals(n, symmetry_breaking, diagonal)
     if not 0 <= prefix_depth < n:
         raise ValueError("prefix depth must be in 0..n-1")
-    if prefix_depth == 0:
-        return ((),)
-    prefixes: list[tuple[Perm, ...]] = []
-    _search(
-        n,
-        (),
-        prefixes.append,  # type: ignore[arg-type]
-        first_rows=first,
-        diagonal=diagonal,
-        depth_limit=prefix_depth,
-    )
-    return tuple(prefixes)
+    tasks: list[tuple[Perm, tuple[Perm, ...]]] = []
+    for d in diagonals:
+        _search(
+            n,
+            d,
+            (),
+            lambda rows: tasks.append((d, rows)),  # type: ignore[arg-type]
+            symmetry_breaking=symmetry_breaking,
+            depth_limit=prefix_depth,
+        )
+    return tuple(tasks)
 
 
 def _census_classes(
@@ -486,12 +447,12 @@ def _init_worker(cancel) -> None:
 
 
 def _census_task(args: tuple) -> list[Table]:
-    n, prefix, diagonal = args
+    """The classes of one ``split_work`` task; a task with an empty prefix
+    is a whole slice, whose row 0 is restricted to ``_slice_first_rows``."""
+    n, diagonal, prefix = args
     return sorted(
         _census_classes(
-            lambda emit: _search(
-                n, prefix, emit, diagonal=diagonal, cancel=_worker_cancel
-            ),
+            lambda emit: _search(n, diagonal, prefix, emit, cancel=_worker_cancel),
             cancel=_worker_cancel,
         )
     )
@@ -509,8 +470,11 @@ def enumerate_cycle_sets(
 ) -> Census:
     """Census of all cycle sets of size n up to isomorphism, filtered.
     With jobs > 1 the search is split by ``split_work`` at the smallest
-    prefix depth giving at least 4 * jobs tasks (at most n - 1), and the
-    tasks run in a process pool.  Setting ``cancel`` raises
+    prefix depth from 0 (one task per slice) giving at least 4 * jobs tasks
+    (at most n - 1), and the tasks run in a process pool.  A task with an
+    empty prefix restricts row 0 in either mode, so without symmetry
+    breaking the pool path searches every slice but is not the unbroken
+    cross-check; the census is the same.  Setting ``cancel`` raises
     ``SearchCancelled`` at the next poll of the search, or within about
     0.1 s on the pool path, whose running tasks then stop at their own
     next poll."""
@@ -529,11 +493,11 @@ def enumerate_cycle_sets(
         )
     else:
         canon_set = set()
-        depth = 1
-        prefixes = split_work(n, depth, symmetry_breaking, diagonal)
-        while len(prefixes) < 4 * jobs and depth < n - 1:
+        depth = 0
+        tasks = split_work(n, depth, symmetry_breaking, diagonal)
+        while len(tasks) < 4 * jobs and depth < n - 1:
             depth += 1
-            prefixes = split_work(n, depth, symmetry_breaking, diagonal)
+            tasks = split_work(n, depth, symmetry_breaking, diagonal)
         ctx = multiprocessing.get_context()
         stop = ctx.Event()
         with ProcessPoolExecutor(
@@ -543,7 +507,7 @@ def enumerate_cycle_sets(
             initargs=(stop,),
         ) as pool:
             waiting = {
-                pool.submit(_census_task, (n, prefix, diagonal)) for prefix in prefixes
+                pool.submit(_census_task, (n, d, prefix)) for d, prefix in tasks
             }
             merged = 0
             try:
@@ -557,7 +521,7 @@ def enumerate_cycle_sets(
                         canon_set.update(future.result())
                         merged += 1
                         if progress is not None:
-                            progress(f"task {merged}/{len(prefixes)} merged")
+                            progress(f"task {merged}/{len(tasks)} merged")
             finally:
                 # running tasks stop at their next poll and queued ones are
                 # dropped, so leaving the with block does not wait for them
@@ -586,14 +550,17 @@ def scan_cycle_sets(
     cancel=None,
 ) -> int:
     """Stream every completed table of the search to ``visit`` without
-    canonicalizing or deduplicating.  With symmetry breaking on, at least one
-    table of every isomorphism class (within the optional diagonal slice) is
-    visited, though a class may be seen many times.  This is the tool of
-    choice when the property being checked is isomorphism-invariant and the
-    size makes canonical labeling the dominant cost of a full census.
+    canonicalizing or deduplicating.  With symmetry breaking on, the
+    visited tables are the union of the normal-form slices (or of the given
+    diagonal's slice) with row 0 restricted: at least one table of every
+    isomorphism class is visited, though a class may be seen many times.
+    Without it every valid table (of the slice) is visited exactly once.
+    This is the tool of choice when the property being checked is
+    isomorphism-invariant and the size makes canonical labeling the
+    dominant cost of a full census.
     Exceptions raised by ``visit`` abort the scan and propagate.  Returns the
     number of tables visited."""
-    first_rows = _first_rows(n, symmetry_breaking, diagonal)
+    diagonals = _diagonals(n, symmetry_breaking, diagonal)
     count = 0
 
     def emit(t: Table) -> None:
@@ -601,14 +568,8 @@ def scan_cycle_sets(
         count += 1
         visit(t)
 
-    _search(
-        n,
-        (),
-        emit,
-        first_rows=first_rows,
-        diagonal=diagonal,
-        cancel=cancel,
-    )
+    for d in diagonals:
+        _search(n, d, (), emit, symmetry_breaking=symmetry_breaking, cancel=cancel)
     return count
 
 

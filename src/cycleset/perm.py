@@ -75,6 +75,8 @@ def power(p: Perm, k: int) -> Perm:
 
 def cycles(p: Sequence[int]) -> list[tuple[int, ...]]:
     """Disjoint cycles of ``p`` including fixed points, anchored at minima."""
+    if not is_permutation(p):
+        raise ValueError(f"not a permutation: {tuple(p)}")
     seen = [False] * len(p)
     out = []
     for s in range(len(p)):

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cycleset import (
     Congruence,
@@ -328,6 +329,21 @@ class TestIsomorphism:
             Y = relabel(X, (1, 3, 0, 2))
             w = is_isomorphic(X, Y)
             assert w is not None and relabel(X, w).table == Y.table
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        i=st.integers(0, 87),
+        j=st.integers(0, 87),
+        rho=st.permutations(range(5)).map(tuple),
+    )
+    def test_witness_replays_on_census_five(self, censuses_small, i, j, rho):
+        members = censuses_small[5].cycle_sets()
+        X = members[i]
+        Y = relabel(X, rho)
+        w = is_isomorphic(X, Y)
+        assert w is not None and relabel(X, w).table == Y.table
+        if j != i:
+            assert is_isomorphic(X, relabel(members[j], rho)) is None
 
     def test_non_isomorphic(self, size2_indec, trivial2):
         assert is_isomorphic(size2_indec, trivial2) is None

@@ -16,6 +16,7 @@ from cycleset import (
     SearchCancelled,
     brute_force_census,
     cycle_type,
+    cycles,
     enumerate_cycle_sets,
     from_cycles,
     scan_cycle_sets,
@@ -28,7 +29,6 @@ from cycleset.enumeration import (
     _diagonal_stabilizer,
     _naive_valid,
     _slice_first_rows,
-    first_row_representatives,
     split_work,
 )
 
@@ -43,14 +43,6 @@ SQUAREFREE6_SHA256 = "ea3791fbbde67e75cec2799451b48a095de8740c9cb35fcaeb4a6fc926
 
 def _sha256(census):
     return hashlib.sha256(census.canonical_bytes()).hexdigest()
-
-
-def _cycle_length_through_zero(p):
-    length, j = 1, p[0]
-    while j != 0:
-        j = p[j]
-        length += 1
-    return length
 
 
 class TestCounts:
@@ -98,30 +90,32 @@ class TestOracle:
 
 
 class TestFirstRowRepresentatives:
-    def test_count_at_six(self):
-        # one representative per (cycle type, length of the cycle through 0):
-        # summing distinct part values over the 11 partitions of 6 gives 19
-        assert len(first_row_representatives(6)) == 19
-
-    def test_marked_cycle_pairs_distinct(self):
-        for n in range(1, 7):
-            reps = first_row_representatives(n)
-            keys = {
-                (cycle_type(p), _cycle_length_through_zero(p)) for p in reps
-            }
-            assert len(keys) == len(reps)
-            for p in reps:
-                assert sorted(p) == list(range(n))
+    def test_one_normal_form_slice_per_partition(self):
+        # the full census is one slice per partition of n (11 at n = 6),
+        # the squaring map in normal form: cycles on consecutive points
+        for n, partitions in ((1, 1), (2, 2), (3, 3), (4, 5), (5, 7), (6, 11)):
+            tasks = split_work(n, 0)
+            assert len(tasks) == partitions
+            assert all(prefix == () for _, prefix in tasks)
+            assert len({cycle_type(d) for d, _ in tasks}) == partitions
+            for d, _ in tasks:
+                assert [x for c in cycles(d) for x in c] == list(range(n))
+                assert [len(c) for c in cycles(d)] == list(cycle_type(d))
 
     def test_symmetry_breaking_changes_nothing(self, censuses_small):
         for n in (2, 3, 4):
             free = enumerate_cycle_sets(n, symmetry_breaking=False)
             assert free.representatives == censuses_small[n].representatives
+        # the pool path searches all n! slices, one task each at depth 0
+        free = enumerate_cycle_sets(4, symmetry_breaking=False, jobs=2)
+        assert free.representatives == censuses_small[4].representatives
 
 
 class TestWorkSplitting:
-    def test_zero_depth_is_single_empty_prefix(self):
-        assert split_work(4, 0) == ((),)
+    def test_zero_depth_is_one_task_per_slice(self):
+        diag = from_cycles(4, [(0, 1)])
+        assert split_work(4, 0, diagonal=diag) == ((diag, ()),)
+        assert len(split_work(4, 0)) == 5
 
     def test_depth_must_stay_below_size(self):
         with pytest.raises(ValueError):
@@ -130,12 +124,13 @@ class TestWorkSplitting:
             split_work(4, -1)
 
     def test_prefix_union_reproduces_census(self, censuses_small):
-        for depth in (1, 2):
-            prefixes = split_work(4, depth)
-            assert len(set(prefixes)) == len(prefixes)
+        for depth in (0, 1, 2):
+            tasks = split_work(4, depth)
+            assert len(set(tasks)) == len(tasks)
             merged = set()
-            for prefix in prefixes:
-                merged.update(_census_task((4, prefix, None)))
+            for diag, prefix in tasks:
+                assert len(prefix) == depth
+                merged.update(_census_task((4, diag, prefix)))
             assert tuple(sorted(merged)) == censuses_small[4].representatives
 
     def test_parallel_run_is_byte_identical(self, censuses_small):
@@ -253,8 +248,11 @@ class TestScan:
 
     def test_scan_counts(self):
         # pins the tables the search emits, so pruning that loses or repeats
-        # a table shows even where the classes survive
-        assert scan_cycle_sets(5, lambda t: None) == 792
+        # a table shows even where the classes survive; at n = 5 these are
+        # the tables of the 7 normal-form slices, each with row 0 restricted
+        # to one representative per orbit of the relabelings that fix 0 and
+        # commute with the squaring map
+        assert scan_cycle_sets(5, lambda t: None) == 320
         involution = from_cycles(6, [(0, 1), (2, 3), (4, 5)])
         assert scan_cycle_sets(6, lambda t: None, diagonal=involution) == 415
         assert scan_cycle_sets(6, lambda t: None, diagonal=tuple(range(6))) == 2959

@@ -68,6 +68,15 @@ def test_order_annihilates(p):
     assert power(p, perm_order(p)) == identity(len(p))
 
 
+@pytest.mark.parametrize("word", [(1, 1), (0, 2)])
+def test_cycles_reject_non_permutations(word):
+    # (1, 1) used to loop forever and (0, 2) to index past the end
+    with pytest.raises(ValueError, match="not a permutation"):
+        cycles(word)
+    with pytest.raises(ValueError, match="not a permutation"):
+        cycle_type(word)
+
+
 def test_from_cycles_rejects_repeats():
     with pytest.raises(ValueError):
         from_cycles(4, [(0, 1), (1, 2)])
