@@ -72,7 +72,6 @@ from .enumeration import (
     enumerate_cycle_sets,
     scan_cycle_sets,
     size_cap,
-    split_work,
 )
 from .verify import (
     CHECKERS,
@@ -102,7 +101,7 @@ __all__ = [
     "AnalysisReport", "analyze",
     # enumeration
     "Census", "EnumerationFilter", "SearchCancelled", "enumerate_cycle_sets",
-    "scan_cycle_sets", "brute_force_census", "split_work", "size_cap",
+    "scan_cycle_sets", "brute_force_census", "size_cap",
     # verification
     "CHECKERS", "Counterexample", "Verdict", "run_all", "run_checker",
 ]

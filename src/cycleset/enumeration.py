@@ -28,13 +28,12 @@ before any row is tried, so only trials that would fail anyway are skipped.
 
 Row 0 is chosen first; below it the search branches on the unknown row with
 the fewest candidates, the lowest index on ties, so the visit order is not
-lexicographic.  The work-splitting mode keeps the fixed order 0, 1, 2, ...
-because its prefixes are the first rows.  Every emitted table is reduced
-to its class key (``canon.class_key``), a complete isomorphism invariant
-that is cheap to compute; once the search is done the full canonical form
-is computed once per distinct key, so the output is one canonical
-representative per isomorphism class, sorted, independent of work
-splitting and scheduling.
+lexicographic.  Every emitted table is reduced to its class key
+(``canon.class_key``), a complete isomorphism invariant that is cheap to
+compute; once the search is done the full canonical form is computed once
+per distinct key, so the output is one canonical representative per
+isomorphism class, sorted, independent of the number of jobs and of
+scheduling.
 """
 
 from __future__ import annotations
@@ -224,18 +223,13 @@ def _slice_first_rows(n: int, diagonal: Perm) -> tuple[Perm, ...]:
 def _search(
     n: int,
     diagonal: Perm,
-    prefix: Sequence[Perm],
     emit: Callable[[Table], None],
     symmetry_breaking: bool = True,
     cancel=None,
-    depth_limit: int | None = None,
 ) -> None:
     """Backtracking core over the tables whose row x maps x to diagonal[x].
-    ``prefix`` pins the first rows; when it leaves row 0 open, symmetry
-    breaking restricts row 0 to ``_slice_first_rows``.  With ``depth_limit``
-    set, the search stops as soon as the first depth_limit rows are known
-    and emits just those rows (the work-splitting mode).  ``cancel`` is
-    polled at the first node and then every 512 nodes."""
+    Symmetry breaking restricts row 0 to ``_slice_first_rows``.  ``cancel``
+    is polled at the first node and then every 512 nodes."""
     # cells[x][v]: the rows p with p[x] == v, in lexicographic order
     cells: list[list[list[Perm]]] = [[[] for _ in range(n)] for _ in range(n)]
     for p in permutations(range(n)):
@@ -326,13 +320,7 @@ def _search(
         if cancel is not None and nodes % 512 == 1 and cancel.is_set():
             raise SearchCancelled
         unknown = [x for x in range(n) if rows[x] is None]
-        if depth_limit is not None:
-            # prefixes are rows 0 .. depth_limit - 1, so keep the fixed order
-            if not unknown or unknown[0] >= depth_limit:
-                emit(tuple(rows[:depth_limit]))  # type: ignore[arg-type]
-                return
-            unknown = unknown[:1]
-        elif not unknown:
+        if not unknown:
             emit(tuple(rows))  # type: ignore[arg-type]
             return
         if unknown[0] == 0 and symmetry_breaking:
@@ -352,21 +340,7 @@ def _search(
                 extend()
             undo(trail)
 
-    # replay the pinned prefix, tolerating rows it already forced
-    trail: list = []
-    ok = True
-    for i, p in enumerate(prefix):
-        if rows[i] is not None:
-            if rows[i] != p:
-                ok = False
-                break
-            continue
-        if not place(i, p, trail):
-            ok = False
-            break
-    if ok:
-        extend()
-    undo(trail)
+    extend()
 
 
 def _diagonals(
@@ -392,33 +366,6 @@ def _diagonals(
     if symmetry_breaking:
         return _normal_forms(n)
     return tuple(permutations(range(n)))
-
-
-def split_work(
-    n: int,
-    prefix_depth: int,
-    symmetry_breaking: bool = True,
-    diagonal: Perm | None = None,
-) -> tuple[tuple[Perm, tuple[Perm, ...]], ...]:
-    """(diagonal, prefix) tasks: for each slice of the search, its
-    consistent row prefixes of the given depth, so depth 0 gives one task
-    per slice.  Searching each task independently and merging the
-    deduplicated results reproduces the unsplit search: tasks are mutually
-    exclusive and jointly cover it."""
-    diagonals = _diagonals(n, symmetry_breaking, diagonal)
-    if not 0 <= prefix_depth < n:
-        raise ValueError("prefix depth must be in 0..n-1")
-    tasks: list[tuple[Perm, tuple[Perm, ...]]] = []
-    for d in diagonals:
-        _search(
-            n,
-            d,
-            (),
-            lambda rows: tasks.append((d, rows)),  # type: ignore[arg-type]
-            symmetry_breaking=symmetry_breaking,
-            depth_limit=prefix_depth,
-        )
-    return tuple(tasks)
 
 
 def _census_classes(
@@ -447,12 +394,13 @@ def _init_worker(cancel) -> None:
 
 
 def _census_task(args: tuple) -> list[Table]:
-    """The classes of one ``split_work`` task; a task with an empty prefix
-    is a whole slice, whose row 0 is restricted to ``_slice_first_rows``."""
-    n, diagonal, prefix = args
+    """The classes of one slice, the pool's unit of work."""
+    n, diagonal, symmetry_breaking = args
     return sorted(
         _census_classes(
-            lambda emit: _search(n, diagonal, prefix, emit, cancel=_worker_cancel),
+            lambda emit: _search(
+                n, diagonal, emit, symmetry_breaking, cancel=_worker_cancel
+            ),
             cancel=_worker_cancel,
         )
     )
@@ -469,18 +417,18 @@ def enumerate_cycle_sets(
     progress: Callable[[str], None] | None = None,
 ) -> Census:
     """Census of all cycle sets of size n up to isomorphism, filtered.
-    With jobs > 1 the search is split by ``split_work`` at the smallest
-    prefix depth from 0 (one task per slice) giving at least 4 * jobs tasks
-    (at most n - 1), and the tasks run in a process pool.  A task with an
-    empty prefix restricts row 0 in either mode, so without symmetry
-    breaking the pool path searches every slice but is not the unbroken
-    cross-check; the census is the same.  Setting ``cancel`` raises
+    With jobs > 1 and more than one slice, each slice is one task and the
+    tasks run in a process pool of min(jobs, tasks, CPUs) workers, so a
+    large ``jobs`` starts no more processes than there is work or hardware
+    for.  Every task passes ``symmetry_breaking`` through, so without it the
+    pool path is the unbroken search too.  Setting ``cancel`` raises
     ``SearchCancelled`` at the next poll of the search, or within about
     0.1 s on the pool path, whose running tasks then stop at their own
     next poll."""
     filt = filt or EnumerationFilter()
     start = time.monotonic()
-    if jobs <= 1 or n == 1:
+    diagonals = _diagonals(n, symmetry_breaking, diagonal)
+    if jobs <= 1 or len(diagonals) == 1:
         canon_set = _census_classes(
             lambda emit: scan_cycle_sets(
                 n,
@@ -493,21 +441,18 @@ def enumerate_cycle_sets(
         )
     else:
         canon_set = set()
-        depth = 0
-        tasks = split_work(n, depth, symmetry_breaking, diagonal)
-        while len(tasks) < 4 * jobs and depth < n - 1:
-            depth += 1
-            tasks = split_work(n, depth, symmetry_breaking, diagonal)
         ctx = multiprocessing.get_context()
         stop = ctx.Event()
         with ProcessPoolExecutor(
-            max_workers=jobs,
+            # the pool forks all its workers at the first submit
+            max_workers=min(jobs, len(diagonals), os.cpu_count() or 1),
             mp_context=ctx,
             initializer=_init_worker,
             initargs=(stop,),
         ) as pool:
             waiting = {
-                pool.submit(_census_task, (n, d, prefix)) for d, prefix in tasks
+                pool.submit(_census_task, (n, d, symmetry_breaking))
+                for d in diagonals
             }
             merged = 0
             try:
@@ -521,7 +466,7 @@ def enumerate_cycle_sets(
                         canon_set.update(future.result())
                         merged += 1
                         if progress is not None:
-                            progress(f"task {merged}/{len(tasks)} merged")
+                            progress(f"task {merged}/{len(diagonals)} merged")
             finally:
                 # running tasks stop at their next poll and queued ones are
                 # dropped, so leaving the with block does not wait for them
@@ -569,7 +514,7 @@ def scan_cycle_sets(
         visit(t)
 
     for d in diagonals:
-        _search(n, d, (), emit, symmetry_breaking=symmetry_breaking, cancel=cancel)
+        _search(n, d, emit, symmetry_breaking=symmetry_breaking, cancel=cancel)
     return count
 
 

@@ -2,6 +2,7 @@
 filters, determinism, and the size cap."""
 
 import hashlib
+import multiprocessing
 import threading
 import time
 from collections import Counter
@@ -22,14 +23,15 @@ from cycleset import (
     scan_cycle_sets,
     size_cap,
 )
+from cycleset import enumeration
 from cycleset.canon import canonical_form as canonical_table
 from cycleset.enumeration import (
     ENGINE_VERSION,
     _census_task,
     _diagonal_stabilizer,
+    _diagonals,
     _naive_valid,
     _slice_first_rows,
-    split_work,
 )
 
 KNOWN_COUNTS = {1: 1, 2: 2, 3: 5, 4: 23, 5: 88, 6: 595}
@@ -94,44 +96,45 @@ class TestFirstRowRepresentatives:
         # the full census is one slice per partition of n (11 at n = 6),
         # the squaring map in normal form: cycles on consecutive points
         for n, partitions in ((1, 1), (2, 2), (3, 3), (4, 5), (5, 7), (6, 11)):
-            tasks = split_work(n, 0)
-            assert len(tasks) == partitions
-            assert all(prefix == () for _, prefix in tasks)
-            assert len({cycle_type(d) for d, _ in tasks}) == partitions
-            for d, _ in tasks:
+            diagonals = _diagonals(n, True, None)
+            assert len(diagonals) == partitions
+            assert len({cycle_type(d) for d in diagonals}) == partitions
+            for d in diagonals:
                 assert [x for c in cycles(d) for x in c] == list(range(n))
                 assert [len(c) for c in cycles(d)] == list(cycle_type(d))
 
     def test_symmetry_breaking_changes_nothing(self, censuses_small):
+        # each pool task passes symmetry_breaking through, so with jobs=2
+        # this is the unbroken search too
         for n in (2, 3, 4):
-            free = enumerate_cycle_sets(n, symmetry_breaking=False)
-            assert free.representatives == censuses_small[n].representatives
-        # the pool path searches all n! slices, one task each at depth 0
-        free = enumerate_cycle_sets(4, symmetry_breaking=False, jobs=2)
-        assert free.representatives == censuses_small[4].representatives
+            for jobs in (1, 2):
+                free = enumerate_cycle_sets(n, symmetry_breaking=False, jobs=jobs)
+                assert free.representatives == censuses_small[n].representatives
 
 
 class TestWorkSplitting:
+    # the pool runs one _census_task per slice, the diagonals of _diagonals
+
     def test_zero_depth_is_one_task_per_slice(self):
         diag = from_cycles(4, [(0, 1)])
-        assert split_work(4, 0, diagonal=diag) == ((diag, ()),)
-        assert len(split_work(4, 0)) == 5
+        assert _diagonals(4, True, diag) == (diag,)
+        assert len(_diagonals(4, True, None)) == 5
 
-    def test_depth_must_stay_below_size(self):
-        with pytest.raises(ValueError):
-            split_work(4, 4)
-        with pytest.raises(ValueError):
-            split_work(4, -1)
-
-    def test_prefix_union_reproduces_census(self, censuses_small):
-        for depth in (0, 1, 2):
-            tasks = split_work(4, depth)
-            assert len(set(tasks)) == len(tasks)
+    def test_slice_task_union_reproduces_census(self, censuses_small):
+        for broken in (True, False):
+            diagonals = _diagonals(4, broken, None)
+            assert len(diagonals) == (5 if broken else 24)
             merged = set()
-            for diag, prefix in tasks:
-                assert len(prefix) == depth
-                merged.update(_census_task((4, diag, prefix)))
+            for diag in diagonals:
+                merged.update(_census_task((4, diag, broken)))
             assert tuple(sorted(merged)) == censuses_small[4].representatives
+
+    def test_parallel_census_canonicalizes_each_class_once(self, censuses_small):
+        # slices hold disjoint classes, so the task results add up to the
+        # class count: no class is canonicalized twice
+        results = [_census_task((5, d, True)) for d in _diagonals(5, True, None)]
+        assert sum(len(r) for r in results) == 88
+        assert set().union(*results) == set(censuses_small[5].representatives)
 
     def test_parallel_run_is_byte_identical(self, censuses_small):
         messages = []
@@ -139,25 +142,27 @@ class TestWorkSplitting:
         assert parallel.canonical_bytes() == censuses_small[4].canonical_bytes()
         assert messages and all("merged" in m for m in messages)
 
-    def test_parallel_slice_deepens_prefixes(self):
-        # the identity slice at n=5 has only 5 first rows, fewer than
-        # 4 * jobs, so the pool path splits at depth 2
-        ident = tuple(range(5))
-        assert len(split_work(5, 1, diagonal=ident)) == 5
-        messages = []
-        parallel = enumerate_cycle_sets(
-            5, jobs=2, diagonal=ident, progress=messages.append
-        )
-        serial = enumerate_cycle_sets(5, diagonal=ident)
-        assert parallel.canonical_bytes() == serial.canonical_bytes()
-        assert len(messages) == len(split_work(5, 2, diagonal=ident))
+    def test_pool_size_is_bounded_by_tasks(self, monkeypatch):
+        # the pool forks all its workers at the first submit, so a huge
+        # jobs must not reach it; the spy builds a real pool of at most 2
+        asked = []
+        real = enumeration.ProcessPoolExecutor
+
+        def spy(max_workers, **kwargs):
+            asked.append(max_workers)
+            return real(max_workers=min(max_workers, 2), **kwargs)
+
+        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", spy)
+        census = enumerate_cycle_sets(5, jobs=10**6)
+        assert len(asked) == 1 and 1 <= asked[0] <= 7
+        assert _sha256(census) == CENSUS5_SHA256
 
     def test_split_checks_cap_and_degree(self, monkeypatch):
         monkeypatch.delenv("CYCLESET_MAX_N", raising=False)
         with pytest.raises(ValueError, match="exceeds the enumeration cap"):
-            split_work(size_cap() + 1, 1)
+            enumerate_cycle_sets(size_cap() + 1, jobs=2)
         with pytest.raises(ValueError, match="wrong degree"):
-            split_work(3, 1, diagonal=(1, 0))
+            enumerate_cycle_sets(3, jobs=2, diagonal=(1, 0))
 
 
 class TestDiagonalConstraint:
@@ -429,6 +434,14 @@ class TestCancellation:
             timer.cancel()
             timer.join(5)
         assert time.monotonic() - start < 5.5
+
+    def test_keyboard_interrupt_leaves_no_orphan_workers(self):
+        def interrupt(message):
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            enumerate_cycle_sets(5, jobs=2, progress=interrupt)
+        assert multiprocessing.active_children() == []
 
     def test_unset_event_leaves_census_unchanged(self, censuses_small):
         census = enumerate_cycle_sets(5, cancel=threading.Event())
