@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CycleSet, DehornoyCapExceeded
+from .core import CONGRUENCE_MAX_N, CycleSet, DehornoyCapExceeded
 from .perm import cycle_type
 
 
@@ -49,12 +49,12 @@ class AnalysisReport:
         }
 
 
-def analyze(X: CycleSet, simplicity_bound: int = 8) -> AnalysisReport:
+def analyze(X: CycleSet) -> AnalysisReport:
     """Populate every report field.
 
-    Simplicity is skipped (None) above ``simplicity_bound`` because the
-    congruence closure is quartic in n; the Dehornoy class is None when the
-    capped scan gives up, which only happens on decomposable inputs.
+    Simplicity is skipped (None) above ``CONGRUENCE_MAX_N``, the size cap of
+    the congruence search; the Dehornoy class is None when the capped scan
+    gives up, which only happens on decomposable inputs.
     """
     retract, _ = X.retraction()
     try:
@@ -68,7 +68,7 @@ def analyze(X: CycleSet, simplicity_bound: int = 8) -> AnalysisReport:
         decomposable=X.is_decomposable,
         decomposition=X.decomposition,
         latin=X.is_latin,
-        simple=X.is_simple if X.n <= simplicity_bound else None,
+        simple=X.is_simple if X.n <= CONGRUENCE_MAX_N else None,
         retractable=retract.n < X.n,
         dehornoy_class=d,
         group_order=X.perm_group.order,

@@ -19,8 +19,8 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .core import CycleSet, cycle_set
-from .perm import Perm, compose, identity, inverse, union_find
+from .core import CycleSet, cycle_set, product_table
+from .perm import Perm, closure, compose, identity, inverse, partition
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -205,17 +205,10 @@ class LeftBrace:
     @cached_property
     def lambda_orbits(self) -> tuple[tuple[int, ...], ...]:
         """Orbits of the lambda-action on the nonzero elements."""
-        find, union = union_find(self.n)
-        for x in range(self.n):
-            lm = self.lambda_maps[x]
-            for y in range(self.n):
-                union(y, lm[y])
-        buckets: dict[int, list[int]] = {}
-        for y in range(self.n):
-            if y == self.zero:
-                continue
-            buckets.setdefault(find(y), []).append(y)
-        return tuple(sorted(tuple(b) for b in buckets.values()))
+        labels = closure(
+            self.n, [(y, lm[y]) for lm in self.lambda_maps for y in range(self.n)]
+        )
+        return tuple(c for c in partition(labels) if c != (self.zero,))
 
 
 @dataclass(frozen=True)
@@ -389,22 +382,7 @@ def pp_brace(p: int) -> LeftBrace:
 
 def direct_product_brace(a: LeftBrace, b: LeftBrace) -> LeftBrace:
     """Componentwise operations on pairs, indexed row-major: (x, y) -> x*|b|+y."""
-    nb = b.n
-    size = a.n * nb
-
-    def build(ta: Table, tb: Table) -> Table:
-        out = []
-        for x in range(a.n):
-            for y in range(nb):
-                row = [0] * size
-                for z in range(a.n):
-                    az = ta[x][z]
-                    for t in range(nb):
-                        row[z * nb + t] = az * nb + tb[y][t]
-                out.append(tuple(row))
-        return tuple(out)
-
-    return left_brace(build(a.add, b.add), build(a.circ, b.circ))
+    return left_brace(product_table(a.add, b.add), product_table(a.circ, b.circ))
 
 
 def brace_is_isomorphic(a: LeftBrace, b: LeftBrace) -> tuple[int, ...] | None:

@@ -24,16 +24,21 @@ from . import canon
 from .perm import (
     Perm,
     PermGroup,
+    closure,
     compose,
     generate,
     identity,
     inverse,
+    invariant_partitions,
     is_permutation,
+    partition,
     prime_support,
-    union_find,
 )
 
 Table = tuple[tuple[int, ...], ...]
+
+# largest size whose congruences are computed; above it simplicity is unknown
+CONGRUENCE_MAX_N = 8
 
 
 class InvalidCycleSet(ValueError):
@@ -172,10 +177,7 @@ class CycleSet:
 
     @cached_property
     def _retract_classes(self) -> tuple[tuple[int, ...], ...]:
-        buckets: dict[Perm, list[int]] = {}
-        for x, row in enumerate(self.table):
-            buckets.setdefault(row, []).append(x)
-        return tuple(sorted(tuple(b) for b in buckets.values()))
+        return partition(self.table)
 
     def retraction(self) -> tuple["CycleSet", tuple[int, ...]]:
         """Quotient by equality of rows; classes labeled by least member."""
@@ -249,30 +251,24 @@ class CycleSet:
 
     # -- congruences --------------------------------------------------------
 
+    @cached_property
+    def _translations(self) -> tuple[Perm, ...]:
+        """The rows u -> x.u and the columns x -> x.u.  A partition is a
+        congruence exactly when all 2n of them carry it into itself."""
+        return self.table + tuple(zip(*self.table))
+
     def principal_congruence(self, a: int, b: int) -> "Congruence":
         """Smallest congruence identifying a and b."""
-        labels = _principal_labels(self.table, a, b)
-        return Congruence.from_labels(labels)
+        return Congruence.from_labels(closure(self.n, [(a, b)], self._translations))
 
-    def congruences(self, max_size: int = 8) -> tuple["Congruence", ...]:
+    def congruences(self) -> tuple["Congruence", ...]:
         """Every congruence, as joins of principal ones plus the diagonal."""
-        n = self.n
-        if n > max_size:
-            raise ValueError(f"congruence search limited to n <= {max_size}")
-        found: set[tuple[int, ...]] = set()
-        for a in range(n):
-            for b in range(a + 1, n):
-                found.add(_principal_labels(self.table, a, b))
-        work = list(found)
-        while work:
-            c = work.pop()
-            for d in list(found):
-                j = _join_labels(c, d)
-                if j not in found:
-                    found.add(j)
-                    work.append(j)
-        found.add(tuple(range(n)))
-        return tuple(Congruence.from_labels(l) for l in sorted(found))
+        if self.n > CONGRUENCE_MAX_N:
+            raise ValueError(f"congruence search limited to n <= {CONGRUENCE_MAX_N}")
+        return tuple(
+            Congruence.from_labels(labels)
+            for labels in invariant_partitions(self.n, self._translations)
+        )
 
     @cached_property
     def is_simple(self) -> bool:
@@ -280,7 +276,7 @@ class CycleSet:
         n = self.n
         total = (0,) * n
         return all(
-            _principal_labels(self.table, a, b) == total
+            closure(n, [(a, b)], self._translations) == total
             for a in range(n)
             for b in range(a + 1, n)
         )
@@ -353,10 +349,7 @@ class Congruence:
 
     @classmethod
     def from_labels(cls, labels: Sequence[int]) -> "Congruence":
-        buckets: dict[int, list[int]] = {}
-        for x, l in enumerate(labels):
-            buckets.setdefault(l, []).append(x)
-        return cls(tuple(sorted(tuple(sorted(b)) for b in buckets.values())))
+        return cls(partition(labels))
 
     @property
     def n(self) -> int:
@@ -395,38 +388,6 @@ class Congruence:
         return True
 
 
-def _principal_labels(table: Table, a: int, b: int) -> tuple[int, ...]:
-    n = len(table)
-    find, union = union_find(n)
-    union(a, b)
-    changed = True
-    while changed:
-        changed = False
-        # x == y is needed: it propagates relatedness through a single row
-        for x in range(n):
-            for y in range(x, n):
-                if find(x) != find(y):
-                    continue
-                for u in range(n):
-                    for v in range(n):
-                        if find(u) == find(v) and union(table[x][u], table[y][v]):
-                            changed = True
-    return tuple(find(x) for x in range(n))
-
-
-def _join_labels(c: tuple[int, ...], d: tuple[int, ...]) -> tuple[int, ...]:
-    n = len(c)
-    find, union = union_find(n)
-    for labels in (c, d):
-        firsts: dict[int, int] = {}
-        for x, l in enumerate(labels):
-            if l in firsts:
-                union(firsts[l], x)
-            else:
-                firsts[l] = x
-    return tuple(find(x) for x in range(n))
-
-
 # ---------------------------------------------------------------------------
 # constructions
 
@@ -439,20 +400,24 @@ def trivial_cycle_set(gamma: Sequence[int]) -> CycleSet:
     return CycleSet(tuple(g for _ in g))
 
 
+def product_table(ta: Table, tb: Table) -> Table:
+    """Componentwise operation on pairs, indexed row-major: (x, y) -> x*|tb|+y."""
+    na, nb = len(ta), len(tb)
+    out = []
+    for x in range(na):
+        for y in range(nb):
+            row = [0] * (na * nb)
+            for z in range(na):
+                az = ta[x][z]
+                for t in range(nb):
+                    row[z * nb + t] = az * nb + tb[y][t]
+            out.append(tuple(row))
+    return tuple(out)
+
+
 def direct_product(a: CycleSet, b: CycleSet) -> CycleSet:
     """Componentwise operation on pairs, indexed row-major: (x, y) -> x*|b|+y."""
-    nb = b.n
-    size = a.n * nb
-    table = []
-    for x in range(a.n):
-        for y in range(nb):
-            row = [0] * size
-            for z in range(a.n):
-                az = a.table[x][z]
-                for t in range(nb):
-                    row[z * nb + t] = az * nb + b.table[y][t]
-            table.append(tuple(row))
-    return CycleSet(tuple(table))
+    return CycleSet(product_table(a.table, b.table))
 
 
 def relabel(X: CycleSet, rho: Sequence[int]) -> CycleSet:

@@ -450,9 +450,11 @@ def enumerate_cycle_sets(
             initializer=_init_worker,
             initargs=(stop,),
         ) as pool:
+            # normal forms end with the identity, the costliest slice, so it
+            # is submitted first and the small slices fill in beside it
             waiting = {
                 pool.submit(_census_task, (n, d, symmetry_breaking))
-                for d in diagonals
+                for d in reversed(diagonals)
             }
             merged = 0
             try:

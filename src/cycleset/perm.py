@@ -5,8 +5,9 @@ A permutation is a tuple ``p`` of length ``n`` containing each of
 "right factor first": ``compose(a, b)`` is the map ``i -> a[b[i]]``.
 
 Groups are materialized in full by breadth-first closure.  Degrees stay tiny
-(at most about 12), where listing every element beats stabilizer chains and
-keeps every question (orbits, blocks, nilpotency) a direct scan.
+(at most about 12), where listing every element beats stabilizer chains.
+Orbits and block systems, like the congruences of a cycle set, come from one
+partition closure: merge pairs and push each merge through a set of maps.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 Perm = tuple[int, ...]
 
@@ -149,10 +149,21 @@ def prime_support(n: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def union_find(n: int) -> tuple[Callable[[int], int], Callable[[int, int], bool]]:
-    """Disjoint-set forest on 0..n-1 as a pair of closures ``find, union``.
-    Every root is the least member of its class, so ``find(x)`` is a
-    canonical class label; ``union`` reports whether two classes merged."""
+def closure(
+    n: int, pairs: Iterable[tuple[int, int]], maps: Sequence[Sequence[int]] = ()
+) -> tuple[int, ...]:
+    """Finest partition of 0..n-1 that relates every pair and that every map
+    carries into itself (x ~ y implies f[x] ~ f[y]), as a label per point:
+    the least member of its class.
+
+    A worklist of pairs is merged in a disjoint-set forest, and each merge of
+    x and y pushes (f[x], f[y]) for every map f (Atkinson, Math. Comp. 29,
+    1975): related points are joined by a chain of merged pairs, and a map
+    carries that chain to a chain of pushed pairs.
+
+    >>> closure(4, [(0, 2)], [(1, 2, 3, 0)])
+    (0, 1, 0, 1)
+    """
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -161,17 +172,53 @@ def union_find(n: int) -> tuple[Callable[[int], int], Callable[[int, int], bool]
             x = parent[x]
         return x
 
-    def union(x: int, y: int) -> bool:
+    work = list(pairs)
+    while work:
+        x, y = work.pop()
         rx, ry = find(x), find(y)
         if rx == ry:
-            return False
+            continue
         if rx < ry:
             parent[ry] = rx
         else:
             parent[rx] = ry
-        return True
+        for f in maps:
+            work.append((f[x], f[y]))
+    return tuple(find(x) for x in range(n))
 
-    return find, union
+
+def partition(labels: Iterable[Hashable]) -> tuple[tuple[int, ...], ...]:
+    """Points grouped by label, each class ascending, classes sorted by least
+    member.
+
+    >>> partition("abab")
+    ((0, 2), (1, 3))
+    """
+    classes: dict[Hashable, list[int]] = {}
+    for x, label in enumerate(labels):
+        classes.setdefault(label, []).append(x)
+    # first appearance of a label is its least member
+    return tuple(tuple(c) for c in classes.values())
+
+
+def invariant_partitions(
+    n: int, maps: Sequence[Sequence[int]]
+) -> tuple[tuple[int, ...], ...]:
+    """Every partition of 0..n-1 that each map carries into itself, as sorted
+    :func:`closure` labels: the discrete partition, the closure of each pair,
+    and their joins."""
+    found = {closure(n, [(a, b)], maps) for a in range(n) for b in range(a + 1, n)}
+    work = list(found)
+    while work:
+        c = work.pop()
+        for d in list(found):
+            # a join of invariant partitions is invariant, so no maps needed
+            j = closure(n, [*enumerate(c), *enumerate(d)])
+            if j not in found:
+                found.add(j)
+                work.append(j)
+    found.add(tuple(range(n)))
+    return tuple(sorted(found))
 
 
 # ---------------------------------------------------------------------------
@@ -223,14 +270,8 @@ class PermGroup:
     @cached_property
     def orbits(self) -> tuple[tuple[int, ...], ...]:
         """Orbit partition, orbits sorted by least point."""
-        find, union = union_find(self.degree)
-        for g in self.generators:
-            for i, j in enumerate(g):
-                union(i, j)
-        buckets: dict[int, list[int]] = {}
-        for i in range(self.degree):
-            buckets.setdefault(find(i), []).append(i)
-        return tuple(sorted((tuple(sorted(b)) for b in buckets.values())))
+        pairs = [(i, j) for g in self.generators for i, j in enumerate(g)]
+        return partition(closure(self.degree, pairs))
 
     @property
     def is_transitive(self) -> bool:
@@ -274,35 +315,18 @@ class PermGroup:
     # -- block systems ------------------------------------------------------
 
     def block_systems(self) -> tuple["BlockSystem", ...]:
-        """All nontrivial block systems of a transitive group.
-
-        Scans candidate blocks through point 0 (size a proper divisor of the
-        degree) for invariance under every element; feasible because elements
-        are materialized.
-        """
+        """All nontrivial block systems of a transitive group: the partitions
+        the generators carry into themselves, other than the discrete and the
+        total one.  Transitivity makes their blocks equal in size."""
         if not self.is_transitive:
             raise ValueError("block systems require a transitive group")
         n = self.degree
-        out = []
-        rest = [x for x in range(n) if x != 0]
-        els = self.elements
-        for d in range(2, n):
-            if n % d != 0:
-                continue
-            for extra in combinations(rest, d - 1):
-                blk = frozenset((0,) + extra)
-                images = set()
-                ok = True
-                for g in els:
-                    img = frozenset(g[x] for x in blk)
-                    if img & blk and img != blk:
-                        ok = False
-                        break
-                    images.add(img)
-                if ok:
-                    part = tuple(sorted(tuple(sorted(b)) for b in images))
-                    out.append(BlockSystem(n, part))
-        return tuple(sorted(set(out), key=lambda s: s.blocks))
+        systems = (
+            BlockSystem(n, partition(labels))
+            for labels in invariant_partitions(n, self.generators)
+            if 1 < len(set(labels)) < n
+        )
+        return tuple(sorted(systems, key=lambda s: s.blocks))
 
 
 def generate(gens: Iterable[Sequence[int]], max_order: int = DEFAULT_ORDER_CAP) -> PermGroup:

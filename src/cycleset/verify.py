@@ -21,6 +21,7 @@ from typing import Callable, Iterable, Sequence
 
 from .brace import brace_of_cycle_set
 from .core import (
+    CONGRUENCE_MAX_N,
     CycleSet,
     InvalidCycleSet,
     Table,
@@ -97,19 +98,9 @@ def hash_tables(tables: Iterable[CycleSet]) -> str:
 def _is_pcycle(t: Perm) -> int | None:
     """The prime p when t is a single p-cycle (all other points fixed)."""
     moved = [length for length in cycle_type(t) if length > 1]
-    if len(moved) != 1:
+    if len(moved) != 1 or prime_support(moved[0]) != {moved[0]}:
         return None
-    p = moved[0]
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
-        return None
-    return p
-
-
-def _least_prime(n: int) -> int:
-    d = 2
-    while n % d:
-        d += 1
-    return d
+    return moved[0]
 
 
 def _p_block_systems(X: CycleSet, p: int):
@@ -155,7 +146,7 @@ def _chk_prime_support_match(X: CycleSet, ctx: dict):
 
 
 def _chk_nilpotent_factorization(X: CycleSet, ctx: dict):
-    if X.n > 8 or X.is_decomposable:
+    if X.n > CONGRUENCE_MAX_N or X.is_decomposable:
         return False, []
     primes = sorted(prime_support(X.n))
     if len(primes) < 2:
@@ -197,7 +188,7 @@ def _chk_pcycle_simple(X: CycleSet, ctx: dict):
     fails = []
     if not X.is_simple:
         fails.append(f"squaring map is a {p}-cycle but it is not simple")
-    composite = X.n > 1 and _least_prime(X.n) != X.n
+    composite = min(prime_support(X.n)) != X.n
     if composite and not X.is_irretractable:
         fails.append("composite size with a p-cycle squaring map, yet retractable")
     return True, fails
@@ -257,7 +248,7 @@ def _census_pcycle_classification(tables: Sequence[CycleSet], ctx: dict):
 def _chk_block_bound(X: CycleSet, ctx: dict):
     if X.n <= 1 or X.is_decomposable:
         return False, []
-    q = _least_prime(X.n)
+    q = min(prime_support(X.n))
     if q >= X.n:
         return False, []
     if not _p_block_systems(X, q):
@@ -378,9 +369,9 @@ def _chk_cabling_laws(X: CycleSet, ctx: dict):
 def _chk_block_action(X: CycleSet, ctx: dict):
     if X.n <= 1 or X.is_decomposable or not X.perm_group.is_nilpotent:
         return False, []
-    if _least_prime(X.n) == X.n:
+    if min(prime_support(X.n)) == X.n:
         return False, []
-    p = _least_prime(X.perm_group.order)
+    p = min(prime_support(X.perm_group.order))
     systems = _p_block_systems(X, p)
     if not systems:
         return True, [f"no block system with {p} blocks exists"]
@@ -430,7 +421,7 @@ def _chk_coprime_tail_pcycle(X: CycleSet, ctx: dict):
 
 @dataclass(frozen=True)
 class CheckerDef:
-    instance: Callable[[CycleSet, dict], tuple[bool, list[str]]] | None
+    instance: Callable[[CycleSet, dict], tuple[bool, list[str]]]
     census: Callable[[Sequence[CycleSet], dict], tuple[list, list[str]]] | None
     notes: tuple[str, ...] = ()
 
@@ -443,8 +434,8 @@ CHECKERS: dict[str, CheckerDef] = {
         _chk_nilpotent_factorization,
         None,
         notes=(
-            "instances above the congruence-search cap (size > 8) are "
-            "skipped, not checked",
+            "instances above the congruence-search cap "
+            f"(size > {CONGRUENCE_MAX_N}) are skipped, not checked",
         ),
     ),
     "pcycle_simple": CheckerDef(_chk_pcycle_simple, None),
@@ -517,20 +508,19 @@ def run_checker(
     skipped = 0
     ces: list[Counterexample] = []
     notes = list(cdef.notes)
-    if cdef.instance is not None:
-        for X in tables:
-            try:
-                applicable, failures = cdef.instance(X, ctx)
-            except Exception as exc:
-                applicable, failures = True, [
-                    f"checker raised {type(exc).__name__}: {exc}"
-                ]
-            if not applicable:
-                skipped += 1
-                continue
-            instances += 1
-            for detail in failures:
-                ces.append(Counterexample(checker_id, X.n, X.table, detail))
+    for X in tables:
+        try:
+            applicable, failures = cdef.instance(X, ctx)
+        except Exception as exc:
+            applicable, failures = True, [
+                f"checker raised {type(exc).__name__}: {exc}"
+            ]
+        if not applicable:
+            skipped += 1
+            continue
+        instances += 1
+        for detail in failures:
+            ces.append(Counterexample(checker_id, X.n, X.table, detail))
     if cdef.census is not None:
         try:
             extra, extra_notes = cdef.census(tables, ctx)

@@ -157,6 +157,21 @@ class TestWorkSplitting:
         assert len(asked) == 1 and 1 <= asked[0] <= 7
         assert _sha256(census) == CENSUS5_SHA256
 
+    def test_identity_slice_is_submitted_first(self, monkeypatch):
+        # the identity slice is the costliest, so it must not wait behind
+        # the small slices for a free worker
+        tasks = []
+
+        class Spy(enumeration.ProcessPoolExecutor):
+            def submit(self, fn, *args, **kwargs):
+                tasks.append(args[0])
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", Spy)
+        census = enumerate_cycle_sets(4, jobs=2)
+        assert tasks[0] == (4, (0, 1, 2, 3), True)
+        assert len(tasks) == 5 and census.count == 23
+
     def test_split_checks_cap_and_degree(self, monkeypatch):
         monkeypatch.delenv("CYCLESET_MAX_N", raising=False)
         with pytest.raises(ValueError, match="exceeds the enumeration cap"):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +14,7 @@ from cycleset.perm import (
     identity,
     inverse,
     is_permutation,
+    partition,
     perm_order,
     power,
     prime_support,
@@ -135,3 +138,38 @@ class TestPermGroup:
         g = generate([(1, 2, 3, 0), (0, 3, 2, 1)])
         shapes = sorted((bs.num_blocks, bs.block_size) for bs in g.block_systems())
         assert (2, 2) in shapes
+
+    def test_block_systems_need_a_transitive_group(self):
+        with pytest.raises(ValueError, match="transitive"):
+            generate([(1, 0, 2, 3)]).block_systems()
+
+    def test_block_systems_match_partition_scan(self, censuses_small):
+        # the closure's systems equal a brute scan over every labeling for
+        # the nontrivial equal-block partitions that every element permutes
+        groups = [
+            X.perm_group
+            for census in censuses_small.values()
+            for X in census.cycle_sets()
+            if X.is_indecomposable
+        ]
+        groups += [
+            generate([(1, 2, 3, 0)]),
+            generate([(1, 2, 3, 0), (0, 3, 2, 1)]),
+            generate([(1, 2, 3, 4, 0), (0, 2, 4, 1, 3)]),
+        ]
+        for g in groups:
+            n = g.degree
+            want = set()
+            for labels in itertools.product(range(n), repeat=n):
+                blocks = partition(labels)
+                if not 1 < len(blocks) < n or len({len(b) for b in blocks}) != 1:
+                    continue
+                block_set = {frozenset(b) for b in blocks}
+                if all(
+                    frozenset(h[x] for x in b) in block_set
+                    for h in g.elements
+                    for b in blocks
+                ):
+                    want.add(blocks)
+            got = tuple(bs.blocks for bs in g.block_systems())
+            assert got == tuple(sorted(want)), g.generators

@@ -266,7 +266,10 @@ class TestHarness:
         def boom(tables, ctx):
             raise RuntimeError("induced")
 
-        monkeypatch.setitem(CHECKERS, "boom", CheckerDef(None, boom))
+        def skip(X, ctx):
+            return False, []
+
+        monkeypatch.setitem(CHECKERS, "boom", CheckerDef(skip, boom))
         verdict = run_checker("boom", [size2_indec])
         assert not verdict.passed
         assert "census check raised" in verdict.counterexamples[0].detail
