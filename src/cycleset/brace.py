@@ -20,9 +20,12 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .core import CycleSet, cycle_set, product_table
-from .perm import Perm, closure, compose, identity, inverse, partition
+from .perm import Partition, Perm, closure, compose, identity, inverse, partition
 
 Table = tuple[tuple[int, ...], ...]
+
+# most lambda-orbits whose unions cycle_bases scans (2^k - 1 unions)
+MAX_LAMBDA_ORBITS = 16
 
 
 class InvalidBrace(ValueError):
@@ -164,7 +167,7 @@ class LeftBrace:
 
     def is_mult_subgroup(self, s: Iterable[int]) -> bool:
         ss = frozenset(s)
-        if self.zero not in ss:
+        if self.zero not in ss or not all(0 <= a < self.n for a in ss):
             return False
         return all(self.circ[a][b] in ss for a in ss for b in ss) and all(
             self.inv[a] in ss for a in ss
@@ -219,9 +222,9 @@ class CycleBase:
     transitive: bool
 
 
-def cycle_bases(B: LeftBrace, max_orbits: int = 16) -> tuple[CycleBase, ...]:
+def cycle_bases(B: LeftBrace) -> tuple[CycleBase, ...]:
     orbits = B.lambda_orbits
-    if len(orbits) > max_orbits:
+    if len(orbits) > MAX_LAMBDA_ORBITS:
         raise ValueError(f"{len(orbits)} lambda-orbits exceed the union scan limit")
     out = []
     for r in range(1, len(orbits) + 1):
@@ -264,24 +267,10 @@ def coset_construction(
     if core != {B.zero}:
         raise BraceConstructionError("core", "K is not core-free")
 
-    coset_of = [-1] * B.n
-    cosets: list[tuple[int, ...]] = []
-    for x in range(B.n):
-        if coset_of[x] >= 0:
-            continue
-        members = sorted(B.circ[x][k] for k in kset)
-        label = len(cosets)
-        for m in members:
-            coset_of[m] = label
-        cosets.append(tuple(members))
-    order = sorted(range(len(cosets)), key=lambda i: cosets[i][0])
-    relab = [0] * len(cosets)
-    for new, old in enumerate(order):
-        relab[old] = new
-    cosets_sorted = tuple(cosets[old] for old in order)
-    coset_of = [relab[c] for c in coset_of]
-
-    m = len(cosets_sorted)
+    # x and y share a coset exactly when xK and yK have the same least member
+    cosets = Partition.from_labels(min(B.circ[x][k] for k in kset) for x in range(B.n))
+    coset_of = cosets.index
+    m = cosets.num_classes
     table = [[-1] * m for _ in range(m)]
     for x in range(B.n):
         w = B.inv[B.lambda_maps[x][a]]
@@ -294,7 +283,7 @@ def coset_construction(
                 raise BraceConstructionError(
                     "ill_defined", f"operation not constant on cosets at ({cx}, {cy})"
                 )
-    return cycle_set(tuple(tuple(row) for row in table)), cosets_sorted
+    return cycle_set(tuple(tuple(row) for row in table)), cosets.classes
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from typing import Sequence
 
 from . import canon
 from .perm import (
+    Partition,
     Perm,
     PermGroup,
     closure,
@@ -31,7 +32,6 @@ from .perm import (
     inverse,
     invariant_partitions,
     is_permutation,
-    partition,
     prime_support,
 )
 
@@ -176,17 +176,17 @@ class CycleSet:
     # -- retraction ---------------------------------------------------------
 
     @cached_property
-    def _retract_classes(self) -> tuple[tuple[int, ...], ...]:
-        return partition(self.table)
+    def _row_equality(self) -> Partition:
+        return Partition.from_labels(self.table)
 
     def retraction(self) -> tuple["CycleSet", tuple[int, ...]]:
-        """Quotient by equality of rows; classes labeled by least member."""
+        """Quotient by equality of rows; classes numbered by least member."""
         # row equality is always a congruence, so quotient's check is not needed
-        return self._quotient_table(self._retract_classes)
+        return self._quotient_table(self._row_equality)
 
     @property
     def is_irretractable(self) -> bool:
-        return len(self._retract_classes) == self.n
+        return self._row_equality.num_classes == self.n
 
     # -- cabling ------------------------------------------------------------
 
@@ -282,23 +282,15 @@ class CycleSet:
         )
 
     def quotient(self, cong: "Congruence") -> tuple["CycleSet", tuple[int, ...]]:
-        """Quotient by a congruence; classes labeled by least member."""
+        """Quotient by a congruence; classes numbered by least member."""
         if not cong.is_congruence_of(self):
             raise ValueError("partition is not a congruence of this cycle set")
-        return self._quotient_table(cong.classes)
+        return self._quotient_table(cong)
 
-    def _quotient_table(
-        self, classes: tuple[tuple[int, ...], ...]
-    ) -> tuple["CycleSet", tuple[int, ...]]:
-        cls_of = [0] * self.n
-        for idx, cls in enumerate(classes):
-            for x in cls:
-                cls_of[x] = idx
-        reps = [cls[0] for cls in classes]
-        qtable = tuple(
-            tuple(cls_of[self.table[rx][ry]] for ry in reps) for rx in reps
-        )
-        return cycle_set(qtable), tuple(cls_of)
+    def _quotient_table(self, p: Partition) -> tuple["CycleSet", tuple[int, ...]]:
+        # a congruence's rows permute its classes; row i is that permutation
+        qtable = tuple(p.action_of(self.table[c[0]]) for c in p.classes)
+        return cycle_set(qtable), p.index
 
 
 @dataclass(frozen=True)
@@ -341,35 +333,8 @@ class SolutionPair:
         return cycle_set(tuple(inverse(l) for l in self.lam))
 
 
-@dataclass(frozen=True)
-class Congruence:
-    """A compatible partition; classes sorted by least member."""
-
-    classes: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def from_labels(cls, labels: Sequence[int]) -> "Congruence":
-        return cls(partition(labels))
-
-    @property
-    def n(self) -> int:
-        return sum(len(c) for c in self.classes)
-
-    @property
-    def num_classes(self) -> int:
-        return len(self.classes)
-
-    @cached_property
-    def labels(self) -> tuple[int, ...]:
-        out = [0] * self.n
-        for cls_ in self.classes:
-            for x in cls_:
-                out[x] = cls_[0]
-        return tuple(out)
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.num_classes in (1, self.n)
+class Congruence(Partition):
+    """A partition compatible with a cycle-set operation."""
 
     def is_congruence_of(self, X: CycleSet) -> bool:
         if sorted(x for c in self.classes for x in c) != list(range(X.n)):
@@ -393,10 +358,11 @@ class Congruence:
 
 
 def trivial_cycle_set(gamma: Sequence[int]) -> CycleSet:
-    """All rows equal to ``gamma``; valid for any permutation."""
+    """All rows equal to ``gamma``; valid for any permutation of a nonempty
+    set (the empty table is not a cycle set)."""
     g = tuple(gamma)
-    if not is_permutation(g):
-        raise ValueError("not a permutation")
+    if not g or not is_permutation(g):
+        raise ValueError("not a permutation of a nonempty set")
     return CycleSet(tuple(g for _ in g))
 
 

@@ -369,10 +369,10 @@ def _diagonals(
 
 
 def _census_classes(
-    search: Callable[[Callable[[Table], None]], object], cancel=None
+    n: int, diagonals: Sequence[Perm], symmetry_breaking: bool, cancel
 ) -> set[Table]:
-    """Run ``search`` with a visitor that keeps the class key of each table
-    it emits, then return the canonical form of each distinct key."""
+    """Search the slices of ``diagonals``, keep the class key of each table
+    they emit, then return the canonical form of each distinct key."""
     # canon takes a plain callable, not an Event
     poll = cancel.is_set if cancel is not None else None
     keys: set[Table] = set()
@@ -380,7 +380,8 @@ def _census_classes(
     def emit(t: Table) -> None:
         keys.add(canon.class_key(t, cancel=poll))
 
-    search(emit)
+    for d in diagonals:
+        _search(n, d, emit, symmetry_breaking, cancel=cancel)
     return {canon.canonical_form(k, cancel=poll) for k in keys}
 
 
@@ -396,14 +397,7 @@ def _init_worker(cancel) -> None:
 def _census_task(args: tuple) -> list[Table]:
     """The classes of one slice, the pool's unit of work."""
     n, diagonal, symmetry_breaking = args
-    return sorted(
-        _census_classes(
-            lambda emit: _search(
-                n, diagonal, emit, symmetry_breaking, cancel=_worker_cancel
-            ),
-            cancel=_worker_cancel,
-        )
-    )
+    return sorted(_census_classes(n, (diagonal,), symmetry_breaking, _worker_cancel))
 
 
 def enumerate_cycle_sets(
@@ -429,16 +423,7 @@ def enumerate_cycle_sets(
     start = time.monotonic()
     diagonals = _diagonals(n, symmetry_breaking, diagonal)
     if jobs <= 1 or len(diagonals) == 1:
-        canon_set = _census_classes(
-            lambda emit: scan_cycle_sets(
-                n,
-                emit,
-                symmetry_breaking=symmetry_breaking,
-                diagonal=diagonal,
-                cancel=cancel,
-            ),
-            cancel=cancel,
-        )
+        canon_set = _census_classes(n, diagonals, symmetry_breaking, cancel)
     else:
         canon_set = set()
         ctx = multiprocessing.get_context()

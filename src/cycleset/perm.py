@@ -8,18 +8,22 @@ Groups are materialized in full by breadth-first closure.  Degrees stay tiny
 (at most about 12), where listing every element beats stabilizer chains.
 Orbits and block systems, like the congruences of a cycle set, come from one
 partition closure: merge pairs and push each merge through a set of maps.
+Block systems, congruences, quotients and coset spaces all share one value
+type, :class:`Partition`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Hashable, Iterable, Iterator, Sequence
 
 Perm = tuple[int, ...]
 
-DEFAULT_ORDER_CAP = 10**6
+# most elements a group may have before materialization gives up
+ORDER_CAP = 10**6
 
 
 class OrderCapExceeded(RuntimeError):
@@ -221,6 +225,63 @@ def invariant_partitions(
     return tuple(sorted(found))
 
 
+@dataclass(frozen=True)
+class Partition:
+    """A partition of 0..n-1: each class ascending, classes sorted by least
+    member.  ``index[x]`` is the class number of x and ``labels[x]`` the
+    least member of its class.
+
+    >>> p = Partition.from_labels("abab")
+    >>> p.classes, p.index, p.labels
+    (((0, 2), (1, 3)), (0, 1, 0, 1), (0, 1, 0, 1))
+    >>> p.action_of((1, 2, 3, 0))
+    (1, 0)
+    """
+
+    classes: tuple[tuple[int, ...], ...]
+
+    @classmethod
+    def from_labels(cls, labels: Iterable[Hashable]):
+        return cls(partition(labels))
+
+    @property
+    def n(self) -> int:
+        return sum(len(c) for c in self.classes)
+
+    @property
+    def num_classes(self) -> int:
+        return len(self.classes)
+
+    @property
+    def is_trivial(self) -> bool:
+        return self.num_classes in (1, self.n)
+
+    @cached_property
+    def index(self) -> tuple[int, ...]:
+        out = [0] * self.n
+        for idx, cls_ in enumerate(self.classes):
+            for x in cls_:
+                out[x] = idx
+        return tuple(out)
+
+    @cached_property
+    def labels(self) -> tuple[int, ...]:
+        return tuple(self.classes[idx][0] for idx in self.index)
+
+    def action_of(self, p: Perm) -> Perm:
+        """Induced permutation of class numbers; ValueError if ``p`` does not
+        carry the partition into itself."""
+        out = [-1] * self.num_classes
+        for idx, cls_ in enumerate(self.classes):
+            images = {self.index[p[x]] for x in cls_}
+            if len(images) != 1:
+                raise ValueError("permutation does not preserve the partition")
+            out[idx] = images.pop()
+        if not is_permutation(out):
+            raise ValueError("permutation does not preserve the partition")
+        return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # groups
 
@@ -231,7 +292,6 @@ class PermGroup:
 
     degree: int
     generators: tuple[Perm, ...]
-    max_order: int = field(default=DEFAULT_ORDER_CAP, compare=False, repr=False)
 
     @cached_property
     def elements(self) -> tuple[Perm, ...]:
@@ -246,9 +306,9 @@ class PermGroup:
                     if h not in els:
                         els.add(h)
                         new.append(h)
-                        if len(els) > self.max_order:
+                        if len(els) > ORDER_CAP:
                             raise OrderCapExceeded(
-                                f"group order exceeds cap {self.max_order}"
+                                f"group order exceeds cap {ORDER_CAP}"
                             )
             frontier = new
         return tuple(sorted(els))
@@ -284,37 +344,25 @@ class PermGroup:
             compose(a, b) == compose(b, a) for a in gens for b in gens
         )
 
-    def subgroup(self, gens: Iterable[Perm]) -> "PermGroup":
-        return PermGroup(self.degree, tuple(gens), max_order=self.max_order)
-
-    def lower_central_series(self) -> tuple[frozenset[Perm], ...]:
-        """Lower central series as element sets, stopping once stable."""
-        whole = self.element_set
-        series = [whole]
-        current = whole
-        while True:
-            comms = {
-                compose(compose(inverse(g), inverse(h)), compose(g, h))
-                for g in whole
-                for h in current
-            }
-            nxt = self.subgroup(tuple(sorted(comms))).element_set
-            if nxt == current:
-                series.append(nxt)
-                break
-            series.append(nxt)
-            current = nxt
-            if len(nxt) == 1:
-                break
-        return tuple(series)
-
     @cached_property
     def is_nilpotent(self) -> bool:
-        return len(self.lower_central_series()[-1]) == 1
+        """A finite group is nilpotent exactly when any two elements of
+        coprime order commute: it is then the direct product of its Sylow
+        subgroups."""
+        by_order: dict[int, list[Perm]] = {}
+        for g in self.elements:
+            by_order.setdefault(perm_order(g), []).append(g)
+        return all(
+            compose(g, h) == compose(h, g)
+            for a, b in combinations(by_order, 2)
+            if math.gcd(a, b) == 1
+            for g in by_order[a]
+            for h in by_order[b]
+        )
 
     # -- block systems ------------------------------------------------------
 
-    def block_systems(self) -> tuple["BlockSystem", ...]:
+    def block_systems(self) -> tuple[Partition, ...]:
         """All nontrivial block systems of a transitive group: the partitions
         the generators carry into themselves, other than the discrete and the
         total one.  Transitivity makes their blocks equal in size."""
@@ -322,14 +370,14 @@ class PermGroup:
             raise ValueError("block systems require a transitive group")
         n = self.degree
         systems = (
-            BlockSystem(n, partition(labels))
+            Partition.from_labels(labels)
             for labels in invariant_partitions(n, self.generators)
             if 1 < len(set(labels)) < n
         )
-        return tuple(sorted(systems, key=lambda s: s.blocks))
+        return tuple(sorted(systems, key=lambda s: s.classes))
 
 
-def generate(gens: Iterable[Sequence[int]], max_order: int = DEFAULT_ORDER_CAP) -> PermGroup:
+def generate(gens: Iterable[Sequence[int]]) -> PermGroup:
     """Group generated by ``gens`` (nonempty, equal degrees)."""
     gen_tuple = tuple(tuple(g) for g in gens)
     if not gen_tuple:
@@ -340,51 +388,4 @@ def generate(gens: Iterable[Sequence[int]], max_order: int = DEFAULT_ORDER_CAP) 
             raise ValueError("generators must share a degree")
         if not is_permutation(g):
             raise ValueError(f"not a permutation: {g}")
-    return PermGroup(n, gen_tuple, max_order=max_order)
-
-
-@dataclass(frozen=True)
-class BlockSystem:
-    """A G-invariant partition into equally sized blocks."""
-
-    degree: int
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        seen = sorted(x for blk in self.blocks for x in blk)
-        if seen != list(range(self.degree)):
-            raise ValueError("blocks must partition the point set")
-        sizes = {len(blk) for blk in self.blocks}
-        if len(sizes) != 1:
-            raise ValueError("blocks must have equal size")
-
-    @property
-    def num_blocks(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def block_size(self) -> int:
-        return len(self.blocks[0])
-
-    @cached_property
-    def _block_of(self) -> tuple[int, ...]:
-        out = [0] * self.degree
-        for idx, blk in enumerate(self.blocks):
-            for x in blk:
-                out[x] = idx
-        return tuple(out)
-
-    def block_of(self, x: int) -> int:
-        return self._block_of[x]
-
-    def action_of(self, p: Perm) -> Perm:
-        """Induced permutation of block indices; ValueError if not invariant."""
-        out = [-1] * self.num_blocks
-        for idx, blk in enumerate(self.blocks):
-            images = {self._block_of[p[x]] for x in blk}
-            if len(images) != 1:
-                raise ValueError("permutation does not preserve the block system")
-            out[idx] = images.pop()
-        if not is_permutation(out):
-            raise ValueError("permutation does not preserve the block system")
-        return tuple(out)
+    return PermGroup(n, gen_tuple)

@@ -106,7 +106,7 @@ def _is_pcycle(t: Perm) -> int | None:
 def _p_block_systems(X: CycleSet, p: int):
     """Block systems of the row group with exactly p blocks; a seam for the
     harness self-test to cut."""
-    return [bs for bs in X.perm_group.block_systems() if bs.num_blocks == p]
+    return [bs for bs in X.perm_group.block_systems() if bs.num_classes == p]
 
 
 # -- per-instance checkers ---------------------------------------------------
@@ -503,6 +503,8 @@ def run_checker(
     ctx: dict = {}
     if ks is not None:
         ctx["ks"] = tuple(ks)
+        if any(k < 1 for k in ctx["ks"]):
+            raise ValueError("cabling indices must be >= 1")
     start = time.monotonic()
     instances = 0
     skipped = 0

@@ -253,6 +253,24 @@ class TestCosetConstruction:
                 Y, _ = coset_construction(gb.brace, base, a, K)
                 assert is_isomorphic(X, Y) is not None
 
+    def test_cosets_are_left_cosets(self, censuses_small):
+        # brute force: the sets {x o k : k in K}, sorted by least member
+        checked = 0
+        for n in (2, 3, 4, 5):
+            for X in censuses_small[n].cycle_sets():
+                if not X.is_indecomposable:
+                    continue
+                gb = brace_of_cycle_set(X)
+                B = gb.brace
+                a = gb.index_of(inverse(X.row(0)))
+                base = self._transitive_base_containing(B, a)
+                K = [i for i, p in enumerate(gb.elements) if p[0] == 0]
+                _, cosets = coset_construction(B, base, a, K)
+                want = {tuple(sorted(B.circ[x][k] for k in K)) for x in range(B.n)}
+                assert cosets == tuple(sorted(want))
+                checked += 1
+        assert checked > 0
+
     def test_rejects_non_subgroup(self):
         B = cyclic_brace(4)
         base = self._transitive_base_containing(B, 1)

@@ -138,6 +138,13 @@ class TestTrivial:
         code, _, err = run("trivial", "-n", "3", "-g", "(1 5)")
         assert code == 2
 
+    def test_empty_permutation_is_a_usage_error(self, run):
+        # an empty table is not a cycle set, so nothing may be written
+        code, out, err = run("trivial", "-n", "0", "-g", "[]")
+        assert code == 2
+        assert out == ""
+        assert "nonempty" in err
+
 
 class TestTransforms:
     def test_cable(self, run, cyclic3_file, cyclic3):
@@ -245,6 +252,12 @@ class TestVerify:
         assert code == 2
         assert "--all" in err
 
+    def test_cabling_index_below_one_is_a_usage_error(self, run):
+        code, out, err = run("verify", "--max-size", "2", "--ks", "0")
+        assert code == 2
+        assert out == ""
+        assert "cabling indices must be >= 1" in err
+
     def test_census_file_counterexample_exits_one(self, run, tmp_path):
         lines = [
             json.dumps({"n": 2, "table": [[0, 0], [0, 0]]}),
@@ -300,6 +313,13 @@ class TestBrace:
         obj = json.loads(out)
         assert obj["n"] == 3
         assert sorted(map(tuple, obj["_meta"]["cosets"])) == [(0,), (1,), (2,)]
+
+    def test_cosets_subgroup_outside_the_brace(self, run, tmp_path):
+        path = tmp_path / "z3.json"
+        path.write_text(dump_brace(cyclic_brace(3)))
+        code, _, err = run("brace", "cosets", str(path), "--a", "1", "--k", "0,99")
+        assert code == 1
+        assert "invalid input: K is not a multiplicative subgroup" in err
 
     def test_cosets_bad_base_element(self, run, tmp_path):
         path = tmp_path / "z3.json"

@@ -276,6 +276,19 @@ class TestCongruences:
                         want.add(c.classes)
                 assert got == want
 
+    def test_quotient_matches_cellwise_definition(self, censuses_small):
+        # class i . class j is the class of (least of i) . (least of j)
+        for census in censuses_small.values():
+            for X in census.cycle_sets():
+                for c in X.congruences():
+                    Y, index = X.quotient(c)
+                    reps = [cls[0] for cls in c.classes]
+                    want = tuple(
+                        tuple(c.index[X.table[rx][ry]] for ry in reps) for rx in reps
+                    )
+                    assert Y.table == want
+                    assert index == c.index
+
     def test_congruence_set_closed_under_quotient_validation(self, censuses_small):
         for census in censuses_small.values():
             for X in census.cycle_sets():

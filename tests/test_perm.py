@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cycleset.perm import (
+    Partition,
     PermGroup,
     compose,
     cycle_type,
@@ -111,6 +112,40 @@ class TestPermGroup:
         assert g.order == 8
         assert g.is_nilpotent
 
+    def test_nilpotency_matches_lower_central_series(self, censuses_small):
+        # reference: the lower central series G = G_0 > G_1 > ... with
+        # G_{i+1} = [G, G_i] reaches the trivial group exactly when G is
+        # nilpotent
+        def commutator_series_ends_trivial(g):
+            current = g.element_set
+            while len(current) > 1:
+                comms = {
+                    compose(compose(inverse(a), inverse(b)), compose(a, b))
+                    for a in g.elements
+                    for b in current
+                }
+                nxt = generate(sorted(comms)).element_set
+                if nxt == current:
+                    return False
+                current = nxt
+            return True
+
+        groups = [
+            grp
+            for census in censuses_small.values()
+            for X in census.cycle_sets()
+            for grp in (X.perm_group, X.displacement_group)
+        ]
+        groups += [
+            generate([(1, 2, 3, 4, 0)]),
+            generate([(1, 0, 2), (0, 2, 1)]),
+            generate([(1, 2, 3, 0), (0, 3, 2, 1)]),
+        ]
+        verdicts = {g.is_nilpotent for g in groups}
+        assert verdicts == {True, False}
+        for g in groups:
+            assert g.is_nilpotent == commutator_series_ends_trivial(g), g.generators
+
     def test_orbits(self):
         g = generate([(1, 0, 2, 3), (0, 1, 3, 2)])
         assert g.orbits == ((0, 1), (2, 3))
@@ -124,10 +159,10 @@ class TestPermGroup:
     def test_block_systems_of_z4(self):
         g = generate([(1, 2, 3, 0)])
         systems = g.block_systems()
-        shapes = sorted((bs.num_blocks, bs.block_size) for bs in systems)
+        shapes = sorted((bs.num_classes, len(bs.classes[0])) for bs in systems)
         assert shapes == [(2, 2)]
         (bs,) = systems
-        assert bs.block_of(0) == bs.block_of(2)
+        assert bs.index[0] == bs.index[2]
         assert bs.action_of((1, 2, 3, 0)) == (1, 0)
 
     def test_primitive_group_has_no_blocks(self):
@@ -136,12 +171,19 @@ class TestPermGroup:
 
     def test_block_systems_of_dihedral(self):
         g = generate([(1, 2, 3, 0), (0, 3, 2, 1)])
-        shapes = sorted((bs.num_blocks, bs.block_size) for bs in g.block_systems())
+        shapes = sorted((bs.num_classes, len(bs.classes[0])) for bs in g.block_systems())
         assert (2, 2) in shapes
 
     def test_block_systems_need_a_transitive_group(self):
         with pytest.raises(ValueError, match="transitive"):
             generate([(1, 0, 2, 3)]).block_systems()
+
+    def test_block_system_action_rejects_a_non_invariant_permutation(self):
+        p = Partition(((0, 1), (2, 3)))
+        assert p.action_of((1, 0, 3, 2)) == (0, 1)
+        assert p.action_of((2, 3, 0, 1)) == (1, 0)
+        with pytest.raises(ValueError, match="does not preserve"):
+            p.action_of((0, 2, 1, 3))
 
     def test_block_systems_match_partition_scan(self, censuses_small):
         # the closure's systems equal a brute scan over every labeling for
@@ -171,5 +213,5 @@ class TestPermGroup:
                     for b in blocks
                 ):
                     want.add(blocks)
-            got = tuple(bs.blocks for bs in g.block_systems())
+            got = tuple(bs.classes for bs in g.block_systems())
             assert got == tuple(sorted(want)), g.generators
