@@ -35,7 +35,7 @@ from .enumeration import (
     brute_force_census,
     enumerate_cycle_sets,
 )
-from .verify import CHECKERS, run_all
+from .verify import CHECKERS, cabling_indices, run_all
 
 
 def _read(path: str) -> str:
@@ -132,15 +132,8 @@ def _cmd_enumerate(ns: argparse.Namespace) -> int:
 
 
 def _cmd_verify(ns: argparse.Namespace) -> int:
-    if ns.census:
-        census = formats.parse_census_jsonl(_read(ns.census))
-        tables = list(census.cycle_sets())
-        scope = f"census file n={census.n}, count={census.count}"
-    else:
-        tables = []
-        for n in range(1, ns.max_size + 1):
-            tables.extend(enumerate_cycle_sets(n, jobs=ns.jobs).cycle_sets())
-        scope = f"full censuses n <= {ns.max_size}"
+    # usage errors come before the censuses, which can take minutes to build
+    ks = cabling_indices(int(tok) for tok in ns.ks.replace(",", " ").split())
     if ns.suite:
         wanted = []
         for pattern in ns.suite.split(","):
@@ -156,7 +149,15 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
         ids = wanted
     else:
         ids = None
-    ks = tuple(int(tok) for tok in ns.ks.replace(",", " ").split())
+    if ns.census:
+        census = formats.parse_census_jsonl(_read(ns.census))
+        tables = list(census.cycle_sets())
+        scope = f"census file n={census.n}, count={census.count}"
+    else:
+        tables = []
+        for n in range(1, ns.max_size + 1):
+            tables.extend(enumerate_cycle_sets(n, jobs=ns.jobs).cycle_sets())
+        scope = f"full censuses n <= {ns.max_size}"
     verdicts = run_all(tables, scope=scope, ks=ks, checker_ids=ids)
     worst = 0
     for v in verdicts:

@@ -10,9 +10,16 @@ The census is a union of slices, one per diagonal, that is one per
 squaring map T(x) = x.x.  Relabeling a table conjugates its squaring map,
 so with symmetry breaking the full census searches one slice per conjugacy
 class of S_n, that is per partition of n, with T in normal form (its cycles
-on consecutive points, largest first).  Inside a slice, row 0 is restricted
-to ``_slice_first_rows``: one representative per conjugation orbit of the
-relabelings that fix point 0 and commute with T.  This is the only
+on consecutive points, largest first).  Inside a slice the search keeps
+only tables whose row 0 has the greatest cycle type (a descending tuple,
+compared lexicographically) among the rows of the points whose T-cycle is
+as long as 0's, and restricts row 0 to ``_slice_first_rows``: one
+representative per conjugation orbit of the relabelings that fix point 0
+and commute with T.  Both rules lose no class.  The centralizer of T moves
+any point of a T-cycle as long as 0's to 0, so any table of the slice can
+be relabeled, inside the slice, to put the point with the greatest row
+cycle type at 0; relabeling by the stabilizer of 0 then canonicalizes row
+0 without changing any row's cycle type.  This is the only
 symmetry-breaking scheme; it changes only speed, never the set of
 canonical forms, and is cross-checked against the unbroken search and the
 brute-force oracle.  Without symmetry breaking the search is the union of
@@ -50,7 +57,7 @@ from typing import Callable, Iterable, Sequence
 from . import canon
 from .canon import SearchCancelled
 from .core import CycleSet, Table, validate_table
-from .perm import Perm, cycle_type, from_cycles, inverse, is_permutation
+from .perm import Perm, cycle_type, cycles, from_cycles, inverse, is_permutation
 
 ENGINE_VERSION = "cycleset-enum/1"
 DEFAULT_MAX_N = 8
@@ -228,8 +235,10 @@ def _search(
     cancel=None,
 ) -> None:
     """Backtracking core over the tables whose row x maps x to diagonal[x].
-    Symmetry breaking restricts row 0 to ``_slice_first_rows``.  ``cancel``
-    is polled at the first node and then every 512 nodes."""
+    Symmetry breaking restricts row 0 to ``_slice_first_rows`` and rejects
+    a row, when it is placed or forced, at a point of a T-cycle as long as
+    0's whose cycle type is greater than row 0's.  ``cancel`` is polled at
+    the first node and then every 512 nodes."""
     # cells[x][v]: the rows p with p[x] == v, in lexicographic order
     cells: list[list[list[Perm]]] = [[[] for _ in range(n)] for _ in range(n)]
     for p in permutations(range(n)):
@@ -240,10 +249,27 @@ def _search(
     t_inv = inverse(diagonal)
     pending: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     nodes = 0
+    # the points on T-cycles as long as 0's: the centralizer of T moves any
+    # of them to 0, so with symmetry breaking no row of theirs outranks row 0
+    length = {x: len(c) for c in cycles(diagonal) for x in c}
+    eligible = set()
+    if symmetry_breaking:
+        eligible = {x for x in range(n) if length[x] == length[0]}
+    top: tuple[int, ...] = ()
+    ranks: dict[Perm, tuple[int, ...]] = {}  # cycle types of rows tried at them
 
     def force(y: int, q: Perm, trail: list, queue: list) -> bool:
+        nonlocal top
         if q[y] != diagonal[y]:
             return False
+        if y in eligible:
+            rank = ranks.get(q)
+            if rank is None:
+                rank = ranks[q] = cycle_type(q)
+            if y == 0:
+                top = rank
+            elif rank > top:
+                return False
         rows[y] = q
         trail.append((0, y))
         queue.append(y)
@@ -435,8 +461,9 @@ def enumerate_cycle_sets(
             initializer=_init_worker,
             initargs=(stop,),
         ) as pool:
-            # normal forms end with the identity, the costliest slice, so it
-            # is submitted first and the small slices fill in beside it
+            # normal forms end with the slices of many fixed points, the
+            # costliest, so they are submitted first and the small slices
+            # fill in beside them
             waiting = {
                 pool.submit(_census_task, (n, d, symmetry_breaking))
                 for d in reversed(diagonals)
@@ -484,8 +511,12 @@ def scan_cycle_sets(
     """Stream every completed table of the search to ``visit`` without
     canonicalizing or deduplicating.  With symmetry breaking on, the
     visited tables are the union of the normal-form slices (or of the given
-    diagonal's slice) with row 0 restricted: at least one table of every
-    isomorphism class is visited, though a class may be seen many times.
+    diagonal's slice) with row 0 restricted: row 0 has the greatest cycle
+    type among the rows of the points whose T-cycle is as long as 0's, and
+    is one of ``_slice_first_rows``.  Relabeling by the centralizer of T
+    brings any table of the slice to that form, so at least one table of
+    every isomorphism class is visited, though a class may be seen several
+    times (123 tables for the 88 classes of size 5).
     Without it every valid table (of the slice) is visited exactly once.
     This is the tool of choice when the property being checked is
     isomorphism-invariant and the size makes canonical labeling the

@@ -46,12 +46,24 @@ def _strip_comments(text: str) -> list[str]:
     return out
 
 
+def _rows(obj: object, key: str, what: str) -> list:
+    """``obj[key]`` when ``obj`` is a JSON object and that entry a list of
+    lists, else ValueError, so that a table of the wrong shape is a parse
+    error rather than a KeyError or TypeError deep in validation."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a {what} must be a JSON object")
+    rows = obj.get(key)
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError(f"{what} {key!r} must be a list of rows")
+    return rows
+
+
 def parse_cycle_set(text: str) -> CycleSet:
     """JSON or compact text, with # comments and unknown keys ignored."""
     body = text.lstrip()
     if body.startswith("{"):
         obj = json.loads(body)
-        table = obj["table"]
+        table = _rows(obj, "table", "cycle set")
         if "n" in obj and obj["n"] != len(table):
             raise ValueError("declared n does not match the table")
         return cycle_set(table)
@@ -130,7 +142,7 @@ def parse_permutation(text: str, n: int | None = None, one_based: bool = True) -
 
 def parse_brace(text: str) -> LeftBrace:
     obj = json.loads(text)
-    B = left_brace(obj["add"], obj["circ"])
+    B = left_brace(_rows(obj, "add", "brace"), _rows(obj, "circ", "brace"))
     if "n" in obj and obj["n"] != B.n:
         raise ValueError("declared n does not match the tables")
     if "zero" in obj and obj["zero"] != B.zero:
@@ -183,12 +195,18 @@ def parse_census_jsonl(text: str) -> Census:
         if not line or line.startswith("#"):
             continue
         obj = json.loads(line)
+        if not isinstance(obj, dict):
+            raise ValueError("a census record must be a JSON object")
         if "_meta" in obj:
             continue
         if "summary" in obj:
             summary = obj["summary"]
+            if not isinstance(summary, dict) or not all(
+                isinstance(summary.get(key), int) for key in ("n", "count")
+            ):
+                raise ValueError("census summary must give integers 'n' and 'count'")
             continue
-        table = tuple(tuple(row) for row in obj["table"])
+        table = tuple(tuple(row) for row in _rows(obj, "table", "census record"))
         tables.append(table)
         if n is None:
             n = len(table)

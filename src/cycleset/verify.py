@@ -485,6 +485,14 @@ CHECKERS: dict[str, CheckerDef] = {
 }
 
 
+def cabling_indices(ks: Iterable[int]) -> tuple[int, ...]:
+    """The cabling indices ``ks`` as a tuple; ValueError if any is below 1."""
+    ks = tuple(ks)
+    if any(k < 1 for k in ks):
+        raise ValueError("cabling indices must be >= 1")
+    return ks
+
+
 def run_checker(
     checker_id: str,
     tables: Sequence[CycleSet | Sequence[Sequence[int]]],
@@ -502,9 +510,7 @@ def run_checker(
     ]
     ctx: dict = {}
     if ks is not None:
-        ctx["ks"] = tuple(ks)
-        if any(k < 1 for k in ctx["ks"]):
-            raise ValueError("cabling indices must be >= 1")
+        ctx["ks"] = cabling_indices(ks)
     start = time.monotonic()
     instances = 0
     skipped = 0

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from cycleset import cyclic_brace, from_cycles, pp_brace, trivial_cycle_set
+from cycleset import cli
 from cycleset.cli import main
 from cycleset.formats import dump_brace, dump_cycle_set
 
@@ -52,6 +53,14 @@ class TestValidate:
         code, out, _ = run("validate", str(path))
         assert code == 1
         assert "invalid:" in out and "witness" in out
+
+    @pytest.mark.parametrize("text", ["{}", '{"table": 5}', '{"table": [0]}'])
+    def test_wrong_shape_is_a_parse_error(self, run, tmp_path, text):
+        path = tmp_path / "shape.json"
+        path.write_text(text)
+        code, out, err = run("validate", str(path))
+        assert (code, out) == (2, "")
+        assert "'table' must be a list of rows" in err
 
     def test_broken_json_is_a_parse_error(self, run, tmp_path):
         path = tmp_path / "broken.json"
@@ -258,6 +267,18 @@ class TestVerify:
         assert out == ""
         assert "cabling indices must be >= 1" in err
 
+    def test_usage_errors_come_before_the_census(self, run, monkeypatch):
+        # a bad --ks or --suite must not cost a size-6 census first
+        built = []
+        monkeypatch.setattr(cli, "enumerate_cycle_sets", lambda *a, **k: built.append(a))
+        code, out, err = run("verify", "--max-size", "6", "--ks", "0")
+        assert (code, out) == (2, "")
+        assert "cabling indices must be >= 1" in err
+        code, out, err = run("verify", "--max-size", "6", "--suite", "nosuch")
+        assert (code, out) == (2, "")
+        assert "no checker matches 'nosuch'" in err
+        assert built == []
+
     def test_census_file_counterexample_exits_one(self, run, tmp_path):
         lines = [
             json.dumps({"n": 2, "table": [[0, 0], [0, 0]]}),
@@ -297,6 +318,14 @@ class TestBrace:
         code, out, _ = run("brace", "validate", str(path))
         assert code == 1
         assert "invalid:" in out
+
+    @pytest.mark.parametrize("text", ["{}", "[[0]]", '{"add": 5, "circ": 5}'])
+    def test_validate_wrong_shape_is_a_parse_error(self, run, tmp_path, text):
+        path = tmp_path / "shape.json"
+        path.write_text(text)
+        code, out, err = run("brace", "validate", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_socle(self, run, tmp_path):
         path = tmp_path / "pp.json"

@@ -158,8 +158,9 @@ class TestWorkSplitting:
         assert _sha256(census) == CENSUS5_SHA256
 
     def test_identity_slice_is_submitted_first(self, monkeypatch):
-        # the identity slice is the costliest, so it must not wait behind
-        # the small slices for a free worker
+        # the slices of many fixed points, the identity's among them, are
+        # the costliest, so they must not wait behind the small slices for
+        # a free worker
         tasks = []
 
         class Spy(enumeration.ProcessPoolExecutor):
@@ -207,7 +208,8 @@ class TestDiagonalConstraint:
 
     def test_slice_symmetry_breaking_matches_unbroken_search(self):
         # oracle gate for the sliced symmetry breaking: every diagonal of
-        # every degree up to 4, plus a spot check at 5, both modes agree
+        # every degree up to 4, plus every normal-form slice at 5, both modes
+        # agree
         for n in (1, 2, 3, 4):
             for diag in permutations(range(n)):
                 broken = enumerate_cycle_sets(n, diagonal=diag)
@@ -215,14 +217,23 @@ class TestDiagonalConstraint:
                     n, diagonal=diag, symmetry_breaking=False
                 )
                 assert broken.representatives == plain.representatives
-        # at 5, a transposition and the paper's p-cycle slices: T a 3-cycle
-        # and T a 5-cycle
-        for cycs, count in (([(0, 1)], 24), ([(0, 1, 2)], 9), ([(0, 1, 2, 3, 4)], 1)):
-            diag = from_cycles(5, cycs)
+        # at 5, every normal-form slice, the paper's p-cycle slice T = (5)
+        # among them; the slices with several T-cycle lengths are where a
+        # point-0 rule that ignored the lengths would lose classes
+        counts = {
+            (5,): 1,
+            (4, 1): 10,
+            (3, 2): 6,
+            (3, 1, 1): 9,
+            (2, 2, 1): 21,
+            (2, 1, 1, 1): 24,
+            (1, 1, 1, 1, 1): 17,
+        }
+        for diag in _diagonals(5, True, None):
             broken = enumerate_cycle_sets(5, diagonal=diag)
             plain = enumerate_cycle_sets(5, diagonal=diag, symmetry_breaking=False)
             assert broken.representatives == plain.representatives
-            assert len(broken.representatives) == count
+            assert len(broken.representatives) == counts[cycle_type(diag)]
 
     def test_slice_first_rows_are_orbit_representatives(self):
         diag = from_cycles(5, [(0, 1)])
@@ -271,11 +282,23 @@ class TestScan:
         # a table shows even where the classes survive; at n = 5 these are
         # the tables of the 7 normal-form slices, each with row 0 restricted
         # to one representative per orbit of the relabelings that fix 0 and
-        # commute with the squaring map
-        assert scan_cycle_sets(5, lambda t: None) == 320
+        # commute with the squaring map, and with row 0 of greatest cycle
+        # type among the rows of the points on T's longest cycles
+        assert scan_cycle_sets(5, lambda t: None) == 123
         involution = from_cycles(6, [(0, 1), (2, 3), (4, 5)])
-        assert scan_cycle_sets(6, lambda t: None, diagonal=involution) == 415
-        assert scan_cycle_sets(6, lambda t: None, diagonal=tuple(range(6))) == 2959
+        assert scan_cycle_sets(6, lambda t: None, diagonal=involution) == 141
+        assert scan_cycle_sets(6, lambda t: None, diagonal=tuple(range(6))) == 183
+
+    def test_row_zero_outranks_the_points_of_its_cycle_length(self):
+        # centralizer elements of T move any point of a T-cycle as long as
+        # 0's to 0, so row 0 may be taken of greatest cycle type among them
+        for diag in _diagonals(5, True, None):
+            length = {x: len(c) for c in cycles(diag) for x in c}
+            peers = [x for x in range(5) if length[x] == length[0]]
+            seen = []
+            scan_cycle_sets(5, seen.append, diagonal=diag)
+            for t in seen:
+                assert all(cycle_type(t[x]) <= cycle_type(t[0]) for x in peers)
 
     def test_unbroken_scan_visits_each_valid_table_once(self):
         # the element-form oracle over every table of rows, per diagonal slice

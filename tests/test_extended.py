@@ -4,9 +4,10 @@ The suite builds the full size-7 census once, checks the published count of
 3,456 classes (Akgün–Mereb–Vendramin 2022), and sweeps the checker battery
 over it.  The census searches one slice per partition of 7 (15 slices, the
 squaring map in normal form) and canonicalizes each class once.  On one
-core of a 2-core x86-64 machine under Python 3.11 the census took 41 s
-when the machine was otherwise idle and 67 s when it was busy, and the
-whole file runs in about a minute.
+core of a shared 2-core x86-64 machine under Python 3.11.7 the census took
+23-35 s, depending on the load (11,988 tables searched, about two thirds
+of the time in the n! canonical form of each class), and the whole file
+ran in 26-28 s.
 
 No test enumerates sizes 8 and 9, whose census has not been timed with
 this search; products and constant-row constructions in the default suite

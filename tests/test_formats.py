@@ -170,6 +170,20 @@ class TestCensusFormats:
         with pytest.raises(ValueError, match="no summary"):
             parse_census_jsonl('{"n": 2, "table": [[0, 1], [1, 0]]}\n')
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("5\n", "must be a JSON object"),
+            ('{"table": 5}\n', "'table' must be a list of rows"),
+            ('{"table": [[0]]}\n{"summary": {"n": 1}}\n', "integers 'n' and 'count'"),
+        ],
+    )
+    def test_wrong_shape_is_a_value_error(self, text, message):
+        # the CLI turns ValueError into exit 2, a KeyError or TypeError into
+        # a traceback
+        with pytest.raises(ValueError, match=message):
+            parse_census_jsonl(text)
+
 
 class TestMetaAndVerdicts:
     def test_make_meta(self):
