@@ -50,6 +50,7 @@ from .core import (
 )
 from .brace import (
     BraceConstructionError,
+    BraceOrderCapExceeded,
     CycleBase,
     GroupBrace,
     InvalidBrace,
@@ -93,7 +94,8 @@ __all__ = [
     "direct_product", "relabel", "canonical_relabeling", "canonical_form",
     "is_isomorphic",
     # braces
-    "LeftBrace", "InvalidBrace", "BraceConstructionError", "GroupBrace",
+    "LeftBrace", "InvalidBrace", "BraceConstructionError",
+    "BraceOrderCapExceeded", "GroupBrace",
     "CycleBase", "left_brace", "brace_of_cycle_set", "cycle_bases",
     "coset_construction", "cyclic_brace", "pp_brace", "direct_product_brace",
     "brace_is_isomorphic",

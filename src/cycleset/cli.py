@@ -38,6 +38,17 @@ from .enumeration import (
 from .verify import CHECKERS, cabling_indices, run_all
 
 
+# most points of a table that ``trivial`` and ``product`` build: a table has
+# n^2 cells, and at 1,024 points its JSON is about 6 MB
+TABLE_MAX_N = 1024
+
+
+def _check_size(n: int) -> None:
+    """Refuse a table past ``TABLE_MAX_N`` points, before any of it is built."""
+    if n > TABLE_MAX_N:
+        raise ValueError(f"a table of {n} points exceeds the size cap {TABLE_MAX_N}")
+
+
 def _read(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -104,6 +115,7 @@ def _cmd_analyze(ns: argparse.Namespace) -> int:
 
 
 def _cmd_trivial(ns: argparse.Namespace) -> int:
+    _check_size(ns.n)
     gamma = formats.parse_permutation(ns.gamma, n=ns.n, one_based=not ns.zero_based)
     X = trivial_cycle_set(gamma)
     _write(ns.output, formats.dump_cycle_set(X, fmt=ns.format, meta=_meta(ns)))
@@ -193,6 +205,7 @@ def _cmd_retract(ns: argparse.Namespace) -> int:
 def _cmd_product(ns: argparse.Namespace) -> int:
     a = formats.parse_cycle_set(_read(ns.left))
     b = formats.parse_cycle_set(_read(ns.right))
+    _check_size(a.n * b.n)
     _write(ns.output, formats.dump_cycle_set(direct_product(a, b), fmt=ns.format, meta=_meta(ns)))
     return 0
 

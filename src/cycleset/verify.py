@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .brace import brace_of_cycle_set
+from .brace import BRACE_MAX_ORDER, BraceOrderCapExceeded, brace_of_cycle_set
 from .core import (
     CONGRUENCE_MAX_N,
     CycleSet,
@@ -284,7 +284,10 @@ def _chk_fixed_point_orders(X: CycleSet, ctx: dict):
             eligible.append((x, o))
     if not eligible:
         return False, []
-    gb = brace_of_cycle_set(X)
+    try:
+        gb = brace_of_cycle_set(X)
+    except BraceOrderCapExceeded:
+        return False, []
     d = X.dehornoy_class()
     fails = []
     for x, o in eligible:
@@ -327,9 +330,12 @@ def _census_latin_fixed_points(tables: Sequence[CycleSet], ctx: dict):
 
 def _chk_cabling_laws(X: CycleSet, ctx: dict):
     ks = ctx.get("ks", range(1, 7))
+    try:
+        gb = brace_of_cycle_set(X)
+    except BraceOrderCapExceeded:
+        return False, []
     fails = []
     T = X.squaring_map
-    gb = None
     for k in ks:
         try:
             Xk = X.cabling(k)
@@ -338,8 +344,6 @@ def _chk_cabling_laws(X: CycleSet, ctx: dict):
             continue
         if Xk.squaring_map != power(T, k):
             fails.append(f"cabling {k}: squaring map is not the {k}-th power")
-        if gb is None:
-            gb = brace_of_cycle_set(X)
         mult = {
             gb.elements[gb.brace.additive_multiple(k, b)] for b in range(gb.brace.n)
         }
@@ -426,6 +430,11 @@ class CheckerDef:
     notes: tuple[str, ...] = ()
 
 
+_BRACE_CAP_NOTE = (
+    "instances whose permutation group has more than "
+    f"{BRACE_MAX_ORDER} elements (the brace cap) are skipped, not checked"
+)
+
 CHECKERS: dict[str, CheckerDef] = {
     "squarefree": CheckerDef(_chk_squarefree, None),
     "coprime_squaring": CheckerDef(_chk_coprime_squaring, None),
@@ -466,12 +475,13 @@ CHECKERS: dict[str, CheckerDef] = {
         notes=(
             "hypothesis read as: gcd of size and row order is a power of a "
             "single prime; coprime rows are skipped",
+            _BRACE_CAP_NOTE,
         ),
     ),
     "latin_fixed_points": CheckerDef(
         _chk_latin_fixed_points, _census_latin_fixed_points
     ),
-    "cabling_laws": CheckerDef(_chk_cabling_laws, None),
+    "cabling_laws": CheckerDef(_chk_cabling_laws, None, notes=(_BRACE_CAP_NOTE,)),
     "block_action": CheckerDef(_chk_block_action, None),
     "pair_map_bijective": CheckerDef(_chk_pair_map_bijective, None),
     "coprime_tail_pcycle": CheckerDef(

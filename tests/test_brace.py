@@ -2,6 +2,7 @@ import pytest
 
 from cycleset import (
     BraceConstructionError,
+    BraceOrderCapExceeded,
     InvalidBrace,
     brace_is_isomorphic,
     brace_of_cycle_set,
@@ -16,6 +17,7 @@ from cycleset import (
     pp_brace,
     trivial_cycle_set,
 )
+from cycleset import brace as brace_module
 from cycleset.perm import compose, inverse
 
 
@@ -184,6 +186,18 @@ class TestBraceOfCycleSet:
             Xk = table4.cabling(k)
             want = {gb.elements[B.additive_multiple(k, b)] for b in range(B.n)}
             assert want == set(Xk.perm_group.elements)
+
+    def test_elements_are_the_permutation_group(self, censuses_small):
+        for census in censuses_small.values():
+            for X in census.cycle_sets():
+                assert brace_of_cycle_set(X).elements == X.perm_group.elements
+
+    def test_group_order_cap(self, monkeypatch, cyclic3, table4):
+        # G of cyclic3 has 3 elements, G of table4 has 8
+        monkeypatch.setattr(brace_module, "BRACE_MAX_ORDER", 3)
+        assert brace_of_cycle_set(cyclic3).brace.n == 3
+        with pytest.raises(BraceOrderCapExceeded, match="more than 3 elements"):
+            brace_of_cycle_set(table4)
 
     def test_lambda_permutes_row_inverses(self, table4):
         # lambda_g sends sigma_z^-1 to sigma_{g(z)}^-1

@@ -1,7 +1,8 @@
 import itertools
+import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cycleset.canon import (
     SearchCancelled,
@@ -9,13 +10,54 @@ from cycleset.canon import (
     canonical_form,
     canonical_relabeling,
     class_key,
+    class_relabeling,
     relabel_table,
 )
+from cycleset.perm import inverse
 
 
 def random_tables(n):
     return st.lists(
         st.permutations(range(n)).map(tuple), min_size=n, max_size=n
+    ).map(tuple)
+
+
+def scan_relabeling(t, cells=None):
+    """Reference: the lex-least relabeled table over every pre-order, where
+    pre[i] is the point that gets label i, scanned in lex order so that the
+    first pre-order reaching the minimum wins.  With ``cells``, only the
+    pre-orders that give each cell, in order, consecutive labels."""
+    cells = cells or [tuple(range(len(t)))]
+    best = None
+    for parts in itertools.product(*(itertools.permutations(c) for c in cells)):
+        rho = inverse([x for part in parts for x in part])
+        table = relabel_table(t, rho)
+        if best is None or table < best[1]:
+            best = (rho, table)
+    return best
+
+
+def assert_exact(t):
+    assert canonical_relabeling(t) == scan_relabeling(t)
+    assert class_relabeling(t) == scan_relabeling(t, _colour_cells(t))
+
+
+def tables_from_few_rows(n):
+    """Tables whose rows repeat a few permutations, the identity most often:
+    large automorphism groups, where a search prunes by automorphisms."""
+    pool = st.lists(st.permutations(range(n)).map(tuple), min_size=1, max_size=2)
+    return pool.flatmap(
+        lambda rows: st.lists(
+            st.sampled_from([tuple(range(n))] * 2 + rows), min_size=n, max_size=n
+        ).map(tuple)
+    )
+
+
+def random_maps(n):
+    return st.lists(
+        st.lists(st.integers(0, n - 1), min_size=n, max_size=n).map(tuple),
+        min_size=n,
+        max_size=n,
     ).map(tuple)
 
 
@@ -56,6 +98,33 @@ def test_canonical_form_is_minimal(t):
         assert flat <= other
 
 
+def test_labelings_match_the_scan_on_census_members(censuses_small):
+    rng = random.Random(11)
+    for n, census in censuses_small.items():
+        for t in census.representatives:
+            for _ in range(2):
+                rho = list(range(n))
+                rng.shuffle(rho)
+                assert_exact(relabel_table(t, rho))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(tables_from_few_rows))
+def test_labelings_match_the_scan_on_repeated_rows(t):
+    assert_exact(t)
+
+
+@given(st.integers(1, 5).flatmap(random_maps))
+def test_labelings_match_the_scan_when_rows_are_not_permutations(t):
+    assert_exact(t)
+
+
+def test_single_point():
+    # the least row 0 is then the whole table, and still needs its leaf
+    assert canonical_relabeling(((0,),)) == ((0,), ((0,),))
+    assert class_relabeling(((0,),)) == ((0,), ((0,),))
+
+
 def test_distinct_classes_stay_distinct():
     a = ((1, 0), (1, 0))  # both rows swap
     b = ((0, 1), (0, 1))  # both rows identity
@@ -94,3 +163,21 @@ def test_cancel_is_polled_at_the_first_relabeling(labeler):
     t = tuple(tuple(range(6)) for _ in range(6))
     with pytest.raises(SearchCancelled):
         labeler(t, cancel=lambda: True)
+
+
+def test_cancel_fires_on_a_later_poll():
+    # six identity rows and a 5-cycle: the search visits over 1,024 nodes,
+    # so cancel is polled at the first node and again at node 1,024
+    t = tuple(tuple(range(7)) for _ in range(6)) + ((1, 2, 3, 4, 0, 5, 6),)
+    polls = []
+
+    def count():
+        polls.append(1)
+        return False
+
+    assert canonical_form(t, cancel=count) == canonical_form(t)
+    assert len(polls) == 2
+    polls.clear()
+    with pytest.raises(SearchCancelled):
+        canonical_form(t, cancel=lambda: count() or len(polls) == 2)
+    assert len(polls) == 2

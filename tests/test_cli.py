@@ -154,6 +154,23 @@ class TestTrivial:
         assert out == ""
         assert "nonempty" in err
 
+    def test_size_past_the_cap_is_refused_before_any_table(self, run, monkeypatch):
+        # 10^10 cells: the cap must refuse before the permutation or table
+        def forbidden(*args, **kwargs):
+            raise AssertionError("built a table past the size cap")
+
+        monkeypatch.setattr(cli.formats, "parse_permutation", forbidden)
+        monkeypatch.setattr(cli, "trivial_cycle_set", forbidden)
+        code, out, err = run("trivial", "-n", "100000", "-g", "(1 2)")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "size cap 1024" in err
+
+    def test_size_at_the_cap_is_built(self, run, monkeypatch):
+        monkeypatch.setattr(cli, "TABLE_MAX_N", 3)
+        assert run("trivial", "-n", "3", "-g", "(1 2)")[0] == 0
+        assert run("trivial", "-n", "4", "-g", "(1 2)")[0] == 2
+
 
 class TestTransforms:
     def test_cable(self, run, cyclic3_file, cyclic3):
@@ -177,6 +194,21 @@ class TestTransforms:
         code, out, _ = run("product", str(left), cyclic3_file)
         assert code == 0
         assert json.loads(out)["n"] == 6
+
+    def test_product_past_the_size_cap_is_refused(
+        self, run, cyclic3_file, tmp_path, size2_indec, monkeypatch
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("built a table past the size cap")
+
+        left = tmp_path / "s2.json"
+        left.write_text(dump_cycle_set(size2_indec))
+        monkeypatch.setattr(cli, "TABLE_MAX_N", 5)
+        monkeypatch.setattr(cli, "direct_product", forbidden)
+        code, out, err = run("product", str(left), cyclic3_file)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "6 points" in err
 
 
 class TestEnumerate:
@@ -366,6 +398,19 @@ class TestBrace:
         assert B.n == 8
         obj = json.loads(out)
         assert len(obj["_meta"]["elements"]) == 8
+
+    def test_of_cycleset_past_the_group_order_cap(self, run, tmp_path):
+        # constant rows (1..5)(6..12)(13..20)(21..29): G(X) is cyclic of
+        # order lcm(5, 7, 8, 9) = 2,520, past the cap of 256
+        gamma = "(1 2 3 4 5)(6 7 8 9 10 11 12)(13 14 15 16 17 18 19 20)"
+        gamma += "(21 22 23 24 25 26 27 28 29)"
+        path = tmp_path / "big.json"
+        assert run("trivial", "-n", "29", "-g", gamma, "-o", str(path))[0] == 0
+        code, out, err = run("brace", "of-cycleset", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "more than 256 elements" in err
+        assert "Traceback" not in err
 
 
 class TestUsage:

@@ -5,9 +5,10 @@ The suite builds the full size-7 census once, checks the published count of
 over it.  The census searches one slice per partition of 7 (15 slices, the
 squaring map in normal form) and canonicalizes each class once.  On one
 core of a shared 2-core x86-64 machine under Python 3.11.7 the census took
-23-35 s, depending on the load (11,988 tables searched, about two thirds
-of the time in the n! canonical form of each class), and the whole file
-ran in 26-28 s.
+14-15 s and the whole file 15-17 s, against 33-40 s and 34-42 s with the
+former n! canonical-form scan timed back to back, depending on the load
+(11,988 tables searched; the 3,456 canonical forms take 1-2 s of a census,
+against 21-28 s).
 
 No test enumerates sizes 8 and 9, whose census has not been timed with
 this search; products and constant-row constructions in the default suite

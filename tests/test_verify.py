@@ -19,6 +19,7 @@ from cycleset import (
     run_checker,
     trivial_cycle_set,
 )
+import cycleset.brace as brace_mod
 import cycleset.verify as verify_mod
 from cycleset.verify import CheckerDef, hash_tables
 
@@ -297,6 +298,21 @@ class TestHarness:
     def test_run_all_selects_checkers(self, size2_indec):
         verdicts = run_all([size2_indec], checker_ids=["pair_map_bijective"])
         assert [v.checker_id for v in verdicts] == ["pair_map_bijective"]
+
+    @pytest.mark.parametrize("cid", ["fixed_point_orders", "cabling_laws"])
+    def test_instances_past_the_brace_cap_are_skipped(
+        self, cid, censuses_small, monkeypatch
+    ):
+        tables = [X for c in censuses_small.values() for X in c.cycle_sets()]
+        checked = run_checker(cid, tables, ks=(2, 3))
+        # a cap of one element leaves only the tables whose rows are all
+        # the identity: the others are skipped, not reported as failures
+        monkeypatch.setattr(brace_mod, "BRACE_MAX_ORDER", 1)
+        capped = run_checker(cid, tables, ks=(2, 3))
+        assert capped.passed and not capped.counterexamples
+        assert capped.instances + capped.skipped == len(tables)
+        assert capped.instances < checked.instances
+        assert capped.instances <= sum(X.perm_group.order == 1 for X in tables)
 
     def test_ks_reach_the_cabling_checker(self, cyclic3):
         verdict = run_checker("cabling_laws", [cyclic3], ks=[1, 2, 3])
