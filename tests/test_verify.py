@@ -299,20 +299,34 @@ class TestHarness:
         verdicts = run_all([size2_indec], checker_ids=["pair_map_bijective"])
         assert [v.checker_id for v in verdicts] == ["pair_map_bijective"]
 
-    @pytest.mark.parametrize("cid", ["fixed_point_orders", "cabling_laws"])
     def test_instances_past_the_brace_cap_are_skipped(
-        self, cid, censuses_small, monkeypatch
+        self, censuses_small, monkeypatch
     ):
         tables = [X for c in censuses_small.values() for X in c.cycle_sets()]
-        checked = run_checker(cid, tables, ks=(2, 3))
+        checked = run_checker("fixed_point_orders", tables)
         # a cap of one element leaves only the tables whose rows are all
         # the identity: the others are skipped, not reported as failures
         monkeypatch.setattr(brace_mod, "BRACE_MAX_ORDER", 1)
-        capped = run_checker(cid, tables, ks=(2, 3))
+        capped = run_checker("fixed_point_orders", tables)
         assert capped.passed and not capped.counterexamples
         assert capped.instances + capped.skipped == len(tables)
         assert capped.instances < checked.instances
         assert capped.instances <= sum(X.perm_group.order == 1 for X in tables)
+
+    def test_cabling_laws_past_the_brace_cap_check_the_rest(
+        self, censuses_small, monkeypatch
+    ):
+        tables = [X for c in censuses_small.values() for X in c.cycle_sets()]
+        checked = run_checker("cabling_laws", tables, ks=(2, 3))
+        monkeypatch.setattr(brace_mod, "BRACE_MAX_ORDER", 1)
+        capped = run_checker("cabling_laws", tables, ks=(2, 3))
+        assert capped.passed and not capped.counterexamples
+        assert capped.instances == checked.instances == len(tables)
+        # the squaring-map law is still checked past the cap
+        monkeypatch.setattr(verify_mod, "power", lambda T, k: T)
+        broken = run_checker("cabling_laws", tables, ks=(2, 3))
+        assert not broken.passed
+        assert any("squaring map" in c.detail for c in broken.counterexamples)
 
     def test_ks_reach_the_cabling_checker(self, cyclic3):
         verdict = run_checker("cabling_laws", [cyclic3], ks=[1, 2, 3])
