@@ -56,7 +56,6 @@ def analyze(X: CycleSet) -> AnalysisReport:
     the congruence search; the Dehornoy class is None when the capped scan
     gives up, which only happens on decomposable inputs.
     """
-    retract, _ = X.retraction()
     try:
         d = X.dehornoy_class()
     except DehornoyCapExceeded:
@@ -69,7 +68,7 @@ def analyze(X: CycleSet) -> AnalysisReport:
         decomposition=X.decomposition,
         latin=X.is_latin,
         simple=X.is_simple if X.n <= CONGRUENCE_MAX_N else None,
-        retractable=retract.n < X.n,
+        retractable=not X.is_irretractable,
         dehornoy_class=d,
         group_order=X.perm_group.order,
         displacement_order=X.displacement_group.order,

@@ -147,19 +147,18 @@ class LeftBrace:
         ident = identity(self.n)
         return frozenset(x for x in range(self.n) if self.lambda_maps[x] == ident)
 
-    def additive_order(self, x: int) -> int:
+    def _order(self, op: Table, x: int) -> int:
         k, cur = 1, x
         while cur != self.zero:
-            cur = self.add[cur][x]
+            cur = op[cur][x]
             k += 1
         return k
 
+    def additive_order(self, x: int) -> int:
+        return self._order(self.add, x)
+
     def multiplicative_order(self, x: int) -> int:
-        k, cur = 1, x
-        while cur != self.zero:
-            cur = self.circ[cur][x]
-            k += 1
-        return k
+        return self._order(self.circ, x)
 
     @cached_property
     def additive_exponent(self) -> int:

@@ -133,12 +133,11 @@ class CycleSet:
 
     @cached_property
     def displacement_group(self) -> PermGroup:
-        rows = self.table
-        gens = {compose(a, inverse(b)) for a in rows for b in rows}
-        gens.discard(identity(self.n))
-        if not gens:
-            gens = {identity(self.n)}
-        return generate(tuple(sorted(gens)))
+        """Dis(X), generated by the sigma_x sigma_0^-1, since every
+        sigma_x sigma_y^-1 is (sigma_x sigma_0^-1)(sigma_y sigma_0^-1)^-1."""
+        s0 = inverse(self.table[0])
+        gens = {compose(row, s0) for row in self.table} - {identity(self.n)}
+        return generate(sorted(gens) or [identity(self.n)])
 
     @property
     def is_decomposable(self) -> bool:
@@ -337,20 +336,11 @@ class Congruence(Partition):
     """A partition compatible with a cycle-set operation."""
 
     def is_congruence_of(self, X: CycleSet) -> bool:
+        """x ~ y and u ~ v imply x.u ~ y.v: the partition is its own closure
+        under the translations of X."""
         if sorted(x for c in self.classes for x in c) != list(range(X.n)):
             return False
-        lab = self.labels
-        t = X.table
-        n = X.n
-        for x in range(n):
-            for y in range(n):
-                if lab[x] != lab[y]:
-                    continue
-                for u in range(n):
-                    for v in range(n):
-                        if lab[u] == lab[v] and lab[t[x][u]] != lab[t[y][v]]:
-                            return False
-        return True
+        return closure(X.n, enumerate(self.labels), X._translations) == self.labels
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import permutations, product
 from typing import Callable, Iterable, Sequence
 
@@ -114,25 +114,16 @@ class EnumerationFilter:
         return True
 
     def describe(self) -> dict:
+        """The set conditions, JSON-ready: a predicate by its name."""
         out: dict = {}
-        for name in (
-            "indecomposable",
-            "latin",
-            "simple",
-            "irretractable",
-            "nilpotent_group",
-        ):
-            v = getattr(self, name)
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, tuple):
+                v = list(v)
+            elif callable(v):
+                v = getattr(v, "__name__", "predicate")
             if v is not None:
-                out[name] = v
-        if self.squaring_cycle_type is not None:
-            out["squaring_cycle_type"] = list(self.squaring_cycle_type)
-        if self.group_order is not None:
-            out["group_order"] = (
-                getattr(self.group_order, "__name__", "predicate")
-                if callable(self.group_order)
-                else self.group_order
-            )
+                out[f.name] = v
         return out
 
 
@@ -193,30 +184,36 @@ def _normal_forms(n: int) -> tuple[Perm, ...]:
     return tuple(out)
 
 
-def _diagonal_stabilizer(n: int, diagonal: Perm) -> tuple[Perm, ...]:
-    """Relabelings that fix point 0 and commute with ``diagonal``.  Relabeling
-    a table by one of these keeps its diagonal and keeps row 0 in place, so
-    the group permutes the fixed-diagonal tables of each isomorphism class."""
-    out = []
-    for phi in permutations(range(n)):
-        if phi[0] != 0:
-            continue
-        if all(phi[diagonal[x]] == diagonal[phi[x]] for x in range(n)):
-            out.append(phi)
-    return tuple(out)
+def _cell_index(n: int) -> list[list[list[Perm]]]:
+    """cells[x][v]: the permutations p of degree n with p[x] == v, in
+    lexicographic order."""
+    cells: list[list[list[Perm]]] = [[[] for _ in range(n)] for _ in range(n)]
+    for p in permutations(range(n)):
+        for x, v in enumerate(p):
+            cells[x][v].append(p)
+    return cells
 
 
-def _slice_first_rows(n: int, diagonal: Perm) -> tuple[Perm, ...]:
-    """Row-0 candidates for a fixed-diagonal search, one per conjugation
-    orbit of the diagonal stabilizer.  For any table in the slice, conjugating
-    by the stabilizer element that canonicalizes its row 0 gives an isomorphic
-    table still in the slice whose row 0 is the chosen representative, so the
-    restriction loses no isomorphism class."""
-    stab = _diagonal_stabilizer(n, diagonal)
+def _slice_first_rows(
+    diagonal: Perm, cells: Sequence[Sequence[Sequence[Perm]]]
+) -> tuple[Perm, ...]:
+    """Row-0 candidates for a fixed-diagonal search, read from its cell
+    index: one row of ``cells[0][T(0)]`` per conjugation orbit of the
+    stabilizer of point 0 in the centralizer of T, the rows of
+    ``cells[0][0]`` that commute with T.  Relabeling by the stabilizer keeps
+    the diagonal and row 0 in place, so for any table in the slice the
+    element that canonicalizes its row 0 gives an isomorphic table still in
+    the slice whose row 0 is the chosen representative, and the restriction
+    loses no isomorphism class."""
+    n = len(diagonal)
+    stab = [
+        phi for phi in cells[0][0]
+        if all(phi[diagonal[x]] == diagonal[phi[x]] for x in range(n))
+    ]
     reps: list[Perm] = []
     seen: set[Perm] = set()
-    for p in permutations(range(n)):
-        if p[0] != diagonal[0] or p in seen:
+    for p in cells[0][diagonal[0]]:
+        if p in seen:
             continue
         reps.append(p)
         for phi in stab:
@@ -239,11 +236,7 @@ def _search(
     a row, when it is placed or forced, at a point of a T-cycle as long as
     0's whose cycle type is greater than row 0's.  ``cancel`` is polled at
     the first node and then every 512 nodes."""
-    # cells[x][v]: the rows p with p[x] == v, in lexicographic order
-    cells: list[list[list[Perm]]] = [[[] for _ in range(n)] for _ in range(n)]
-    for p in permutations(range(n)):
-        for x, v in enumerate(p):
-            cells[x][v].append(p)
+    cells = _cell_index(n)
 
     rows: list[Perm | None] = [None] * n
     t_inv = inverse(diagonal)
@@ -350,7 +343,7 @@ def _search(
             emit(tuple(rows))  # type: ignore[arg-type]
             return
         if unknown[0] == 0 and symmetry_breaking:
-            d, cands = 0, _slice_first_rows(n, diagonal)
+            d, cands = 0, _slice_first_rows(diagonal, cells)
         else:
             # the most constrained row, lowest index on ties
             d, cands = -1, None

@@ -26,8 +26,9 @@ Perm = tuple[int, ...]
 ORDER_CAP = 10**6
 
 
-class OrderCapExceeded(RuntimeError):
-    """Raised when group materialization would exceed the element cap."""
+class OrderCapExceeded(ValueError):
+    """Raised when group materialization would exceed the element cap; a
+    ValueError, so the CLI reports it as an error with exit code 2."""
 
 
 def is_permutation(word: Sequence[int]) -> bool:

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from cycleset import cyclic_brace, from_cycles, pp_brace, trivial_cycle_set
-from cycleset import cli
+from cycleset import cli, perm
 from cycleset.cli import main
 from cycleset.formats import dump_brace, dump_cycle_set
 
@@ -113,6 +113,17 @@ class TestAnalyze:
         code, _, err = run("analyze", str(path))
         assert code == 1
         assert "invalid input" in err
+
+    def test_group_past_the_order_cap_is_a_usage_error(self, run, tmp_path, monkeypatch):
+        # constant rows of cycle type (9, 8, 7, 5): |G| = lcm = 2,520
+        gamma = from_cycles(29, [range(0, 9), range(9, 17), range(17, 24), range(24, 29)])
+        path = tmp_path / "big.json"
+        path.write_text(dump_cycle_set(trivial_cycle_set(gamma)))
+        monkeypatch.setattr(perm, "ORDER_CAP", 100)
+        code, out, err = run("analyze", str(path), "--field", "group_order")
+        assert code == 2
+        assert out == ""
+        assert err == "error: group order exceeds cap 100\n"
 
 
 class TestTrivial:

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from cycleset import (
     trivial_cycle_set,
     validate_table,
 )
+from cycleset.analysis import AnalysisReport, analyze
 from cycleset.perm import compose, from_cycles, identity, inverse, perm_order, power
 
 # rows bijective, diagonal bijective, cycloid broken at (0, 2, 0)
@@ -357,6 +359,23 @@ class TestIsomorphism:
         assert w is not None and relabel(X, w).table == Y.table
         if j != i:
             assert is_isomorphic(X, relabel(members[j], rho)) is None
+
+    @settings(max_examples=40, deadline=None)
+    @given(i=st.integers(0, 87), rho=st.permutations(range(5)).map(tuple))
+    def test_analysis_report_is_invariant_on_census_five(self, censuses_small, i, rho):
+        X = censuses_small[5].cycle_sets()[i]
+        before = analyze(X)
+        after = analyze(relabel(X, rho))
+        # the two fields that name points move with rho; the rest are equal
+        assert after.fixed_points == tuple(sorted(rho[x] for x in before.fixed_points))
+        if before.decomposition is None:
+            assert after.decomposition is None
+        else:
+            moved = {frozenset(rho[x] for x in part) for part in before.decomposition}
+            assert {frozenset(part) for part in after.decomposition} == moved
+        for f in fields(AnalysisReport):
+            if f.name not in ("fixed_points", "decomposition"):
+                assert getattr(after, f.name) == getattr(before, f.name), f.name
 
     def test_non_isomorphic(self, size2_indec, trivial2):
         assert is_isomorphic(size2_indec, trivial2) is None

@@ -27,10 +27,11 @@ from cycleset import enumeration
 from cycleset.canon import canonical_form as canonical_table
 from cycleset.enumeration import (
     ENGINE_VERSION,
+    _cell_index,
     _census_task,
-    _diagonal_stabilizer,
     _diagonals,
     _naive_valid,
+    _normal_forms,
     _slice_first_rows,
 )
 
@@ -236,22 +237,28 @@ class TestDiagonalConstraint:
             assert len(broken.representatives) == counts[cycle_type(diag)]
 
     def test_slice_first_rows_are_orbit_representatives(self):
-        diag = from_cycles(5, [(0, 1)])
-        reps = _slice_first_rows(5, diag)
-        assert all(p[0] == diag[0] for p in reps)
-        assert len(reps) < 24
-        stab = _diagonal_stabilizer(5, diag)
-        assert all(phi[0] == 0 for phi in stab)
-        # conjugating the reps by the stabilizer recovers the whole pool
-        orbit_union = set()
-        for p in reps:
-            for phi in stab:
-                q = [0] * 5
-                for i in range(5):
-                    q[phi[i]] = phi[p[i]]
-                orbit_union.add(tuple(q))
-        pool = {p for p in permutations(range(5)) if p[0] == diag[0]}
-        assert orbit_union == pool
+        def conjugate(phi, p):
+            q = [0] * len(p)
+            for i in range(len(p)):
+                q[phi[i]] = phi[p[i]]
+            return tuple(q)
+
+        for n in range(1, 6):
+            cells = _cell_index(n)
+            for diag in _normal_forms(n):
+                # brute force: every relabeling that fixes 0 and commutes with T
+                stab = [
+                    phi
+                    for phi in permutations(range(n))
+                    if phi[0] == 0 and all(phi[diag[x]] == diag[phi[x]] for x in range(n))
+                ]
+                reps = _slice_first_rows(diag, cells)
+                orbits = [{conjugate(phi, p) for phi in stab} for p in reps]
+                # each orbit holds one representative, so no two share one
+                assert all(len(o & set(reps)) == 1 for o in orbits)
+                # and the orbits cover the whole row-0 pool
+                pool = {p for p in permutations(range(n)) if p[0] == diag[0]}
+                assert set().union(*orbits) == pool
 
     def test_sliced_search_parallel_byte_identity(self):
         diag = from_cycles(4, [(0, 1)])
@@ -466,8 +473,9 @@ class TestCancellation:
         start = time.monotonic()
         timer.start()
         try:
+            # n = 7 takes seconds, so the census cannot finish before the timer
             with pytest.raises(SearchCancelled):
-                enumerate_cycle_sets(6, jobs=2, cancel=ev)
+                enumerate_cycle_sets(7, jobs=2, cancel=ev)
         finally:
             timer.cancel()
             timer.join(5)
