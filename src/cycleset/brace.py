@@ -96,7 +96,7 @@ def left_brace(add: Sequence[Sequence[int]], circ: Sequence[Sequence[int]]) -> "
     for name, t in (("addition", add), ("multiplication", circ)):
         if len(t) != n or any(len(row) != n for row in t):
             raise InvalidBrace("shape", name, f"{name} table is not {n} x {n}")
-        if any(not (isinstance(v, int) and 0 <= v < n) for row in t for v in row):
+        if any(not (type(v) is int and 0 <= v < n) for row in t for v in row):
             raise InvalidBrace("shape", name, f"{name} table has out-of-range entries")
     zero, neg = _check_group(add, True, "addition", "not_abelian_group")
     mzero, inv = _check_group(circ, False, "multiplication", "not_group")
@@ -169,7 +169,7 @@ class LeftBrace:
         if k < 0:
             raise ValueError("multiple must be >= 0")
         out = self.zero
-        for _ in range(k):
+        for _ in range(k % self.additive_order(x)):
             out = self.add[out][x]
         return out
 

@@ -16,16 +16,16 @@ once per isomorphism class rather than once per emitted table.
 
 1. ``class_key`` colours the points by invariants (the length of the cycle
    of the squaring map T(x) = x.x through x, the cycle type of the row of x,
-   and how many y have y.x = x), refines the colours to a fixed point by
-   the colours a point meets in its row and column (the vertex-invariant
-   step of McKay), and orders the colour cells by colour value, never by
-   point index.  The key is the lex-least relabeled table over the
-   relabelings that send each cell, in order, onto consecutive labels.  It
-   is a complete invariant by construction.  Relabeling a table carries its
-   colours, hence its admissible relabelings, along with it, so isomorphic
-   tables have the same set of images and get the same key; and the key is
-   itself a relabeling of its table, so tables with the same key are
-   isomorphic.  A weak refinement only makes the key slower, never wrong.
+   and how many y have y.x = x) and orders the colour cells by colour
+   value, never by point index.  The key is the lex-least relabeled table
+   over the relabelings that send each cell, in order, onto consecutive
+   labels.  It is a complete invariant by construction.  Relabeling a table
+   carries its colours, hence its admissible relabelings, along with it, so
+   isomorphic tables have the same set of images and get the same key; and
+   the key is itself a relabeling of its table, so tables with the same key
+   are isomorphic.  A coarser colouring only makes the key slower, never
+   wrong; refining the colours to a fixed point (the vertex-invariant step
+   of McKay) cost more than the search it saved at every census size.
    With a single cell the key is the canonical form.
 2. The public form, ``canonical_form``, is the lex-min over all relabelings;
    the census computes it once per distinct key.
@@ -180,13 +180,6 @@ def canonical_form(
     return canonical_relabeling(table, cancel)[1]
 
 
-def _ranks(signatures: Sequence) -> list[int]:
-    """Each signature replaced by its rank among the distinct ones, so the
-    colours depend on the values only, never on point indices."""
-    rank = {s: r for r, s in enumerate(sorted(set(signatures)))}
-    return [rank[s] for s in signatures]
-
-
 def _orbit_sizes(f: Sequence[int]) -> list[int]:
     """How many points x, f(x), f(f(x)), ... visit, for each x: the length
     of the cycle through x when f is a permutation.  Any map is allowed."""
@@ -202,36 +195,14 @@ def _orbit_sizes(f: Sequence[int]) -> list[int]:
 
 
 def _colour_cells(rows: Table) -> list[tuple[int, ...]]:
-    """The points grouped by refined colour, cells in increasing colour."""
+    """The points grouped by invariant colour, cells in increasing colour."""
     n = len(rows)
     t_len = _orbit_sizes([rows[x][x] for x in range(n)])
-    colour = _ranks(
-        [
-            (t_len[x], tuple(sorted(_orbit_sizes(r))), [s[x] for s in rows].count(x))
-            for x, r in enumerate(rows)
-        ]
-    )
-
-    def meets(x: int, y: int) -> tuple:
-        xy, yx = rows[x][y], rows[y][x]
-        return (colour[y], colour[xy], colour[yx], xy == x, xy == y, yx == x, yx == y)
-
-    # ranks run 0 .. k-1, and the old colour leads each new signature, so
-    # cells only ever split and a round that adds no colour is the fixed point
-    while max(colour) < n - 1:
-        refined = _ranks(
-            [
-                (colour[x], tuple(sorted(meets(x, y) for y in range(n) if y != x)))
-                for x in range(n)
-            ]
-        )
-        if max(refined) == max(colour):
-            break
-        colour = refined
-    cells: list[list[int]] = [[] for _ in range(max(colour) + 1)]
-    for x in range(n):
-        cells[colour[x]].append(x)
-    return [tuple(c) for c in cells]
+    cells: dict[tuple, list[int]] = {}
+    for x, r in enumerate(rows):
+        colour = (t_len[x], tuple(sorted(_orbit_sizes(r))), [s[x] for s in rows].count(x))
+        cells.setdefault(colour, []).append(x)
+    return [tuple(cells[c]) for c in sorted(cells)]
 
 
 def class_relabeling(
@@ -239,7 +210,7 @@ def class_relabeling(
 ) -> tuple[Perm, Table]:
     """Return (rho, key): a relabeled table that is equal for two tables
     exactly when they are isomorphic, the lex-min over the relabelings that
-    keep the refined colour cells in colour order, with its relabeling.
+    keep the colour cells in colour order, with its relabeling.
     Cheaper than ``canonical_relabeling`` but a different table in general."""
     rows = tuple(tuple(r) for r in table)
     return _lex_min(rows, _colour_cells(rows), cancel)

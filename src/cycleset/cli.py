@@ -29,7 +29,7 @@ from .brace import (
     coset_construction,
     cycle_bases,
 )
-from .core import CycleSet, InvalidCycleSet, direct_product, trivial_cycle_set
+from .core import InvalidCycleSet, cycle_set, direct_product, trivial_cycle_set
 from .enumeration import (
     EnumerationFilter,
     brute_force_census,
@@ -163,7 +163,8 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
         ids = None
     if ns.census:
         census = formats.parse_census_jsonl(_read(ns.census))
-        tables = list(census.cycle_sets())
+        # a census file is input like any other: validate every table
+        tables = [cycle_set(t) for t in census.representatives]
         scope = f"census file n={census.n}, count={census.count}"
     else:
         tables = []

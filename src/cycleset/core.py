@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import canon
 from .perm import (
@@ -71,7 +71,8 @@ def validate_table(table: Sequence[Sequence[int]]) -> None:
         row = tuple(row)
         if len(row) != n:
             raise InvalidCycleSet("shape", x, f"row {x} has length {len(row)}, expected {n}")
-        if not all(isinstance(v, int) and 0 <= v < n for v in row):
+        # bool is a subclass of int, but true and false are not points
+        if not all(type(v) is int and 0 <= v < n for v in row):
             raise InvalidCycleSet("shape", x, f"row {x} has entries outside 0..{n - 1}")
         if not is_permutation(row):
             raise InvalidCycleSet("row", x, f"row {x} is not bijective")
@@ -189,18 +190,28 @@ class CycleSet:
 
     # -- cabling ------------------------------------------------------------
 
+    def _cablings(self) -> Iterator[Table]:
+        """The tower X, X_2, X_3, ... of cablings: row x of X_{k+1} is
+        sigma_{x *_k x} o (row x of X_k), so row x of X_k is
+        sigma_{T^{k-1}x} o ... o sigma_x."""
+        rows = self.table
+        while True:
+            yield rows
+            rows = tuple(compose(self.table[r[x]], r) for x, r in enumerate(rows))
+
     def cabling(self, k: int) -> "CycleSet":
-        """k-th cabled operation: step k is x *_k y = (x *_{k-1} x) . (x *_{k-1} y)."""
+        """k-th cabled operation: step k is x *_k y = (x *_{k-1} x) . (x *_{k-1} y).
+
+        The tower reaches identity rows at the Dehornoy class d, and the step
+        after that returns X, so the k-th cabling is the ((k - 1) mod d + 1)-th."""
         if k < 1:
             raise ValueError("cabling index must be >= 1")
-        cur = self.table
-        base = self.table
-        for _ in range(k - 1):
-            cur = tuple(
-                tuple(base[row[x]][row[y]] for y in range(self.n))
-                for x, row in enumerate(cur)
-            )
-        return cycle_set(cur)
+        ident = identity(self.n)
+        for i, rows in enumerate(self._cablings()):
+            if i == k - 1:
+                return cycle_set(rows)
+            if all(r == ident for r in rows):
+                return self.cabling((k - 1) % (i + 1) + 1)
 
     # -- tower map and Dehornoy class --------------------------------------
 
@@ -225,26 +236,16 @@ class CycleSet:
 
     def dehornoy_class(self, cap: int | None = None) -> int:
         """Least d >= 1 with omega(x, ..., x, y) = y (d copies of x) for all
-        x, y; equivalently sigma_{T^{d-1}(x)} o ... o sigma_x = id for all x.
+        x, y; equivalently the d-th cabling has identity rows.
 
         The scan is capped at |G(X)| by default, which is always sufficient
         for indecomposable sets; a cap hit raises DehornoyCapExceeded.
         """
         if cap is None:
             cap = self.perm_group.order
-        n = self.n
-        ident = identity(n)
-        acc = [ident] * n
-        cur = list(range(n))
-        diag = self.squaring_map
-        for d in range(1, cap + 1):
-            done = True
-            for x in range(n):
-                acc[x] = compose(self.table[cur[x]], acc[x])
-                cur[x] = diag[cur[x]]
-                if acc[x] != ident:
-                    done = False
-            if done:
+        ident = identity(self.n)
+        for d, rows in zip(range(1, cap + 1), self._cablings()):
+            if all(r == ident for r in rows):
                 return d
         raise DehornoyCapExceeded(cap)
 

@@ -116,7 +116,7 @@ def parse_permutation(text: str, n: int | None = None, one_based: bool = True) -
     body = text.strip()
     if body.startswith("["):
         images = tuple(json.loads(body))
-        if not is_permutation(images):
+        if not all(type(v) is int for v in images) or not is_permutation(images):
             raise ValueError("not a permutation image array")
         if n is not None and len(images) != n:
             raise ValueError(f"degree {len(images)}, expected {n}")

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from cycleset import (
@@ -41,6 +43,13 @@ class TestValidation:
         with pytest.raises(InvalidBrace) as exc:
             left_brace(comp, comp)
         assert exc.value.kind == "not_abelian_group"
+
+    def test_rejects_boolean_entries(self):
+        # bool is a subclass of int; Z/2 written with false and true
+        add = [[False, True], [True, False]]
+        with pytest.raises(InvalidBrace) as exc:
+            left_brace(add, add)
+        assert exc.value.kind == "shape"
 
     def test_rejects_broken_multiplication(self):
         add = z4_mod_table()
@@ -122,6 +131,8 @@ class TestOrders:
         B = cyclic_brace(7)
         assert B.additive_multiple(3, 2) == 6
         assert B.additive_multiple(0, 5) == 0
+        for k in (10**9, sys.maxsize + 2):
+            assert B.additive_multiple(k, 2) == k * 2 % 7
 
 
 class TestProducts:

@@ -145,7 +145,7 @@ def test_class_key_is_a_relabeling(t):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_class_key_single_cell_is_the_canonical_form(n):
-    # all rows identity: refinement cannot split, so the key scans all of S_n
+    # all rows identity: one colour, so the key scans all of S_n
     t = tuple(tuple(range(n)) for _ in range(n))
     assert _colour_cells(t) == [tuple(range(n))]
     assert class_key(t) == canonical_form(t) == t

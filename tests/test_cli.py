@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from cycleset import cyclic_brace, from_cycles, pp_brace, trivial_cycle_set
+from cycleset import CycleSet, cyclic_brace, from_cycles, pp_brace, trivial_cycle_set
 from cycleset import cli, perm
 from cycleset.cli import main
 from cycleset.formats import dump_brace, dump_cycle_set
@@ -61,6 +61,13 @@ class TestValidate:
         code, out, err = run("validate", str(path))
         assert (code, out) == (2, "")
         assert "'table' must be a list of rows" in err
+
+    def test_boolean_entries_are_a_shape_error(self, run, tmp_path):
+        path = tmp_path / "bool.json"
+        path.write_text('{"table": [[true, false], [true, false]]}')
+        code, out, _ = run("validate", str(path))
+        assert code == 1
+        assert out.startswith("invalid:") and "[shape," in out
 
     def test_broken_json_is_a_parse_error(self, run, tmp_path):
         path = tmp_path / "broken.json"
@@ -154,6 +161,11 @@ class TestTrivial:
         body = out_path.read_text()
         assert "n=2" in body and body.startswith("# format_version")
 
+    def test_boolean_image_array_is_a_usage_error(self, run):
+        code, out, err = run("trivial", "-n", "2", "-g", "[true, false]")
+        assert (code, out) == (2, "")
+        assert "not a permutation" in err
+
     def test_point_out_of_range(self, run):
         code, _, err = run("trivial", "-n", "3", "-g", "(1 5)")
         assert code == 2
@@ -189,6 +201,14 @@ class TestTransforms:
         assert code == 0
         got = tuple(tuple(r) for r in json.loads(out)["table"])
         assert got == cyclic3.cabling(2).table
+
+    def test_cable_huge_index(self, run, table4_file, table4):
+        # the tower of cablings returns to the table after its Dehornoy
+        # class, 2 here, so an even index gives the second cabling
+        code, out, _ = run("cable", table4_file, "-k", "1000000000")
+        assert code == 0
+        got = tuple(tuple(r) for r in json.loads(out)["table"])
+        assert got == table4.cabling(2).table
 
     def test_retract_records_class_map(self, run, tmp_path, trivial2):
         path = tmp_path / "t2.json"
@@ -322,18 +342,48 @@ class TestVerify:
         assert "no checker matches 'nosuch'" in err
         assert built == []
 
-    def test_census_file_counterexample_exits_one(self, run, tmp_path):
+    @staticmethod
+    def _census_file(tmp_path, table):
         lines = [
-            json.dumps({"n": 2, "table": [[0, 0], [0, 0]]}),
-            json.dumps({"summary": {"n": 2, "count": 1}}),
+            json.dumps({"n": len(table), "table": [list(r) for r in table]}),
+            json.dumps({"summary": {"n": len(table), "count": 1}}),
         ]
-        path = tmp_path / "fake.jsonl"
+        path = tmp_path / "one.jsonl"
         path.write_text("\n".join(lines) + "\n")
-        code, out, err = run("verify", "--census", str(path), "--suite", "pair")
+        return str(path)
+
+    def test_census_file_counterexample_exits_one(
+        self, run, tmp_path, cyclic3, monkeypatch
+    ):
+        # a valid table under a broken cabling, as in the mutation self-test
+        # of cabling_laws: the second cabling keeps the squaring map
+        path = self._census_file(tmp_path, cyclic3.table)
+        monkeypatch.setattr(CycleSet, "cabling", lambda self, k: self)
+        code, out, err = run("verify", "--census", path, "--suite", "cabling", "--ks", "2")
         assert code == 1
         verdict = json.loads(out.strip().splitlines()[0])
         assert verdict["passed"] is False
         assert "FAIL(1)" in err
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            [[1, 0], [0, 1]],  # the cycloid law fails
+            [[5, 0], [0, 1, 7]],  # the shape is wrong
+        ],
+    )
+    def test_census_file_tables_are_validated(self, run, tmp_path, table):
+        code, out, err = run("verify", "--census", self._census_file(tmp_path, table))
+        assert (code, out) == (1, "")
+        assert err.startswith("invalid input: ")
+
+    def test_census_file_huge_cabling_index(self, run, tmp_path):
+        path = str(tmp_path / "latin4.jsonl")
+        assert run("enumerate", "-n", "4", "--latin", "-o", path)[0] == 0
+        ks = f"1000000000 {sys.maxsize + 2}"
+        code, out, _ = run("verify", "--census", path, "--suite", "cabling", "--ks", ks)
+        assert code == 0
+        assert json.loads(out)["passed"] is True
 
     def test_census_file_clean_pass(self, run, tmp_path):
         code, out, _ = run("enumerate", "-n", "3", "-o",

@@ -1,4 +1,5 @@
 import itertools
+import sys
 from dataclasses import fields
 
 import pytest
@@ -14,6 +15,7 @@ from cycleset import (
     direct_product,
     is_isomorphic,
     relabel,
+    run_all,
     trivial_cycle_set,
     validate_table,
 )
@@ -43,6 +45,11 @@ class TestValidation:
         x, y, z = exc.value.witness
         t = CYCLOID_BROKEN
         assert t[t[x][y]][t[x][z]] != t[t[y][x]][t[y][z]]
+
+    def test_booleans_are_not_points(self):
+        with pytest.raises(InvalidCycleSet) as exc:
+            validate_table(((True, False), (True, False)))
+        assert exc.value.kind == "shape"
 
     def test_out_of_range_entry(self):
         with pytest.raises(InvalidCycleSet):
@@ -196,6 +203,18 @@ class TestCabling:
     def test_rejects_nonpositive(self, cyclic3):
         with pytest.raises(ValueError):
             cyclic3.cabling(0)
+
+    @pytest.mark.parametrize("k", [10**9, sys.maxsize + 2])
+    def test_huge_index_follows_the_dehornoy_class(self, censuses_small, k):
+        # x *_k y = omega(x, ..., x, y) with k copies of x, and the tower of
+        # cablings returns to X after d steps
+        for census in censuses_small.values():
+            for X in census.cycle_sets():
+                copies = (k - 1) % X.dehornoy_class() + 1
+                got = X.cabling(k).table
+                for x in range(X.n):
+                    for y in range(X.n):
+                        assert got[x][y] == X.omega((x,) * copies + (y,))
 
 
 class TestDehornoy:
@@ -376,6 +395,17 @@ class TestIsomorphism:
         for f in fields(AnalysisReport):
             if f.name not in ("fixed_points", "decomposition"):
                 assert getattr(after, f.name) == getattr(before, f.name), f.name
+
+    @settings(max_examples=40, deadline=None)
+    @given(i=st.integers(0, 87), rho=st.permutations(range(5)).map(tuple))
+    def test_checker_verdicts_are_invariant_on_census_five(self, censuses_small, i, rho):
+        X = censuses_small[5].cycle_sets()[i]
+
+        def summary(v):
+            return v.checker_id, v.instances, v.skipped, v.passed, len(v.counterexamples)
+
+        before = [summary(v) for v in run_all([X])]
+        assert [summary(v) for v in run_all([relabel(X, rho)])] == before
 
     def test_non_isomorphic(self, size2_indec, trivial2):
         assert is_isomorphic(size2_indec, trivial2) is None
