@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .core import CONGRUENCE_MAX_N, CycleSet, DehornoyCapExceeded
 from .perm import cycle_type
@@ -26,27 +26,12 @@ class AnalysisReport:
     prime_support_match: bool
 
     def to_dict(self) -> dict:
-        """JSON-ready form with stable key order."""
-        return {
-            "n": self.n,
-            "squaring_cycle_type": list(self.squaring_cycle_type),
-            "fixed_points": list(self.fixed_points),
-            "decomposable": self.decomposable,
-            "decomposition": (
-                None
-                if self.decomposition is None
-                else [list(part) for part in self.decomposition]
-            ),
-            "latin": self.latin,
-            "simple": self.simple,
-            "retractable": self.retractable,
-            "dehornoy_class": self.dehornoy_class,
-            "group_order": self.group_order,
-            "displacement_order": self.displacement_order,
-            "group_nilpotent": self.group_nilpotent,
-            "displacement_nilpotent": self.displacement_nilpotent,
-            "prime_support_match": self.prime_support_match,
-        }
+        """JSON-ready form, keys in field order, tuples as lists."""
+
+        def plain(v):
+            return [plain(x) for x in v] if isinstance(v, tuple) else v
+
+        return {f.name: plain(getattr(self, f.name)) for f in fields(self)}
 
 
 def analyze(X: CycleSet) -> AnalysisReport:

@@ -382,8 +382,10 @@ def brace_is_isomorphic(a: LeftBrace, b: LeftBrace) -> tuple[int, ...] | None:
     """A bijection respecting both operations, or None.
 
     Backtracking over images of an additive generating sequence, pruned by
-    the (additive order, multiplicative order) profile and checked by full
-    table comparison on the determined span.
+    the (additive order, multiplicative order) profile.  Each image of a
+    generator g extends the additive map on the span so far along the steps
+    x -> x + g, then is checked for injectivity and for the products that
+    land in the larger span.
     """
     if a.n != b.n:
         return None
@@ -404,56 +406,37 @@ def brace_is_isomorphic(a: LeftBrace, b: LeftBrace) -> tuple[int, ...] | None:
         gens.append(g)
         span = set(a.additive_span(span | {g}))
 
-    def extend(phi: dict[int, int], used: set[int], gi: int) -> dict[int, int] | None:
+    def extend(phi: dict[int, int], gi: int) -> dict[int, int] | None:
         if gi == len(gens):
             return phi
         g = gens[gi]
+        used = set(phi.values())
         for img in range(n):
             if img in used or prof_b[img] != prof_a[g]:
                 continue
             new_phi = dict(phi)
-            new_phi[g] = img
-            ok = True
-            # close the additive span of the assigned part
-            frontier = list(new_phi)
-            while frontier and ok:
-                x = frontier.pop()
-                for y in list(new_phi):
-                    s, si = a.add[x][y], b.add[new_phi[x]][new_phi[y]]
-                    if s in new_phi:
-                        if new_phi[s] != si:
-                            ok = False
-                            break
-                    else:
-                        new_phi[s] = si
-                        frontier.append(s)
-                if not ok:
+            # phi is additive on a subgroup S; walking x -> x + g from S
+            # reaches S + <g> and either defines the additive extension
+            # sending g to img or hits a conflict
+            frontier = list(phi)
+            for x in frontier:
+                s, si = a.add[x][g], b.add[new_phi[x]][img]
+                if s not in new_phi:
+                    new_phi[s] = si
+                    frontier.append(s)
+                elif new_phi[s] != si:
                     break
-            if ok:
-                vals = set(new_phi.values())
-                if len(vals) != len(new_phi):
-                    ok = False
-            if ok:
-                for x in new_phi:
-                    for y in new_phi:
-                        if a.add[x][y] in new_phi and new_phi[a.add[x][y]] != b.add[new_phi[x]][new_phi[y]]:
-                            ok = False
-                            break
-                        c = a.circ[x][y]
-                        if c in new_phi and new_phi[c] != b.circ[new_phi[x]][new_phi[y]]:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-            if ok:
-                got = extend(new_phi, vals, gi + 1)
-                if got is not None:
-                    return got
+            else:
+                if len(set(new_phi.values())) == len(new_phi) and all(
+                    a.circ[x][y] not in new_phi
+                    or new_phi[a.circ[x][y]] == b.circ[new_phi[x]][new_phi[y]]
+                    for x in new_phi
+                    for y in new_phi
+                ):
+                    got = extend(new_phi, gi + 1)
+                    if got is not None:
+                        return got
         return None
 
-    phi = extend({a.zero: b.zero}, {b.zero}, 0)
-    if phi is None:
-        return None
-    if len(phi) != n:
-        return None
-    return tuple(phi[x] for x in range(n))
+    phi = extend({a.zero: b.zero}, 0)
+    return None if phi is None else tuple(phi[x] for x in range(n))

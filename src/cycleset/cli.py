@@ -24,16 +24,18 @@ from . import formats
 from .analysis import analyze
 from .brace import (
     BraceConstructionError,
+    CycleBase,
     InvalidBrace,
     brace_of_cycle_set,
     coset_construction,
-    cycle_bases,
 )
 from .core import InvalidCycleSet, cycle_set, direct_product, trivial_cycle_set
 from .enumeration import (
+    MAX_N_ENV,
     EnumerationFilter,
     brute_force_census,
     enumerate_cycle_sets,
+    size_cap,
 )
 from .verify import CHECKERS, cabling_indices, run_all
 
@@ -145,6 +147,11 @@ def _cmd_enumerate(ns: argparse.Namespace) -> int:
 
 def _cmd_verify(ns: argparse.Namespace) -> int:
     # usage errors come before the censuses, which can take minutes to build
+    if not ns.census and not 1 <= ns.max_size <= size_cap():
+        raise ValueError(
+            f"--max-size must be in 1..{size_cap()}, got {ns.max_size} "
+            f"(set {MAX_N_ENV} to raise the cap)"
+        )
     ks = cabling_indices(int(tok) for tok in ns.ks.replace(",", " ").split())
     if ns.suite:
         wanted = []
@@ -232,14 +239,12 @@ def _cmd_brace(ns: argparse.Namespace) -> int:
         return 0
     # cosets
     K = [int(tok) for tok in ns.k.replace(",", " ").split()] if ns.k else [B.zero]
-    base = next(
-        (cb for cb in cycle_bases(B) if cb.transitive and ns.a in cb.elements),
-        None,
-    )
-    if base is None:
+    # a transitive cycle base is one lambda-orbit, so only the orbit of a
+    orbit = next((o for o in B.lambda_orbits if ns.a in o), None)
+    if orbit is None or B.additive_span(orbit) != frozenset(range(B.n)):
         print(f"no transitive cycle base contains {ns.a}", file=sys.stderr)
         return 1
-    X, cosets = coset_construction(B, base, ns.a, K)
+    X, cosets = coset_construction(B, CycleBase(frozenset(orbit), True), ns.a, K)
     meta = _meta(ns)
     meta["cosets"] = [list(c) for c in cosets]
     _write(ns.output, formats.dump_cycle_set(X, fmt=ns.format, meta=meta))

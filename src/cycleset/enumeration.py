@@ -544,29 +544,25 @@ def _naive_valid(t: Sequence[Perm], n: int) -> bool:
     return len({t[x][x] for x in range(n)}) == n
 
 
-def _naive_relabel(t: Sequence[Perm], rho: Perm, inv: Perm, n: int) -> Table:
+def _naive_relabel(t: Sequence[Perm], rho: Perm, n: int) -> Table:
+    """t with every point x renamed rho[x]."""
+    inv = sorted(range(n), key=rho.__getitem__)  # rho^-1
     return tuple(
         tuple(rho[t[inv[i]][inv[j]]] for j in range(n)) for i in range(n)
     )
 
 
 def _naive_canonical(t: Sequence[Perm], perms: Sequence[Perm], n: int) -> Table:
-    best = None
-    for rho in perms:
-        inv = [0] * n
-        for i, v in enumerate(rho):
-            inv[v] = i
-        cand = _naive_relabel(t, rho, tuple(inv), n)
-        if best is None or cand < best:
-            best = cand
-    return best  # type: ignore[return-value]
+    """The lex-least of the relabelings of t by every permutation in perms."""
+    return min(_naive_relabel(t, rho, n) for rho in perms)
 
 
 def brute_force_census(n: int, filt: EnumerationFilter | None = None) -> Census:
     """Scan every tuple of row permutations and keep the valid tables,
-    deduplicated by pairwise relabeling tests.  Independent of the main
-    engine: element-form cycloid check, no propagation, no symmetry
-    breaking.  Only feasible for n <= 4."""
+    deduplicated by their lex-least relabeling, found by trying all n!
+    relabelings.  Independent of the main engine: element-form cycloid
+    check, no propagation, no symmetry breaking, no canonical-labeling
+    search.  Only feasible for n <= 4."""
     if n < 1:
         raise ValueError("size must be >= 1")
     if n > 4:
@@ -574,26 +570,11 @@ def brute_force_census(n: int, filt: EnumerationFilter | None = None) -> Census:
     filt = filt or EnumerationFilter()
     start = time.monotonic()
     perms = tuple(permutations(range(n)))
-    valid = [t for t in product(perms, repeat=n) if _naive_valid(t, n)]
-
-    invs = []
-    for rho in perms:
-        inv = [0] * n
-        for i, v in enumerate(rho):
-            inv[v] = i
-        invs.append(tuple(inv))
-
-    reps: list[Table] = []
-    for t in valid:
-        if not any(
-            any(
-                _naive_relabel(t, rho, invs[k], n) == r
-                for k, rho in enumerate(perms)
-            )
-            for r in reps
-        ):
-            reps.append(tuple(tuple(row) for row in t))
-    canon_reps = sorted(_naive_canonical(t, perms, n) for t in reps)
+    canon_reps = sorted({
+        _naive_canonical(t, perms, n)
+        for t in product(perms, repeat=n)
+        if _naive_valid(t, n)
+    })
     kept = tuple(
         t for t in canon_reps if filt.matches(CycleSet(t))
     )

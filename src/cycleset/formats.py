@@ -189,7 +189,6 @@ def dump_census_jsonl(
 def parse_census_jsonl(text: str) -> Census:
     tables = []
     summary = None
-    n = None
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
@@ -208,14 +207,17 @@ def parse_census_jsonl(text: str) -> Census:
             continue
         table = tuple(tuple(row) for row in _rows(obj, "table", "census record"))
         tables.append(table)
-        if n is None:
-            n = len(table)
     if summary is None:
         raise ValueError("census has no summary record")
     if summary["count"] != len(tables):
         raise ValueError(
             f"summary count {summary['count']} does not match {len(tables)} records"
         )
+    for table in tables:
+        if len(table) != summary["n"]:
+            raise ValueError(
+                f"a record has {len(table)} points, the summary says n = {summary['n']}"
+            )
     return Census(
         n=summary["n"],
         filter_desc=tuple(sorted(summary.get("filter", {}).items())),

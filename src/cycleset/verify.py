@@ -103,6 +103,12 @@ def _is_pcycle(t: Perm) -> int | None:
     return moved[0]
 
 
+def _admissible_pcycle_size(p: int, n: int) -> bool:
+    """The sizes of an indecomposable cycle set of prime-power size whose
+    squaring map is a p-cycle: n = p for odd p, n in {2, 4} for p = 2."""
+    return n in (2, 4) if p == 2 else n == p
+
+
 def _p_block_systems(X: CycleSet, p: int):
     """Block systems of the row group with exactly p blocks; a seam for the
     harness self-test to cut."""
@@ -208,12 +214,10 @@ def _chk_pcycle_classification(X: CycleSet, ctx: dict):
     if p is None or X.is_decomposable:
         return False, []
     fails = []
-    if len(prime_support(X.n)) == 1:
-        ok = (X.n == p) if p != 2 else (X.n in (2, 4))
-        if not ok:
-            fails.append(
-                f"prime-power size {X.n} with a {p}-cycle squaring map is not admissible"
-            )
+    if len(prime_support(X.n)) == 1 and not _admissible_pcycle_size(p, X.n):
+        fails.append(
+            f"prime-power size {X.n} with a {p}-cycle squaring map is not admissible"
+        )
     if len(prime_support(X.n)) != 1 and X.displacement_group.is_nilpotent:
         fails.append(
             f"nilpotent displacement group with a {p}-cycle squaring map, "
@@ -228,9 +232,8 @@ def _census_pcycle_classification(tables: Sequence[CycleSet], ctx: dict):
         p = _is_pcycle(X.squaring_map)
         if p is None or X.is_decomposable or len(prime_support(X.n)) != 1:
             continue
-        if (p != 2 and X.n == p) or (p == 2 and X.n in (2, 4)):
-            if X.n in (2, 3, 4):
-                buckets.setdefault(X.n, []).append(X)
+        if _admissible_pcycle_size(p, X.n) and X.n in (2, 3, 4):
+            buckets.setdefault(X.n, []).append(X)
     failures = []
     for n, members in sorted(buckets.items()):
         if len(members) > 1:
@@ -264,11 +267,11 @@ def _chk_block_bound(X: CycleSet, ctx: dict):
         if o == 1 or prime_support(o) <= pi_n:
             break
         k1 += 1
-    k = X.n - len([x for x in range(X.n) if power(T, k1)[x] == x])
+    k = X.n - len([x for x in range(X.n) if tk[x] == x])
     fails = []
     if not (m <= X.n <= k * k + k):
         fails.append(f"bound chain fails: m={m}, n={X.n}, k={k}")
-    if _is_pcycle(T) == 2 and X.n not in (2, 4):
+    if _is_pcycle(T) == 2 and not _admissible_pcycle_size(2, X.n):
         fails.append(f"transposition squaring map at inadmissible size {X.n}")
     return True, fails
 

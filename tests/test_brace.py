@@ -1,3 +1,5 @@
+import itertools
+import random
 import sys
 
 import pytest
@@ -35,8 +37,6 @@ class TestValidation:
 
     def test_rejects_nonabelian_addition(self):
         # S3 composition table is a group but not commutative
-        import itertools
-
         perms = list(itertools.permutations(range(3)))
         idx = {p: i for i, p in enumerate(perms)}
         comp = [[idx[compose(a, b)] for b in perms] for a in perms]
@@ -327,3 +327,84 @@ class TestBraceIsomorphism:
             for y in range(6):
                 assert w[A.add[x][y]] == P.add[w[x]][w[y]]
                 assert w[A.circ[x][y]] == P.circ[w[x]][w[y]]
+
+    @staticmethod
+    def _relabeled(B, rho):
+        # the brace with every element x renamed rho[x]
+        inv = inverse(rho)
+        n = B.n
+        return left_brace(
+            [[rho[B.add[inv[i]][inv[j]]] for j in range(n)] for i in range(n)],
+            [[rho[B.circ[inv[i]][inv[j]]] for j in range(n)] for i in range(n)],
+        )
+
+    @staticmethod
+    def _brute_force_isomorphic(A, B):
+        # depth-first over the n! bijections, assigning images to 0, 1, ...
+        # in turn; a branch is cut once some sum or product of assigned
+        # elements has an assigned image that disagrees
+        n = A.n
+        phi = [None] * n
+
+        def consistent(top):
+            return all(
+                phi[ta[x][y]] == tb[phi[x]][phi[y]]
+                for ta, tb in ((A.add, B.add), (A.circ, B.circ))
+                for x in range(top + 1)
+                for y in range(top + 1)
+                if ta[x][y] <= top
+            )
+
+        def search(top):
+            if top == n:
+                return True
+            for img in set(range(n)).difference(phi[:top]):
+                phi[top] = img
+                if consistent(top) and search(top + 1):
+                    return True
+            phi[top] = None
+            return False
+
+        return search(0)
+
+    def test_agrees_with_brute_force_up_to_order_8(self):
+        # from order 8 on, some braces share the additive group and every
+        # (additive order, multiplicative order) but are not isomorphic
+        braces = [cyclic_brace(k) for k in range(1, 9)] + [pp_brace(2)]
+        braces += [
+            direct_product_brace(cyclic_brace(a), cyclic_brace(b))
+            for a, b in ((2, 2), (2, 3), (3, 2), (2, 4))
+        ]
+        for n in range(1, 5):
+            for X in enumerate_cycle_sets(n).cycle_sets():
+                gb = brace_of_cycle_set(X)
+                if gb.brace.n <= 8:
+                    braces.append(gb.brace)
+        # three size-6 cycle sets with isomorphic order-8 braces on which
+        # some image tried for a generator conflicts with the span so far,
+        # or folds it non-injectively
+        e, s, t = (0, 1, 2, 3, 4, 5), (1, 0, 2, 3, 4, 5), (0, 1, 3, 2, 4, 5)
+        st, u = (1, 0, 3, 2, 4, 5), (1, 0, 2, 3, 5, 4)
+        for table in (
+            (e, e, t, (0, 1, 3, 2, 5, 4), s, s),
+            (e, e, t, st, u, u),
+            (e, e, s, s, u, (1, 0, 3, 2, 5, 4)),
+        ):
+            braces.append(brace_of_cycle_set(cycle_set(table)).brace)
+        rng = random.Random(14)
+        braces += [self._relabeled(B, tuple(rng.sample(range(B.n), B.n))) for B in braces]
+        pairs = 0
+        for A in braces:
+            for B in braces:
+                if A.n != B.n:
+                    continue
+                pairs += 1
+                w = brace_is_isomorphic(A, B)
+                assert (w is None) == (not self._brute_force_isomorphic(A, B))
+                if w is not None:
+                    assert sorted(w) == list(range(A.n))
+                    for x in range(A.n):
+                        for y in range(A.n):
+                            assert w[A.add[x][y]] == B.add[w[x]][w[y]]
+                            assert w[A.circ[x][y]] == B.circ[w[x]][w[y]]
+        assert pairs > 500

@@ -114,6 +114,47 @@ class TestAnalyze:
         assert code == 0
         assert "group_order: 8" in out
 
+    def test_decomposable_report_is_pinned(self, run, tmp_path):
+        # every row (1 0 2): orbits {0, 1} and {2}, a nested decomposition
+        path = tmp_path / "dec3.json"
+        path.write_text(dump_cycle_set(trivial_cycle_set((1, 0, 2))))
+        code, out, _ = run("analyze", str(path))
+        assert code == 0
+        assert list(json.loads(out).items())[:-1] == [
+            ("n", 3),
+            ("squaring_cycle_type", [2, 1]),
+            ("fixed_points", [2]),
+            ("decomposable", True),
+            ("decomposition", [[0, 1], [2]]),
+            ("latin", False),
+            ("simple", False),
+            ("retractable", True),
+            ("dehornoy_class", 2),
+            ("group_order", 2),
+            ("displacement_order", 1),
+            ("group_nilpotent", True),
+            ("displacement_nilpotent", True),
+            ("prime_support_match", False),
+        ]
+        assert list(json.loads(out))[-1] == "_meta"
+        code, out, _ = run("analyze", str(path), "--format", "text")
+        assert (code, out) == (0, (
+            "n: 3\n"
+            "squaring_cycle_type: [2, 1]\n"
+            "fixed_points: [2]\n"
+            "decomposable: True\n"
+            "decomposition: [[0, 1], [2]]\n"
+            "latin: False\n"
+            "simple: False\n"
+            "retractable: True\n"
+            "dehornoy_class: 2\n"
+            "group_order: 2\n"
+            "displacement_order: 1\n"
+            "group_nilpotent: True\n"
+            "displacement_nilpotent: True\n"
+            "prime_support_match: False\n"
+        ))
+
     def test_invalid_input_exits_one(self, run, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text(CYCLOID_BROKEN)
@@ -340,6 +381,12 @@ class TestVerify:
         code, out, err = run("verify", "--max-size", "6", "--suite", "nosuch")
         assert (code, out) == (2, "")
         assert "no checker matches 'nosuch'" in err
+        # a size past the cap or below 1 is refused before the smaller sizes
+        monkeypatch.setenv("CYCLESET_MAX_N", "6")
+        for size in ("7", "-3"):
+            code, out, err = run("verify", "--max-size", size)
+            assert (code, out) == (2, "")
+            assert f"--max-size must be in 1..6, got {size}" in err
         assert built == []
 
     @staticmethod
@@ -435,6 +482,17 @@ class TestBrace:
         obj = json.loads(out)
         assert obj["n"] == 3
         assert sorted(map(tuple, obj["_meta"]["cosets"])) == [(0,), (1,), (2,)]
+
+    def test_cosets_past_the_union_scan_limit(self, run, tmp_path):
+        # the trivial brace on Z/18 has 17 one-point lambda-orbits, and {1}
+        # alone spans Z/18
+        path = tmp_path / "z18.json"
+        path.write_text(dump_brace(cyclic_brace(18)))
+        code, out, _ = run("brace", "cosets", str(path), "--a", "1")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["n"] == 18
+        assert obj["_meta"]["cosets"] == [[x] for x in range(18)]
 
     def test_cosets_subgroup_outside_the_brace(self, run, tmp_path):
         path = tmp_path / "z3.json"

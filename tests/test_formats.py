@@ -176,6 +176,11 @@ class TestCensusFormats:
             ("5\n", "must be a JSON object"),
             ('{"table": 5}\n', "'table' must be a list of rows"),
             ('{"table": [[0]]}\n{"summary": {"n": 1}}\n', "integers 'n' and 'count'"),
+            (
+                '{"table": [[0, 1, 2], [0, 1, 2], [0, 1, 2]]}\n{"table": [[0, 1], [0, 1]]}\n'
+                '{"summary": {"n": 5, "count": 2}}\n',
+                "the summary says n = 5",
+            ),
         ],
     )
     def test_wrong_shape_is_a_value_error(self, text, message):
