@@ -3,8 +3,10 @@
 A left brace is a set with two group structures, an abelian ``+`` and a
 ``o``, sharing their identity and linked by ``x o (y + z) + x = (x o y) +
 (x o z)``.  Elements are indices 0..n-1; both operations are stored as full
-n x n tables, which keeps every axiom check a plain triple loop at the
-orders in scope here (a few dozen, rarely above a hundred).
+n x n tables.  Validation tests each axiom on a generating set, in about
+n^2 lookups per generator: associativity by Light's test, the linking law
+for z among the generators of (B, +).  Only a table that fails is scanned
+over all triples, to name its lex-first failure.
 
 The module also builds the brace carried by the permutation group of a
 cycle set, and the converse coset-space construction that turns a brace
@@ -16,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .core import CycleSet, cycle_set, product_table
@@ -26,9 +27,11 @@ Table = tuple[tuple[int, ...], ...]
 
 # most lambda-orbits whose unions cycle_bases scans (2^k - 1 unions)
 MAX_LAMBDA_ORBITS = 16
-# most elements of the group that brace_of_cycle_set builds a brace on: its
-# two m x m tables are validated in O(m^3), which took 2.1 s at m = 192 and
-# 65-70 s at m = 576 on a 2-core x86-64 machine (Python 3.11)
+# most elements of the group that brace_of_cycle_set builds a brace on, and
+# so of the groups the fixed_point_orders and cabling_laws checkers compare
+# with it.  Its two m x m tables validated in 0.03-0.05 s at m = 192 and
+# 0.26-0.37 s at m = 576 on a 2-core x86-64 machine (Python 3.11), where a
+# scan of all triples took 2.0 s and 64 s
 BRACE_MAX_ORDER = 256
 
 
@@ -52,42 +55,93 @@ class BraceConstructionError(ValueError):
         self.kind = kind
 
 
-def _check_group(table: Table, commutative: bool, label: str, kind: str) -> tuple[int, tuple[int, ...]]:
-    """Identity element and inverse array of a group table, or raise."""
+def _generators(table: Table, zero: int) -> list[int]:
+    """Greedy generating set of a table with identity ``zero``: each next
+    generator is the least element not reached from ``zero`` by right
+    multiplication with the generators before it.  Only products of the
+    generators are used, so this needs no axiom of the table."""
+    reached = [False] * len(table)
+    reached[zero] = True
+    span = [zero]
+    gens: list[int] = []
+    for g in range(len(table)):
+        if reached[g]:
+            continue
+        gens.append(g)
+        todo = [table[a][g] for a in span]
+        for c in todo:
+            if not reached[c]:
+                reached[c] = True
+                span.append(c)
+                todo.extend(table[c][s] for s in gens)
+    return gens
+
+
+def _is_associative(table: Table, gens: Iterable[int]) -> bool:
+    """Light's test: the middles a with (x a) y = x (a y) for all x, y are
+    closed under the product and include the identity, so it suffices that
+    every generator is one of them."""
+    for s in gens:
+        ts = table[s]
+        for row in table:
+            if table[row[s]] != tuple(map(row.__getitem__, ts)):
+                return False
+    return True
+
+
+def _check_group(
+    table: Table, commutative: bool, label: str, kind: str
+) -> tuple[int, tuple[int, ...], list[int]]:
+    """Identity element, inverse array and generators of a group table, or
+    raise."""
     n = len(table)
-    zero = None
-    for e in range(n):
-        if all(table[e][x] == x for x in range(n)) and all(
-            table[x][e] == x for x in range(n)
-        ):
-            zero = e
-            break
+    ident = tuple(range(n))
+    zero = next(
+        (e for e in range(n) if table[e] == ident and all(table[x][e] == x for x in range(n))),
+        None,
+    )
     if zero is None:
         raise InvalidBrace(kind, None, f"{label} has no identity element")
-    for x in range(n):
-        for y in range(n):
-            if commutative and table[x][y] != table[y][x]:
-                raise InvalidBrace(kind, (x, y), f"{label} is not commutative at ({x}, {y})")
-            for z in range(n):
-                if table[table[x][y]][z] != table[x][table[y][z]]:
-                    raise InvalidBrace(
-                        kind, (x, y, z), f"{label} is not associative at ({x}, {y}, {z})"
-                    )
+    gens = _generators(table, zero)
+    if (commutative and list(zip(*table)) != list(table)) or not _is_associative(table, gens):
+        # the scan that names the lex-first failure, as the witness
+        for x in range(n):
+            for y in range(n):
+                if commutative and table[x][y] != table[y][x]:
+                    raise InvalidBrace(kind, (x, y), f"{label} is not commutative at ({x}, {y})")
+                for z in range(n):
+                    if table[table[x][y]][z] != table[x][table[y][z]]:
+                        raise InvalidBrace(
+                            kind, (x, y, z), f"{label} is not associative at ({x}, {y}, {z})"
+                        )
+    # in a finite monoid a right inverse is two-sided, and then unique
     invs = []
     for x in range(n):
-        found = None
-        for y in range(n):
-            if table[x][y] == zero and table[y][x] == zero:
-                found = y
-                break
-        if found is None:
+        if zero not in table[x]:
             raise InvalidBrace(kind, x, f"{label} has no inverse for {x}")
-        invs.append(found)
-    return zero, tuple(invs)
+        invs.append(table[x].index(zero))
+    return zero, tuple(invs), gens
+
+
+def _is_linked(add: Table, circ: Table, gens: Iterable[int]) -> bool:
+    """The linking axiom for z in a generating set of (B, +).  With + abelian
+    it says y -> -x + x o y is additive, and the z for which it holds for
+    all x, y include zero and are closed under +."""
+    for ax, cx in zip(add, circ):
+        for z in gens:
+            if tuple(map(ax.__getitem__, map(cx.__getitem__, add[z]))) != tuple(
+                map(add[cx[z]].__getitem__, cx)
+            ):
+                return False
+    return True
 
 
 def left_brace(add: Sequence[Sequence[int]], circ: Sequence[Sequence[int]]) -> "LeftBrace":
-    """Validate the two tables and the linking axiom; raise InvalidBrace."""
+    """Validate the two tables and the linking axiom; raise InvalidBrace.
+
+    Each axiom is tested on generators first; only a table that fails that
+    test is scanned over all triples, for the lex-first witness.
+    """
     add = tuple(tuple(row) for row in add)
     circ = tuple(tuple(row) for row in circ)
     n = len(add)
@@ -96,25 +150,26 @@ def left_brace(add: Sequence[Sequence[int]], circ: Sequence[Sequence[int]]) -> "
     for name, t in (("addition", add), ("multiplication", circ)):
         if len(t) != n or any(len(row) != n for row in t):
             raise InvalidBrace("shape", name, f"{name} table is not {n} x {n}")
-        if any(not (type(v) is int and 0 <= v < n) for row in t for v in row):
+        if any(set(map(type, row)) != {int} or min(row) < 0 or max(row) >= n for row in t):
             raise InvalidBrace("shape", name, f"{name} table has out-of-range entries")
-    zero, neg = _check_group(add, True, "addition", "not_abelian_group")
-    mzero, inv = _check_group(circ, False, "multiplication", "not_group")
+    zero, neg, gens = _check_group(add, True, "addition", "not_abelian_group")
+    mzero, inv, _ = _check_group(circ, False, "multiplication", "not_group")
     if mzero != zero:
         raise InvalidBrace(
             "not_group", mzero, f"multiplicative identity {mzero} differs from additive identity {zero}"
         )
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                lhs = add[circ[x][add[y][z]]][x]
-                rhs = add[circ[x][y]][circ[x][z]]
-                if lhs != rhs:
-                    raise InvalidBrace(
-                        "axiom",
-                        (x, y, z),
-                        f"x o (y + z) + x != (x o y) + (x o z) at ({x}, {y}, {z})",
-                    )
+    if not _is_linked(add, circ, gens):
+        for x in range(n):
+            for y in range(n):
+                for z in range(n):
+                    lhs = add[circ[x][add[y][z]]][x]
+                    rhs = add[circ[x][y]][circ[x][z]]
+                    if lhs != rhs:
+                        raise InvalidBrace(
+                            "axiom",
+                            (x, y, z),
+                            f"x o (y + z) + x != (x o y) + (x o z) at ({x}, {y}, {z})",
+                        )
     return LeftBrace(add, circ, zero, neg, inv)
 
 
@@ -199,26 +254,14 @@ class LeftBrace:
 
     def additive_span(self, s: Iterable[int]) -> frozenset[int]:
         """Subgroup of (B, +) generated by s."""
-        span = {self.zero}
-        frontier = [self.zero]
-        gens = list(s)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g in gens:
-                    v = self.add[a][g]
-                    if v not in span:
-                        span.add(v)
-                        nxt.append(v)
-            frontier = nxt
-        return frozenset(span)
+        return _extend_span(self, frozenset({self.zero}), s)
 
     @cached_property
     def lambda_orbits(self) -> tuple[tuple[int, ...], ...]:
-        """Orbits of the lambda-action on the nonzero elements."""
-        labels = closure(
-            self.n, [(y, lm[y]) for lm in self.lambda_maps for y in range(self.n)]
-        )
+        """Orbits of the lambda-action on the nonzero elements.  Lambda is a
+        homomorphism on (B, o), so the lambda maps of its generators suffice."""
+        maps = map(self.lambda_of, _generators(self.circ, self.zero))
+        labels = closure(self.n, [(y, lm[y]) for lm in maps for y in range(self.n)])
         return tuple(c for c in partition(labels) if c != (self.zero,))
 
 
@@ -230,16 +273,48 @@ class CycleBase:
     transitive: bool
 
 
+def _extend_span(B: LeftBrace, span: frozenset[int], gens: Iterable[int]) -> frozenset[int]:
+    """The subgroup of (B, +) generated by the subgroup ``span`` and ``gens``:
+    each generator g outside it adds the cosets S + g, S + 2g, ... of the
+    subgroup S so far, until one falls back into S."""
+    inside = set(span)
+    elems = list(span)
+    for g in gens:
+        if g in inside:
+            continue
+        coset = elems
+        while True:
+            coset = [B.add[x][g] for x in coset]
+            if coset[0] in inside:
+                break
+            inside.update(coset)
+            elems += coset
+    return frozenset(elems) if len(elems) > len(span) else span
+
+
 def cycle_bases(B: LeftBrace) -> tuple[CycleBase, ...]:
+    """Every union of lambda-orbits whose additive span is all of B.
+
+    The unions are walked depth first, adding orbits in index order, and
+    each span extends its parent's by one orbit, memoised by (span, orbit).
+    """
     orbits = B.lambda_orbits
     if len(orbits) > MAX_LAMBDA_ORBITS:
         raise ValueError(f"{len(orbits)} lambda-orbits exceed the union scan limit")
     out = []
-    for r in range(1, len(orbits) + 1):
-        for pick in combinations(orbits, r):
-            union = frozenset(x for orb in pick for x in orb)
-            if B.additive_span(union) == frozenset(range(B.n)):
-                out.append(CycleBase(union, transitive=(r == 1)))
+    memo: dict[tuple[frozenset[int], int], frozenset[int]] = {}
+
+    def walk(start: int, union: tuple[int, ...], span: frozenset[int]) -> None:
+        for i in range(start, len(orbits)):
+            key = (span, i)
+            if key not in memo:
+                memo[key] = _extend_span(B, span, orbits[i])
+            grown = union + orbits[i]
+            if len(memo[key]) == B.n:
+                out.append(CycleBase(frozenset(grown), transitive=not union))
+            walk(i + 1, grown, memo[key])
+
+    walk(0, (), frozenset({B.zero}))
     return tuple(sorted(out, key=lambda cb: (len(cb.elements), sorted(cb.elements))))
 
 
@@ -317,8 +392,10 @@ def brace_of_cycle_set(X: CycleSet) -> GroupBrace:
     Since lambda_g sends sigma_z^-1 to sigma_{g(z)}^-1, right-multiplying
     any g by sigma_z^-1 realizes the sum g + sigma_{g(z)}^-1; a breadth-first
     spanning tree over these steps reaches every element of the group and
-    determines every sum.  The result is validated in full, so an
-    inconsistent closure cannot slip through.  A group of more than
+    determines every sum.  Both tables are filled along that tree by lookups
+    in the right-multiplication table by the sigma_y^-1, which the search
+    computes anyway.  The result is validated in full, so an inconsistent
+    closure cannot slip through.  A group of more than
     ``BRACE_MAX_ORDER`` elements raises BraceOrderCapExceeded before any
     table is built.
     """
@@ -326,32 +403,46 @@ def brace_of_cycle_set(X: CycleSet) -> GroupBrace:
     ident = identity(n)
     e = tuple(inverse(row) for row in X.table)
     bfs = [ident]
-    parent: dict[Perm, tuple[Perm, int]] = {ident: (ident, 0)}
-    for p in bfs:
+    where = {ident: 0}
+    right = []  # right[i][y]: position in bfs of bfs[i] o sigma_y^-1
+    tree = []  # the spanning tree: (h, p, y) with bfs[h] = bfs[p] o sigma_y^-1
+    for i, p in enumerate(bfs):
+        row = []
         for y in range(n):
             h = compose(p, e[y])
-            if h not in parent:
+            j = where.get(h)
+            if j is None:
                 if len(bfs) == BRACE_MAX_ORDER:
                     raise BraceOrderCapExceeded(
                         f"the permutation group has more than {BRACE_MAX_ORDER} "
                         "elements, the cap of its brace tables"
                     )
-                parent[h] = (p, p[y])
+                j = where[h] = len(bfs)
                 bfs.append(h)
-    elems = tuple(sorted(bfs))
-    m = len(elems)
-    index = {p: i for i, p in enumerate(elems)}
-    zero = index[ident]
-    steps = [(index[h], index[parent[h][0]], parent[h][1]) for h in bfs[1:]]
-
+                tree.append((j, i, y))
+            row.append(j)
+        right.append(row)
+    m = len(bfs)
+    order = sorted(range(m), key=bfs.__getitem__)
+    pos = [0] * m
+    for k, i in enumerate(order):
+        pos[i] = k
+    elems = tuple(bfs[i] for i in order)
+    R = [[pos[j] for j in right[i]] for i in order]
+    zero = pos[0]
+    einv = [inverse(p) for p in elems]
+    # g o h = (g o p) o sigma_y^-1; g + h = (g + p) + sigma_w^-1 with
+    # w = p(y), and u + sigma_w^-1 = u o sigma_t^-1 for t = u^-1(w)
+    steps = [(pos[h], pos[p], y, bfs[p][y]) for h, p, y in tree]
+    circ = [[0] * m for _ in range(m)]
     add = [[0] * m for _ in range(m)]
-    for gi in range(m):
-        add[gi][zero] = gi
-        for hi, pi, w in steps:
-            uperm = elems[add[gi][pi]]
-            t = inverse(uperm)[w]
-            add[gi][hi] = index[compose(uperm, e[t])]
-    circ = [[index[compose(a, b)] for b in elems] for a in elems]
+    for g in range(m):
+        crow, arow = circ[g], add[g]
+        crow[zero] = arow[zero] = g
+        for h, p, y, w in steps:
+            crow[h] = R[crow[p]][y]
+            u = arow[p]
+            arow[h] = R[u][einv[u][w]]
     return GroupBrace(left_brace(add, circ), elems)
 
 

@@ -58,12 +58,22 @@ def _rows(obj: object, key: str, what: str) -> list:
     return rows
 
 
+def _require_ints(obj: dict, keys: tuple[str, ...], message: str, optional: bool = False) -> None:
+    """ValueError(message) unless every key holds an int, a key that ``obj``
+    lacks passing when ``optional``.  JSON true, false and 2.0 are not sizes
+    or points."""
+    for key in keys:
+        if not (optional and key not in obj) and type(obj.get(key)) is not int:
+            raise ValueError(message)
+
+
 def parse_cycle_set(text: str) -> CycleSet:
     """JSON or compact text, with # comments and unknown keys ignored."""
     body = text.lstrip()
     if body.startswith("{"):
         obj = json.loads(body)
         table = _rows(obj, "table", "cycle set")
+        _require_ints(obj, ("n",), "declared n must be an integer", optional=True)
         if "n" in obj and obj["n"] != len(table):
             raise ValueError("declared n does not match the table")
         return cycle_set(table)
@@ -142,7 +152,9 @@ def parse_permutation(text: str, n: int | None = None, one_based: bool = True) -
 
 def parse_brace(text: str) -> LeftBrace:
     obj = json.loads(text)
-    B = left_brace(_rows(obj, "add", "brace"), _rows(obj, "circ", "brace"))
+    add, circ = _rows(obj, "add", "brace"), _rows(obj, "circ", "brace")
+    _require_ints(obj, ("n", "zero"), "declared n and zero must be integers", optional=True)
+    B = left_brace(add, circ)
     if "n" in obj and obj["n"] != B.n:
         raise ValueError("declared n does not match the tables")
     if "zero" in obj and obj["zero"] != B.zero:
@@ -200,10 +212,11 @@ def parse_census_jsonl(text: str) -> Census:
             continue
         if "summary" in obj:
             summary = obj["summary"]
-            if not isinstance(summary, dict) or not all(
-                isinstance(summary.get(key), int) for key in ("n", "count")
-            ):
-                raise ValueError("census summary must give integers 'n' and 'count'")
+            _require_ints(
+                summary if isinstance(summary, dict) else {},
+                ("n", "count"),
+                "census summary must give integers 'n' and 'count'",
+            )
             continue
         table = tuple(tuple(row) for row in _rows(obj, "table", "census record"))
         tables.append(table)

@@ -3,6 +3,7 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cycleset import (
     BraceConstructionError,
@@ -69,6 +70,162 @@ class TestValidation:
             left_brace(add, circ)
         assert exc.value.kind == "axiom"
         assert exc.value.witness == (1, 1, 1)
+
+
+def reference_left_brace(add, circ):
+    """The outcome left_brace must give, from the axioms scanned over every
+    pair and triple in lex order: ("ok", zero, neg, inv), or the kind,
+    witness and message of the first failure."""
+    n = len(add)
+    if n == 0:
+        return ("shape", None, "empty tables")
+    for name, t in (("addition", add), ("multiplication", circ)):
+        if len(t) != n or any(len(row) != n for row in t):
+            return ("shape", name, f"{name} table is not {n} x {n}")
+        if any(not (type(v) is int and 0 <= v < n) for row in t for v in row):
+            return ("shape", name, f"{name} table has out-of-range entries")
+    groups = []
+    for t, comm, label, kind in (
+        (add, True, "addition", "not_abelian_group"),
+        (circ, False, "multiplication", "not_group"),
+    ):
+        zero = next(
+            (
+                e
+                for e in range(n)
+                if all(t[e][x] == x and t[x][e] == x for x in range(n))
+            ),
+            None,
+        )
+        if zero is None:
+            return (kind, None, f"{label} has no identity element")
+        for x in range(n):
+            for y in range(n):
+                if comm and t[x][y] != t[y][x]:
+                    return (kind, (x, y), f"{label} is not commutative at ({x}, {y})")
+                for z in range(n):
+                    if t[t[x][y]][z] != t[x][t[y][z]]:
+                        return (kind, (x, y, z), f"{label} is not associative at ({x}, {y}, {z})")
+        invs = []
+        for x in range(n):
+            y = next((y for y in range(n) if t[x][y] == zero == t[y][x]), None)
+            if y is None:
+                return (kind, x, f"{label} has no inverse for {x}")
+            invs.append(y)
+        groups.append((zero, tuple(invs)))
+    (zero, neg), (mzero, inv) = groups
+    if mzero != zero:
+        return (
+            "not_group",
+            mzero,
+            f"multiplicative identity {mzero} differs from additive identity {zero}",
+        )
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if add[circ[x][add[y][z]]][x] != add[circ[x][y]][circ[x][z]]:
+                    message = f"x o (y + z) + x != (x o y) + (x o z) at ({x}, {y}, {z})"
+                    return ("axiom", (x, y, z), message)
+    return ("ok", zero, neg, inv)
+
+
+def outcome(add, circ):
+    try:
+        B = left_brace(add, circ)
+    except InvalidBrace as exc:
+        return (exc.kind, exc.witness, str(exc))
+    return ("ok", B.zero, B.neg, B.inv)
+
+
+STOCK_BRACES = (
+    [cyclic_brace(k) for k in (1, 2, 3, 4, 6)]
+    + [pp_brace(2), pp_brace(3), direct_product_brace(cyclic_brace(2), cyclic_brace(2))]
+    + [
+        brace_of_cycle_set(X).brace
+        for n in range(1, 5)
+        for X in enumerate_cycle_sets(n).cycle_sets()
+    ]
+)
+
+
+@st.composite
+def perturbed_braces(draw):
+    """A stock brace with one or two table entries overwritten (a value of n
+    is out of range), or with the product of a stock brace of its order
+    transported along a bijection that maps zero to zero, which keeps both
+    groups but can break the linking law."""
+    B = draw(st.sampled_from(STOCK_BRACES))
+    n = B.n
+    add = [list(row) for row in B.add]
+    circ = [list(row) for row in B.circ]
+    if draw(st.booleans()):
+        C = draw(st.sampled_from([C for C in STOCK_BRACES if C.n == n]))
+        rest = draw(st.permutations([x for x in range(n) if x != B.zero]))
+        phi = [B.zero] * n
+        for x, y in zip([x for x in range(n) if x != C.zero], rest):
+            phi[x] = y
+        back = inverse(phi)
+        circ = [[phi[C.circ[back[x]][back[y]]] for y in range(n)] for x in range(n)]
+    else:
+        for _ in range(draw(st.integers(1, 2))):
+            t = draw(st.sampled_from((add, circ)))
+            t[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(
+                st.integers(0, n)
+            )
+    return add, circ
+
+
+class TestValidationParity:
+    """left_brace tests the axioms on generators and scans all triples only
+    to name a failure; its outcome must be that of the plain scan."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(perturbed_braces())
+    def test_matches_the_triple_scan(self, tables):
+        assert outcome(*tables) == reference_left_brace(*tables)
+
+    def test_stock_braces_are_accepted(self):
+        for B in STOCK_BRACES:
+            assert outcome(B.add, B.circ) == reference_left_brace(B.add, B.circ)
+
+    def test_lex_first_failure_off_the_generators(self):
+        # a product with identity 0 whose greedy generating set (each next
+        # generator the least element not reached from 0 by right
+        # multiplication with those before) is {1, 2}.  Its lex-first
+        # associativity failure (1, 4, 4) has middle 4, not a generator,
+        # while the first failure with a generator as middle is (2, 2, 5).
+        # Every triple of 0, 1 and 2 associates, and 1, which generates
+        # (Z/6, +), is a middle that associates with every x and y: testing
+        # only triples of generators, or only the additive generators,
+        # misses the failure.
+        add = [[(x + y) % 6 for y in range(6)] for x in range(6)]
+        circ = [
+            [0, 1, 2, 3, 4, 5],
+            [1, 0, 3, 2, 5, 4],
+            [2, 3, 4, 5, 0, 1],
+            [3, 2, 5, 4, 1, 0],
+            [4, 5, 0, 1, 2, 2],
+            [5, 4, 1, 0, 2, 2],
+        ]
+        want = ("not_group", (1, 4, 4), "multiplication is not associative at (1, 4, 4)")
+        assert reference_left_brace(add, circ) == want
+        assert outcome(add, circ) == want
+
+    def test_linking_failure_off_the_first_generator(self):
+        # (Z/6, +) with greedy generators 1 and 3, and a product under which
+        # the linking law holds for z = 1 and every x, y but not for z = 3
+        add = [[(x + y) % 3 + 3 * ((x // 3 + y // 3) % 2) for y in range(6)] for x in range(6)]
+        circ = [
+            [0, 1, 2, 3, 4, 5],
+            [1, 2, 0, 5, 3, 4],
+            [2, 0, 1, 4, 5, 3],
+            [3, 4, 5, 0, 1, 2],
+            [4, 5, 3, 2, 0, 1],
+            [5, 3, 4, 1, 2, 0],
+        ]
+        want = ("axiom", (1, 3, 3), "x o (y + z) + x != (x o y) + (x o z) at (1, 3, 3)")
+        assert reference_left_brace(add, circ) == want
+        assert outcome(add, circ) == want
 
 
 class TestPSquared:
@@ -163,25 +320,27 @@ class TestBraceOfCycleSet:
         assert brace_is_isomorphic(gb.brace, cyclic_brace(3)) is not None
         assert gb.brace.additive_exponent == cyclic3.dehornoy_class()
 
-    def test_generating_rule(self, table4):
+    def test_generating_rule(self, table4, censuses_small):
         # sigma_x^-1 + sigma_y^-1 = sigma_x^-1 o sigma_{sigma_x(y)}^-1
-        gb = brace_of_cycle_set(table4)
-        B = gb.brace
-        e = [gb.index_of(inverse(table4.row(x))) for x in range(4)]
-        for x in range(4):
-            for y in range(4):
-                lhs = B.add[e[x]][e[y]]
-                rhs = B.circ[e[x]][e[table4.row(x)[y]]]
-                assert lhs == rhs
+        for X in [table4, *(X for c in censuses_small.values() for X in c.cycle_sets())]:
+            gb = brace_of_cycle_set(X)
+            B = gb.brace
+            e = [gb.index_of(inverse(X.row(x))) for x in range(X.n)]
+            for x in range(X.n):
+                for y in range(X.n):
+                    lhs = B.add[e[x]][e[y]]
+                    rhs = B.circ[e[x]][e[X.row(x)[y]]]
+                    assert lhs == rhs
 
-    def test_circ_is_composition(self, table4):
-        gb = brace_of_cycle_set(table4)
-        B = gb.brace
-        for a in range(B.n):
-            for b in range(B.n):
-                assert gb.elements[B.circ[a][b]] == compose(
-                    gb.elements[a], gb.elements[b]
-                )
+    def test_circ_is_composition(self, table4, censuses_small):
+        for X in [table4, *(X for c in censuses_small.values() for X in c.cycle_sets())]:
+            gb = brace_of_cycle_set(X)
+            B = gb.brace
+            for a in range(B.n):
+                for b in range(B.n):
+                    assert gb.elements[B.circ[a][b]] == compose(
+                        gb.elements[a], gb.elements[b]
+                    )
 
     def test_exponent_equals_dehornoy_class_on_indec_census(self, censuses_small):
         for census in censuses_small.values():
@@ -222,7 +381,48 @@ class TestBraceOfCycleSet:
                 assert lam[e[z]] == e[gp[z]]
 
 
+def all_unions_bases(B):
+    """Cycle bases by brute force: the lambda-orbits from every lambda map,
+    then every nonempty union of them whose additive closure is all of B."""
+    orbits, seen = [], {B.zero}
+    for y in range(B.n):
+        if y in seen:
+            continue
+        orbit = [y]
+        for a in orbit:
+            for lam in B.lambda_maps:
+                if lam[a] not in orbit:
+                    orbit.append(lam[a])
+        seen.update(orbit)
+        orbits.append(tuple(sorted(orbit)))
+    assert B.lambda_orbits == tuple(orbits)
+    out = []
+    for r in range(1, len(orbits) + 1):
+        for pick in itertools.combinations(orbits, r):
+            union = {x for orbit in pick for x in orbit}
+            span = [B.zero]
+            for a in span:
+                for g in union:
+                    if B.add[a][g] not in span:
+                        span.append(B.add[a][g])
+            if len(span) == B.n:
+                out.append((sorted(union), r == 1))
+    return sorted(out, key=lambda base: (len(base[0]), base[0]))
+
+
 class TestCycleBases:
+    def test_agrees_with_all_unions_scan(self, censuses_small):
+        braces = [cyclic_brace(9), direct_product_brace(pp_brace(2), cyclic_brace(3))]
+        braces += [
+            brace_of_cycle_set(X).brace
+            for census in censuses_small.values()
+            for X in census.cycle_sets()
+        ]
+        assert len(cyclic_brace(9).lambda_orbits) == 8
+        for B in braces:
+            got = [(sorted(cb.elements), cb.transitive) for cb in cycle_bases(B)]
+            assert got == all_unions_bases(B)
+
     def test_trivial_z3(self):
         B = cyclic_brace(3)
         bases = cycle_bases(B)

@@ -62,6 +62,13 @@ class TestValidate:
         assert (code, out) == (2, "")
         assert "'table' must be a list of rows" in err
 
+    def test_float_size_is_a_parse_error(self, run, tmp_path):
+        path = tmp_path / "float.json"
+        path.write_text('{"n": 2.0, "table": [[0, 1], [0, 1]]}')
+        code, out, err = run("validate", str(path))
+        assert (code, out) == (2, "")
+        assert "declared n must be an integer" in err
+
     def test_boolean_entries_are_a_shape_error(self, run, tmp_path):
         path = tmp_path / "bool.json"
         path.write_text('{"table": [[true, false], [true, false]]}')
@@ -424,6 +431,13 @@ class TestVerify:
         assert (code, out) == (1, "")
         assert err.startswith("invalid input: ")
 
+    def test_census_file_boolean_size_is_a_parse_error(self, run, tmp_path):
+        path = tmp_path / "bool.jsonl"
+        path.write_text('{"table": [[0]]}\n{"summary": {"n": true, "count": 1}}\n')
+        code, out, err = run("verify", "--census", str(path))
+        assert (code, out) == (2, "")
+        assert "integers 'n' and 'count'" in err
+
     def test_census_file_huge_cabling_index(self, run, tmp_path):
         path = str(tmp_path / "latin4.jsonl")
         assert run("enumerate", "-n", "4", "--latin", "-o", path)[0] == 0
@@ -466,6 +480,13 @@ class TestBrace:
         code, out, err = run("brace", "validate", str(path))
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_validate_boolean_header_is_a_parse_error(self, run, tmp_path):
+        path = tmp_path / "bool.json"
+        path.write_text('{"n": true, "zero": false, "add": [[0]], "circ": [[0]]}')
+        code, out, err = run("brace", "validate", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "must be integers" in err
 
     def test_socle(self, run, tmp_path):
         path = tmp_path / "pp.json"

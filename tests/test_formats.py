@@ -44,6 +44,11 @@ class TestCycleSetFormats:
         with pytest.raises(ValueError, match="declared n"):
             parse_cycle_set('{"n": 3, "table": [[0, 1], [1, 0]]}')
 
+    @pytest.mark.parametrize("n", [2.0, True, "2"])
+    def test_declared_n_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match="must be an integer"):
+            parse_cycle_set(json.dumps({"n": n, "table": [[0, 1], [0, 1]]}))
+
     def test_row_count_must_match_header(self):
         with pytest.raises(ValueError, match="expected 3 rows"):
             parse_cycle_set("n=3\n0 1 2\n0 1 2\n")
@@ -128,6 +133,12 @@ class TestBraceFormats:
         with pytest.raises(ValueError, match="declared zero"):
             parse_brace(json.dumps(obj))
 
+    @pytest.mark.parametrize("header", [{"n": True, "zero": False}, {"n": 1.0}, {"zero": 0.0}])
+    def test_declared_fields_must_be_integers(self, header):
+        # true == 1 and 0.0 == 0, so a check by value alone lets these pass
+        with pytest.raises(ValueError, match="must be integers"):
+            parse_brace(json.dumps({**header, "add": [[0]], "circ": [[0]]}))
+
 
 class TestCensusFormats:
     def test_round_trip(self, censuses_small):
@@ -176,6 +187,10 @@ class TestCensusFormats:
             ("5\n", "must be a JSON object"),
             ('{"table": 5}\n', "'table' must be a list of rows"),
             ('{"table": [[0]]}\n{"summary": {"n": 1}}\n', "integers 'n' and 'count'"),
+            # true == 1, so a check by value alone lets booleans pass
+            ('{"table": [[0]]}\n{"summary": {"n": true, "count": 1}}\n', "integers 'n' and 'count'"),
+            ('{"table": [[0]]}\n{"summary": {"n": 1, "count": true}}\n', "integers 'n' and 'count'"),
+            ('{"table": [[0]]}\n{"summary": {"n": 1.0, "count": 1}}\n', "integers 'n' and 'count'"),
             (
                 '{"table": [[0, 1, 2], [0, 1, 2], [0, 1, 2]]}\n{"table": [[0, 1], [0, 1]]}\n'
                 '{"summary": {"n": 5, "count": 2}}\n',
