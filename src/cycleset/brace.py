@@ -490,12 +490,7 @@ def brace_is_isomorphic(a: LeftBrace, b: LeftBrace) -> tuple[int, ...] | None:
     if sorted(prof_a) != sorted(prof_b):
         return None
 
-    gens: list[int] = []
-    span = {a.zero}
-    while len(span) < n:
-        g = next(x for x in range(n) if x not in span)
-        gens.append(g)
-        span = set(a.additive_span(span | {g}))
+    gens = _generators(a.add, a.zero)
 
     def extend(phi: dict[int, int], gi: int) -> dict[int, int] | None:
         if gi == len(gens):

@@ -113,9 +113,6 @@ class CycleSet:
     def n(self) -> int:
         return len(self.table)
 
-    def op(self, x: int, y: int) -> int:
-        return self.table[x][y]
-
     def row(self, x: int) -> Perm:
         return self.table[x]
 

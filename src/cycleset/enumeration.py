@@ -49,7 +49,6 @@ import json
 import multiprocessing
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field, fields
 from itertools import permutations, product
 from typing import Callable, Iterable, Sequence
@@ -404,19 +403,11 @@ def _census_classes(
     return {canon.canonical_form(k, cancel=poll) for k in keys}
 
 
-# the pool's stop event, set in each worker process by _init_worker
-_worker_cancel = None
-
-
-def _init_worker(cancel) -> None:
-    global _worker_cancel
-    _worker_cancel = cancel
-
-
 def _census_task(args: tuple) -> list[Table]:
-    """The classes of one slice, the pool's unit of work."""
+    """The classes of one slice, the pool's unit of work.  It takes no
+    cancel event: the pool stops its workers by terminating them."""
     n, diagonal, symmetry_breaking = args
-    return sorted(_census_classes(n, (diagonal,), symmetry_breaking, _worker_cancel))
+    return sorted(_census_classes(n, (diagonal,), symmetry_breaking, None))
 
 
 def enumerate_cycle_sets(
@@ -436,8 +427,8 @@ def enumerate_cycle_sets(
     for.  Every task passes ``symmetry_breaking`` through, so without it the
     pool path is the unbroken search too.  Setting ``cancel`` raises
     ``SearchCancelled`` at the next poll of the search, or within about
-    0.1 s on the pool path, whose running tasks then stop at their own
-    next poll."""
+    0.1 s on the pool path.  The pool's workers are terminated when it
+    returns or raises, so no worker outlives the call."""
     filt = filt or EnumerationFilter()
     start = time.monotonic()
     diagonals = _diagonals(n, symmetry_breaking, diagonal)
@@ -445,40 +436,25 @@ def enumerate_cycle_sets(
         canon_set = _census_classes(n, diagonals, symmetry_breaking, cancel)
     else:
         canon_set = set()
-        ctx = multiprocessing.get_context()
-        stop = ctx.Event()
-        with ProcessPoolExecutor(
-            # the pool forks all its workers at the first submit
-            max_workers=min(jobs, len(diagonals), os.cpu_count() or 1),
-            mp_context=ctx,
-            initializer=_init_worker,
-            initargs=(stop,),
-        ) as pool:
-            # normal forms end with the slices of many fixed points, the
-            # costliest, so they are submitted first and the small slices
-            # fill in beside them
-            waiting = {
-                pool.submit(_census_task, (n, d, symmetry_breaking))
-                for d in reversed(diagonals)
-            }
+        # normal forms end with the slices of many fixed points, the
+        # costliest, so they go first and the small slices fill in beside
+        # them
+        tasks = [(n, d, symmetry_breaking) for d in reversed(diagonals)]
+        # leaving the with block terminates the workers, whether the census
+        # is done, cancelled or interrupted, or a task raised
+        with multiprocessing.Pool(min(jobs, len(tasks), os.cpu_count() or 1)) as pool:
+            results = pool.imap_unordered(_census_task, tasks)
             merged = 0
-            try:
-                while waiting:
-                    if cancel is not None and cancel.is_set():
-                        raise SearchCancelled
-                    done, waiting = wait(
-                        waiting, timeout=0.1, return_when=FIRST_COMPLETED
-                    )
-                    for future in done:
-                        canon_set.update(future.result())
-                        merged += 1
-                        if progress is not None:
-                            progress(f"task {merged}/{len(diagonals)} merged")
-            finally:
-                # running tasks stop at their next poll and queued ones are
-                # dropped, so leaving the with block does not wait for them
-                stop.set()
-                pool.shutdown(cancel_futures=True)
+            while merged < len(tasks):
+                if cancel is not None and cancel.is_set():
+                    raise SearchCancelled
+                try:
+                    canon_set.update(results.next(timeout=0.1))
+                except multiprocessing.TimeoutError:
+                    continue
+                merged += 1
+                if progress is not None:
+                    progress(f"task {merged}/{len(tasks)} merged")
 
     for t in canon_set:
         validate_table(t)

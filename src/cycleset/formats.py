@@ -231,12 +231,18 @@ def parse_census_jsonl(text: str) -> Census:
             raise ValueError(
                 f"a record has {len(table)} points, the summary says n = {summary['n']}"
             )
+    filt = summary.get("filter", {})
+    if not isinstance(filt, dict):
+        raise ValueError("census summary 'filter' must be a JSON object")
+    elapsed = summary.get("elapsed", 0.0)
+    if isinstance(elapsed, bool) or not isinstance(elapsed, (int, float)):
+        raise ValueError("census summary 'elapsed' must be a number")
     return Census(
         n=summary["n"],
-        filter_desc=tuple(sorted(summary.get("filter", {}).items())),
+        filter_desc=tuple(sorted(filt.items())),
         representatives=tuple(sorted(tables)),
         engine_version=summary.get("engine_version", "unknown"),
-        elapsed=float(summary.get("elapsed", 0.0)),
+        elapsed=float(elapsed),
     )
 
 

@@ -15,15 +15,19 @@ type, :class:`Partition`.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import Hashable, Iterable, Iterator, Sequence
 
 Perm = tuple[int, ...]
 
 # most elements a group may have before materialization gives up
 ORDER_CAP = 10**6
+# most permutation entries (elements x degree) a group may hold: the element
+# cap at degree 10, so a large degree lowers the cap instead of exhausting
+# memory
+ENTRY_CAP = 10**7
 
 
 class OrderCapExceeded(ValueError):
@@ -297,6 +301,7 @@ class PermGroup:
     @cached_property
     def elements(self) -> tuple[Perm, ...]:
         """Every element, sorted lexicographically for reproducibility."""
+        cap = min(ORDER_CAP, ENTRY_CAP // max(self.degree, 1))
         els = {identity(self.degree)}
         frontier = list(els)
         while frontier:
@@ -307,10 +312,8 @@ class PermGroup:
                     if h not in els:
                         els.add(h)
                         new.append(h)
-                        if len(els) > ORDER_CAP:
-                            raise OrderCapExceeded(
-                                f"group order exceeds cap {ORDER_CAP}"
-                            )
+                        if len(els) > cap:
+                            raise OrderCapExceeded(f"group order exceeds cap {cap}")
             frontier = new
         return tuple(sorted(els))
 
@@ -347,19 +350,20 @@ class PermGroup:
 
     @cached_property
     def is_nilpotent(self) -> bool:
-        """A finite group is nilpotent exactly when any two elements of
-        coprime order commute: it is then the direct product of its Sylow
-        subgroups."""
-        by_order: dict[int, list[Perm]] = {}
-        for g in self.elements:
-            by_order.setdefault(perm_order(g), []).append(g)
-        return all(
-            compose(g, h) == compose(h, g)
-            for a, b in combinations(by_order, 2)
-            if math.gcd(a, b) == 1
-            for g in by_order[a]
-            for h in by_order[b]
-        )
+        """A finite group is nilpotent exactly when every Sylow subgroup is
+        normal, that is, when for each prime p dividing |G| the elements of
+        p-power order number exactly the p-part of |G|: two distinct Sylow
+        p-subgroups would hold more between them."""
+        orders = Counter(perm_order(g) for g in self.elements)
+        support = {k: prime_support(k) for k in orders}
+        n = self.order
+        for p in prime_support(n):
+            p_part = p
+            while n % (p_part * p) == 0:
+                p_part *= p
+            if sum(c for k, c in orders.items() if support[k] <= {p}) != p_part:
+                return False
+        return True
 
     # -- block systems ------------------------------------------------------
 

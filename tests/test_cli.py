@@ -180,6 +180,18 @@ class TestAnalyze:
         assert out == ""
         assert err == "error: group order exceeds cap 100\n"
 
+    def test_group_cap_bounds_entries_at_large_degree(self, run, tmp_path):
+        # constant rows of cycle type (19, 17, ..., 2) on 80 points: |G| =
+        # 9,699,690, and 10**7 entries allow 125,000 elements of degree 80
+        primes = (19, 17, 13, 11, 7, 5, 3, 2)
+        starts = [sum(primes[:i]) for i in range(len(primes))]
+        gamma = from_cycles(80, [range(s, s + p) for s, p in zip(starts, primes)])
+        path = tmp_path / "big.json"
+        path.write_text(dump_cycle_set(trivial_cycle_set(gamma)))
+        code, out, err = run("analyze", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: group order exceeds cap 125000\n"
+
 
 class TestTrivial:
     def test_one_based_cycles(self, run):
@@ -437,6 +449,23 @@ class TestVerify:
         code, out, err = run("verify", "--census", str(path))
         assert (code, out) == (2, "")
         assert "integers 'n' and 'count'" in err
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("filter", [1], "'filter' must be a JSON object"),
+            ("elapsed", [1], "'elapsed' must be a number"),
+            ("elapsed", True, "'elapsed' must be a number"),
+        ],
+        ids=["filter-list", "elapsed-list", "elapsed-bool"],
+    )
+    def test_census_file_summary_field_types(self, run, tmp_path, field, value, message):
+        path = tmp_path / "summary.jsonl"
+        summary = {"n": 1, "count": 1, field: value}
+        path.write_text('{"table": [[0]]}\n' + json.dumps({"summary": summary}) + "\n")
+        code, out, err = run("verify", "--census", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err
 
     def test_census_file_huge_cabling_index(self, run, tmp_path):
         path = str(tmp_path / "latin4.jsonl")

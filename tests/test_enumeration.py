@@ -3,6 +3,7 @@ filters, determinism, and the size cap."""
 
 import hashlib
 import multiprocessing
+import multiprocessing.pool
 import threading
 import time
 from collections import Counter
@@ -46,6 +47,10 @@ SQUAREFREE6_SHA256 = "ea3791fbbde67e75cec2799451b48a095de8740c9cb35fcaeb4a6fc926
 
 def _sha256(census):
     return hashlib.sha256(census.canonical_bytes()).hexdigest()
+
+
+def _failing_search(*args, **kwargs):
+    raise RuntimeError("slice failed")
 
 
 class TestCounts:
@@ -141,19 +146,20 @@ class TestWorkSplitting:
         messages = []
         parallel = enumerate_cycle_sets(4, jobs=2, progress=messages.append)
         assert parallel.canonical_bytes() == censuses_small[4].canonical_bytes()
-        assert messages and all("merged" in m for m in messages)
+        assert messages == [f"task {k}/5 merged" for k in range(1, 6)]
+        assert multiprocessing.active_children() == []
 
     def test_pool_size_is_bounded_by_tasks(self, monkeypatch):
-        # the pool forks all its workers at the first submit, so a huge
-        # jobs must not reach it; the spy builds a real pool of at most 2
+        # the pool forks all its workers when it is built, so a huge jobs
+        # must not reach it; the spy builds a real pool of at most 2
         asked = []
-        real = enumeration.ProcessPoolExecutor
 
-        def spy(max_workers, **kwargs):
-            asked.append(max_workers)
-            return real(max_workers=min(max_workers, 2), **kwargs)
+        class Spy(multiprocessing.pool.Pool):
+            def __init__(self, processes):
+                asked.append(processes)
+                super().__init__(min(processes, 2))
 
-        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", spy)
+        monkeypatch.setattr(multiprocessing, "Pool", Spy)
         census = enumerate_cycle_sets(5, jobs=10**6)
         assert len(asked) == 1 and 1 <= asked[0] <= 7
         assert _sha256(census) == CENSUS5_SHA256
@@ -164,15 +170,25 @@ class TestWorkSplitting:
         # a free worker
         tasks = []
 
-        class Spy(enumeration.ProcessPoolExecutor):
-            def submit(self, fn, *args, **kwargs):
-                tasks.append(args[0])
-                return super().submit(fn, *args, **kwargs)
+        class Spy(multiprocessing.pool.Pool):
+            def imap_unordered(self, func, iterable, chunksize=1):
+                tasks.extend(iterable)
+                return super().imap_unordered(func, tasks, chunksize)
 
-        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", Spy)
+        monkeypatch.setattr(multiprocessing, "Pool", Spy)
         census = enumerate_cycle_sets(4, jobs=2)
         assert tasks[0] == (4, (0, 1, 2, 3), True)
         assert len(tasks) == 5 and census.count == 23
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched search reaches the workers only when they are forked",
+    )
+    def test_task_error_propagates_and_leaves_no_workers(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "_search", _failing_search)
+        with pytest.raises(RuntimeError, match="slice failed"):
+            enumerate_cycle_sets(5, jobs=2)
+        assert multiprocessing.active_children() == []
 
     def test_split_checks_cap_and_degree(self, monkeypatch):
         monkeypatch.delenv("CYCLESET_MAX_N", raising=False)
@@ -466,6 +482,7 @@ class TestCancellation:
         ev.set()
         with pytest.raises(SearchCancelled):
             enumerate_cycle_sets(5, jobs=2, cancel=ev)
+        assert multiprocessing.active_children() == []
 
     def test_event_set_mid_parallel_search_stops_running_tasks(self):
         ev = threading.Event()
@@ -479,7 +496,9 @@ class TestCancellation:
         finally:
             timer.cancel()
             timer.join(5)
-        assert time.monotonic() - start < 5.5
+        # the pool polls every 0.1 s, then terminates its running workers
+        assert time.monotonic() - start < 2.5
+        assert multiprocessing.active_children() == []
 
     def test_keyboard_interrupt_leaves_no_orphan_workers(self):
         def interrupt(message):

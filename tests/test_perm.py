@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -92,6 +93,31 @@ def test_prime_support():
     assert prime_support(97) == frozenset({97})
 
 
+def _nilpotency_test_groups(censuses):
+    """G(X) and Dis(X) of every census member, then small groups of known
+    verdict: C5 and D4 are nilpotent, S3, S4, A4, D5 and S3 x C2 are not."""
+    groups = [
+        grp
+        for census in censuses.values()
+        for X in census.cycle_sets()
+        for grp in (X.perm_group, X.displacement_group)
+    ]
+    nilpotent = [
+        generate([(1, 2, 3, 4, 0)]),
+        generate([(1, 2, 3, 0), (0, 3, 2, 1)]),
+    ]
+    not_nilpotent = [
+        generate([(1, 0, 2), (0, 2, 1)]),
+        generate([(1, 2, 3, 0), (1, 0, 2, 3)]),
+        generate([(1, 2, 0, 3), (0, 2, 3, 1)]),
+        generate([(1, 2, 3, 4, 0), (0, 4, 3, 2, 1)]),
+        generate([(1, 2, 0, 3, 4), (0, 2, 1, 3, 4), (0, 1, 2, 4, 3)]),
+    ]
+    assert all(g.is_nilpotent for g in nilpotent)
+    assert not any(g.is_nilpotent for g in not_nilpotent)
+    return groups + nilpotent + not_nilpotent
+
+
 class TestPermGroup:
     def test_cyclic(self):
         g = generate([(1, 2, 3, 4, 0)])
@@ -112,6 +138,19 @@ class TestPermGroup:
         assert g.order == 8
         assert g.is_nilpotent
 
+    def test_nilpotency_matches_pairwise_commuting(self, censuses_small):
+        # reference: nilpotent exactly when elements of coprime order commute
+        def coprime_orders_commute(g):
+            return all(
+                compose(a, b) == compose(b, a)
+                for a in g.elements
+                for b in g.elements
+                if math.gcd(perm_order(a), perm_order(b)) == 1
+            )
+
+        for g in _nilpotency_test_groups(censuses_small):
+            assert g.is_nilpotent == coprime_orders_commute(g), g.generators
+
     def test_nilpotency_matches_lower_central_series(self, censuses_small):
         # reference: the lower central series G = G_0 > G_1 > ... with
         # G_{i+1} = [G, G_i] reaches the trivial group exactly when G is
@@ -130,20 +169,7 @@ class TestPermGroup:
                 current = nxt
             return True
 
-        groups = [
-            grp
-            for census in censuses_small.values()
-            for X in census.cycle_sets()
-            for grp in (X.perm_group, X.displacement_group)
-        ]
-        groups += [
-            generate([(1, 2, 3, 4, 0)]),
-            generate([(1, 0, 2), (0, 2, 1)]),
-            generate([(1, 2, 3, 0), (0, 3, 2, 1)]),
-        ]
-        verdicts = {g.is_nilpotent for g in groups}
-        assert verdicts == {True, False}
-        for g in groups:
+        for g in _nilpotency_test_groups(censuses_small):
             assert g.is_nilpotent == commutator_series_ends_trivial(g), g.generators
 
     def test_orbits(self):
