@@ -219,14 +219,22 @@ class LeftBrace:
     def additive_exponent(self) -> int:
         return math.lcm(*(self.additive_order(x) for x in range(self.n)))
 
+    def additive_cycle(self, x: int) -> tuple[int, ...]:
+        """The multiples 0, x, 2x, ... in (B, +), up to the additive order
+        of x, so k x is the entry at k mod its length."""
+        out = [self.zero]
+        cur = x
+        while cur != self.zero:
+            out.append(cur)
+            cur = self.add[cur][x]
+        return tuple(out)
+
     def additive_multiple(self, k: int, x: int) -> int:
         """k x in (B, +), k >= 0."""
         if k < 0:
             raise ValueError("multiple must be >= 0")
-        out = self.zero
-        for _ in range(k % self.additive_order(x)):
-            out = self.add[out][x]
-        return out
+        cyc = self.additive_cycle(x)
+        return cyc[k % len(cyc)]
 
     def is_mult_subgroup(self, s: Iterable[int]) -> bool:
         ss = frozenset(s)

@@ -102,6 +102,12 @@ def cycle_set(table: Sequence[Sequence[int]]) -> "CycleSet":
     return CycleSet(normalized)
 
 
+def _cabling_sum(a: Table, b: Table) -> Table:
+    """X_{i+j} from a = X_i and b = X_j: row x is (row T^i x of X_j) o (row x
+    of X_i), where T^i x = x *_i x is the diagonal of X_i."""
+    return tuple(compose(b[r[x]], r) for x, r in enumerate(a))
+
+
 @dataclass(frozen=True)
 class CycleSet:
     """A cycle-set table.  Construct through :func:`cycle_set` to validate;
@@ -194,21 +200,22 @@ class CycleSet:
         rows = self.table
         while True:
             yield rows
-            rows = tuple(compose(self.table[r[x]], r) for x, r in enumerate(rows))
+            rows = _cabling_sum(rows, self.table)
 
     def cabling(self, k: int) -> "CycleSet":
         """k-th cabled operation: step k is x *_k y = (x *_{k-1} x) . (x *_{k-1} y).
 
-        The tower reaches identity rows at the Dehornoy class d, and the step
-        after that returns X, so the k-th cabling is the ((k - 1) mod d + 1)-th."""
+        Row x of X_k is sigma_{T^{k-1}x} o ... o sigma_x, so X_{2i} and
+        X_{i+1} follow from X_i, and binary doubling reaches X_k in
+        O(log k) table compositions on any table.  The result is validated."""
         if k < 1:
             raise ValueError("cabling index must be >= 1")
-        ident = identity(self.n)
-        for i, rows in enumerate(self._cablings()):
-            if i == k - 1:
-                return cycle_set(rows)
-            if all(r == ident for r in rows):
-                return self.cabling((k - 1) % (i + 1) + 1)
+        rows = self.table
+        for bit in bin(k)[3:]:
+            rows = _cabling_sum(rows, rows)
+            if bit == "1":
+                rows = _cabling_sum(rows, self.table)
+        return cycle_set(rows)
 
     # -- tower map and Dehornoy class --------------------------------------
 

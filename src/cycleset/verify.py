@@ -23,6 +23,7 @@ from .brace import BRACE_MAX_ORDER, BraceOrderCapExceeded, brace_of_cycle_set
 from .core import (
     CONGRUENCE_MAX_N,
     CycleSet,
+    DehornoyCapExceeded,
     InvalidCycleSet,
     Table,
     direct_product,
@@ -333,13 +334,28 @@ def _census_latin_fixed_points(tables: Sequence[CycleSet], ctx: dict):
 
 def _chk_cabling_laws(X: CycleSet, ctx: dict):
     ks = ctx.get("ks", range(1, 7))
+    # the tower of cablings returns to X after the Dehornoy class d, so k
+    # and (k - 1) mod d + 1 name the same cabling; a cap hit means d is past
+    # every k, and the ks are distinct already
+    try:
+        d = X.dehornoy_class(cap=max(ks, default=1))
+    except DehornoyCapExceeded:
+        d = None
+    cabled: dict[int, CycleSet] = {}
+
+    def cabling(k: int) -> CycleSet:
+        r = k if d is None else (k - 1) % d + 1
+        if r not in cabled:
+            cabled[r] = X.cabling(r)
+        return cabled[r]
+
     fails = []
     T = X.squaring_map
     gb = None
     capped = False  # G(X) is past the brace cap: no additive multiples
     for k in ks:
         try:
-            Xk = X.cabling(k)
+            Xk = cabling(k)
         except InvalidCycleSet as exc:
             fails.append(f"cabling {k} does not validate: {exc}")
             continue
@@ -350,11 +366,10 @@ def _chk_cabling_laws(X: CycleSet, ctx: dict):
                 gb = brace_of_cycle_set(X)
             except BraceOrderCapExceeded:
                 capped = True
+            else:
+                cycles = [gb.brace.additive_cycle(b) for b in range(gb.brace.n)]
         if gb is not None:
-            mult = {
-                gb.elements[gb.brace.additive_multiple(k, b)]
-                for b in range(gb.brace.n)
-            }
+            mult = {gb.elements[cyc[k % len(cyc)]] for cyc in cycles}
             if mult != set(Xk.perm_group.elements):
                 fails.append(
                     f"cabling {k}: row group differs from the additive {k}-multiple"
@@ -369,7 +384,7 @@ def _chk_cabling_laws(X: CycleSet, ctx: dict):
                 while g % p == 0:
                     l *= p
                     g //= p
-        Xl = X.cabling(l)
+        Xl = cabling(l)
         if prime_support(Xl.perm_group.order) != prime_support(X.n):
             fails.append(f"{l}-cabling is not of matching prime support")
         p = _is_pcycle(T)
@@ -522,17 +537,46 @@ def run_checker(
     scope: str = "",
     ks: Iterable[int] | None = None,
 ) -> Verdict:
+    tables = _cycle_sets(tables)
+    ctx: dict = {} if ks is None else {"ks": cabling_indices(ks)}
+    return _run(checker_id, tables, scope, ctx, hash_tables(tables))
+
+
+def run_all(
+    tables: Sequence[CycleSet | Sequence[Sequence[int]]],
+    *,
+    scope: str = "",
+    ks: Iterable[int] = range(1, 7),
+    checker_ids: Iterable[str] | None = None,
+) -> list[Verdict]:
+    ids = list(checker_ids) if checker_ids is not None else list(CHECKERS)
+    # converted, materialized and hashed once, then shared by every checker
+    tables = _cycle_sets(tables)
+    ctx = {"ks": cabling_indices(ks)}
+    census_hash = hash_tables(tables)
+    return [_run(cid, tables, scope, ctx, census_hash) for cid in ids]
+
+
+def _cycle_sets(
+    tables: Iterable[CycleSet | Sequence[Sequence[int]]],
+) -> list[CycleSet]:
+    return [
+        X if isinstance(X, CycleSet) else CycleSet(tuple(map(tuple, X)))
+        for X in tables
+    ]
+
+
+def _run(
+    checker_id: str,
+    tables: list[CycleSet],
+    scope: str,
+    ctx: dict,
+    census_hash: str,
+) -> Verdict:
     try:
         cdef = CHECKERS[checker_id]
     except KeyError:
         raise ValueError(f"unknown checker {checker_id!r}") from None
-    tables = [
-        X if isinstance(X, CycleSet) else CycleSet(tuple(map(tuple, X)))
-        for X in tables
-    ]
-    ctx: dict = {}
-    if ks is not None:
-        ctx["ks"] = cabling_indices(ks)
     start = time.monotonic()
     instances = 0
     skipped = 0
@@ -570,17 +614,6 @@ def run_checker(
         counterexamples=tuple(ces),
         elapsed=time.monotonic() - start,
         engine_version=VERIFY_VERSION,
-        census_hash=hash_tables(tables),
+        census_hash=census_hash,
         notes=tuple(notes),
     )
-
-
-def run_all(
-    tables: Sequence[CycleSet | Sequence[Sequence[int]]],
-    *,
-    scope: str = "",
-    ks: Iterable[int] = range(1, 7),
-    checker_ids: Iterable[str] | None = None,
-) -> list[Verdict]:
-    ids = list(checker_ids) if checker_ids is not None else list(CHECKERS)
-    return [run_checker(cid, tables, scope=scope, ks=ks) for cid in ids]

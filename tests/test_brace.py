@@ -291,6 +291,13 @@ class TestOrders:
         for k in (10**9, sys.maxsize + 2):
             assert B.additive_multiple(k, 2) == k * 2 % 7
 
+    def test_additive_cycle(self):
+        B = cyclic_brace(12)
+        assert B.additive_cycle(4) == (0, 4, 8)
+        assert B.additive_cycle(0) == (0,)
+        for x in range(B.n):
+            assert len(B.additive_cycle(x)) == B.additive_order(x)
+
 
 class TestProducts:
     def test_factors_are_ideals(self):

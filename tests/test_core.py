@@ -1,5 +1,6 @@
 import itertools
 import sys
+import time
 from dataclasses import fields
 
 import pytest
@@ -21,6 +22,13 @@ from cycleset import (
 )
 from cycleset.analysis import AnalysisReport, analyze
 from cycleset.perm import compose, from_cycles, identity, inverse, perm_order, power
+
+# one cycle per prime 2, 3, ..., 23, on 2 + 3 + ... + 23 = 100 points
+PRIMES_TO_23 = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+PRIME_CYCLES_100 = [
+    tuple(range(end - p, end))
+    for p, end in zip(PRIMES_TO_23, itertools.accumulate(PRIMES_TO_23))
+]
 
 # rows bijective, diagonal bijective, cycloid broken at (0, 2, 0)
 CYCLOID_BROKEN = ((0, 1, 2), (0, 2, 1), (2, 0, 1))
@@ -216,6 +224,25 @@ class TestCabling:
                     for y in range(X.n):
                         assert got[x][y] == X.omega((x,) * copies + (y,))
 
+    def test_doubling_matches_the_tower(self, censuses_small):
+        for census in censuses_small.values():
+            for X in census.cycle_sets():
+                top = 3 * X.dehornoy_class() + 1
+                tower = itertools.islice(X._cablings(), top)
+                for k, rows in enumerate(tower, start=1):
+                    assert X.cabling(k).table == rows
+
+    def test_huge_index_on_a_huge_dehornoy_class(self):
+        # cycles of the primes 2..23 on 100 points: d = 223,092,870, so a
+        # walk along the tower would take days; doubling takes 82
+        # table compositions
+        g = from_cycles(100, PRIME_CYCLES_100)
+        k = 10**18
+        start = time.perf_counter()
+        got = trivial_cycle_set(g).cabling(k).table
+        assert time.perf_counter() - start < 5
+        assert got == trivial_cycle_set(power(g, k)).table
+
 
 class TestDehornoy:
     def test_small_classes(self, size2_indec, trivial2, cyclic3, table4):
@@ -246,6 +273,21 @@ class TestDehornoy:
     def test_cap_exceeded(self, cyclic3):
         with pytest.raises(DehornoyCapExceeded):
             cyclic3.dehornoy_class(cap=2)
+
+    def test_cap_stops_the_walk(self, monkeypatch):
+        drawn = []
+        tower = CycleSet._cablings
+
+        def counted(self):
+            for rows in tower(self):
+                drawn.append(rows)
+                yield rows
+
+        monkeypatch.setattr(CycleSet, "_cablings", counted)
+        X = trivial_cycle_set(from_cycles(100, PRIME_CYCLES_100))
+        with pytest.raises(DehornoyCapExceeded):
+            X.dehornoy_class(cap=40)
+        assert len(drawn) == 40
 
 
 class TestCongruences:

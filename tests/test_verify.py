@@ -65,6 +65,26 @@ FAKE_PAIR = ((0, 0), (0, 0))
 TABLE4 = ((0, 1, 3, 2), (2, 3, 1, 0), (1, 0, 2, 3), (3, 2, 0, 1))
 
 
+@pytest.fixture
+def cabling_calls(monkeypatch):
+    """The indices of every CycleSet.cabling call, in order."""
+    called = []
+    cabling = CycleSet.cabling
+
+    def spy(self, k):
+        called.append(k)
+        return cabling(self, k)
+
+    monkeypatch.setattr(CycleSet, "cabling", spy)
+    return called
+
+
+def _without_elapsed(verdict):
+    d = verdict.to_dict()
+    del d["elapsed"]
+    return d
+
+
 def _assert_clean(cid, tables, ks=None):
     verdict = run_checker(cid, tables, ks=ks)
     assert verdict.passed, verdict.counterexamples
@@ -331,3 +351,36 @@ class TestHarness:
     def test_ks_reach_the_cabling_checker(self, cyclic3):
         verdict = run_checker("cabling_laws", [cyclic3], ks=[1, 2, 3])
         assert verdict.passed
+
+    def test_run_all_reads_a_one_shot_ks_once(self, cyclic3, table4, cabling_calls):
+        # every checker shares one materialized ks, so a generator reaches
+        # cabling_laws as fully as a tuple does
+        def run(ks):
+            cabling_calls.clear()
+            verdicts = run_all([cyclic3, table4], ks=ks)
+            return [_without_elapsed(v) for v in verdicts], list(cabling_calls)
+
+        by_tuple = run((1, 2, 3))
+        assert run(k for k in (1, 2, 3)) == by_tuple
+        assert {1, 2, 3} <= set(by_tuple[1])
+
+    def test_census_hash_is_the_hash_of_the_tables(self, censuses_small):
+        tables = [X for c in censuses_small.values() for X in c.cycle_sets()]
+        want = hash_tables(tables)
+        assert {v.census_hash for v in run_all(tables)} == {want}
+        assert run_checker("squarefree", tables).census_hash == want
+
+    def test_cabling_laws_counts_are_pinned(self, censuses_small):
+        # the counts of one fresh cabling per index, which computing each
+        # distinct cabling once per table must keep
+        tables = [X for c in censuses_small.values() for X in c.cycle_sets()]
+        verdict = run_checker("cabling_laws", tables, ks=range(1, 13))
+        assert (verdict.instances, verdict.skipped) == (119, 0)
+        assert verdict.counterexamples == ()
+
+    def test_cabling_laws_compute_each_distinct_cabling_once(
+        self, table4, cabling_calls
+    ):
+        # d = 2, so 1..6 name two cablings, and l = 1 is the first of them
+        assert run_checker("cabling_laws", [table4], ks=range(1, 7)).passed
+        assert sorted(cabling_calls) == [1, 2]
