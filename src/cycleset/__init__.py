@@ -36,7 +36,6 @@ from .perm import (
 from .core import (
     Congruence,
     CycleSet,
-    DehornoyCapExceeded,
     InvalidCycleSet,
     SolutionPair,
     canonical_form,
@@ -89,7 +88,7 @@ __all__ = [
     "identity", "cycles", "cycle_type", "perm_order", "fixed_points",
     "from_cycles", "prime_support",
     # cycle sets
-    "CycleSet", "InvalidCycleSet", "DehornoyCapExceeded", "SolutionPair",
+    "CycleSet", "InvalidCycleSet", "SolutionPair",
     "Congruence", "cycle_set", "validate_table", "trivial_cycle_set",
     "direct_product", "relabel", "canonical_relabeling", "canonical_form",
     "is_isomorphic",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .core import CONGRUENCE_MAX_N, CycleSet, DehornoyCapExceeded
+from .core import CONGRUENCE_MAX_N, CycleSet
 from .perm import cycle_type
 
 
@@ -18,7 +18,7 @@ class AnalysisReport:
     latin: bool
     simple: bool | None
     retractable: bool
-    dehornoy_class: int | None
+    dehornoy_class: int
     group_order: int
     displacement_order: int
     group_nilpotent: bool
@@ -38,13 +38,8 @@ def analyze(X: CycleSet) -> AnalysisReport:
     """Populate every report field.
 
     Simplicity is skipped (None) above ``CONGRUENCE_MAX_N``, the size cap of
-    the congruence search; the Dehornoy class is None when the capped scan
-    gives up, which only happens on decomposable inputs.
+    the congruence search.
     """
-    try:
-        d = X.dehornoy_class()
-    except DehornoyCapExceeded:
-        d = None
     return AnalysisReport(
         n=X.n,
         squaring_cycle_type=cycle_type(X.squaring_map),
@@ -54,7 +49,7 @@ def analyze(X: CycleSet) -> AnalysisReport:
         latin=X.is_latin,
         simple=X.is_simple if X.n <= CONGRUENCE_MAX_N else None,
         retractable=not X.is_irretractable,
-        dehornoy_class=d,
+        dehornoy_class=X.dehornoy_class(),
         group_order=X.perm_group.order,
         displacement_order=X.displacement_group.order,
         group_nilpotent=X.perm_group.is_nilpotent,

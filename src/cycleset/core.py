@@ -16,9 +16,10 @@ all the machinery from :mod:`cycleset.perm` applies directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from . import canon
 from .perm import (
@@ -32,6 +33,7 @@ from .perm import (
     inverse,
     invariant_partitions,
     is_permutation,
+    perm_order,
     prime_support,
 )
 
@@ -48,12 +50,6 @@ class InvalidCycleSet(ValueError):
         super().__init__(message)
         self.kind = kind
         self.witness = witness
-
-
-class DehornoyCapExceeded(RuntimeError):
-    def __init__(self, cap: int):
-        super().__init__(f"no class found up to cap {cap}")
-        self.cap = cap
 
 
 def validate_table(table: Sequence[Sequence[int]]) -> None:
@@ -193,29 +189,25 @@ class CycleSet:
 
     # -- cabling ------------------------------------------------------------
 
-    def _cablings(self) -> Iterator[Table]:
-        """The tower X, X_2, X_3, ... of cablings: row x of X_{k+1} is
-        sigma_{x *_k x} o (row x of X_k), so row x of X_k is
-        sigma_{T^{k-1}x} o ... o sigma_x."""
-        rows = self.table
-        while True:
-            yield rows
-            rows = _cabling_sum(rows, self.table)
-
-    def cabling(self, k: int) -> "CycleSet":
-        """k-th cabled operation: step k is x *_k y = (x *_{k-1} x) . (x *_{k-1} y).
-
-        Row x of X_k is sigma_{T^{k-1}x} o ... o sigma_x, so X_{2i} and
-        X_{i+1} follow from X_i, and binary doubling reaches X_k in
-        O(log k) table compositions on any table.  The result is validated."""
-        if k < 1:
-            raise ValueError("cabling index must be >= 1")
+    def _cabling_rows(self, k: int) -> Table:
+        """Rows of X_k by binary doubling: row x of X_k is
+        sigma_{T^{k-1}x} o ... o sigma_x, so X_{2i} and X_{i+1} follow from
+        X_i, and X_k takes O(log k) table compositions on any table."""
         rows = self.table
         for bit in bin(k)[3:]:
             rows = _cabling_sum(rows, rows)
             if bit == "1":
                 rows = _cabling_sum(rows, self.table)
-        return cycle_set(rows)
+        return rows
+
+    def cabling(self, k: int) -> "CycleSet":
+        """k-th cabled operation: step k is x *_k y = (x *_{k-1} x) . (x *_{k-1} y).
+
+        Built by binary doubling in O(log k) table compositions; the result
+        is validated."""
+        if k < 1:
+            raise ValueError("cabling index must be >= 1")
+        return cycle_set(self._cabling_rows(k))
 
     # -- tower map and Dehornoy class --------------------------------------
 
@@ -238,20 +230,21 @@ class CycleSet:
 
         return rec(args)
 
-    def dehornoy_class(self, cap: int | None = None) -> int:
+    def dehornoy_class(self) -> int:
         """Least d >= 1 with omega(x, ..., x, y) = y (d copies of x) for all
         x, y; equivalently the d-th cabling has identity rows.
 
-        The scan is capped at |G(X)| by default, which is always sufficient
-        for indecomposable sets; a cap hit raises DehornoyCapExceeded.
+        Closed form: d = t * lcm_x ord(P_x), with t the order of the squaring
+        map T and P_x row x of X_t.  It is exact because X_k has diagonal
+        T^k, so t divides d, and X_t is square-free, so row x of X_{mt} is
+        P_x^m and X_{mt} is trivial exactly when every ord(P_x) divides m.
+        X_t costs O(log t) table compositions, whatever the size of d.
+
+        >>> cycle_set([[1, 2, 0], [1, 2, 0], [1, 2, 0]]).dehornoy_class()
+        3
         """
-        if cap is None:
-            cap = self.perm_group.order
-        ident = identity(self.n)
-        for d, rows in zip(range(1, cap + 1), self._cablings()):
-            if all(r == ident for r in rows):
-                return d
-        raise DehornoyCapExceeded(cap)
+        t = perm_order(self.squaring_map)
+        return t * math.lcm(*map(perm_order, self._cabling_rows(t)))
 
     # -- congruences --------------------------------------------------------
 

@@ -23,7 +23,6 @@ from .brace import BRACE_MAX_ORDER, BraceOrderCapExceeded, brace_of_cycle_set
 from .core import (
     CONGRUENCE_MAX_N,
     CycleSet,
-    DehornoyCapExceeded,
     InvalidCycleSet,
     Table,
     direct_product,
@@ -333,18 +332,14 @@ def _census_latin_fixed_points(tables: Sequence[CycleSet], ctx: dict):
 
 
 def _chk_cabling_laws(X: CycleSet, ctx: dict):
-    ks = ctx.get("ks", range(1, 7))
+    ks = ctx["ks"]
     # the tower of cablings returns to X after the Dehornoy class d, so k
-    # and (k - 1) mod d + 1 name the same cabling; a cap hit means d is past
-    # every k, and the ks are distinct already
-    try:
-        d = X.dehornoy_class(cap=max(ks, default=1))
-    except DehornoyCapExceeded:
-        d = None
+    # and (k - 1) mod d + 1 name the same cabling
+    d = X.dehornoy_class()
     cabled: dict[int, CycleSet] = {}
 
     def cabling(k: int) -> CycleSet:
-        r = k if d is None else (k - 1) % d + 1
+        r = (k - 1) % d + 1
         if r not in cabled:
             cabled[r] = X.cabling(r)
         return cabled[r]
@@ -535,10 +530,10 @@ def run_checker(
     tables: Sequence[CycleSet | Sequence[Sequence[int]]],
     *,
     scope: str = "",
-    ks: Iterable[int] | None = None,
+    ks: Iterable[int] = range(1, 7),
 ) -> Verdict:
     tables = _cycle_sets(tables)
-    ctx: dict = {} if ks is None else {"ks": cabling_indices(ks)}
+    ctx = {"ks": cabling_indices(ks)}
     return _run(checker_id, tables, scope, ctx, hash_tables(tables))
 
 

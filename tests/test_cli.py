@@ -475,6 +475,25 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["passed"] is True
 
+    def test_census_file_huge_dehornoy_class(self, tmp_path):
+        # constant rows with one cycle per prime 2..23 on 100 points: d =
+        # 223,092,870, which a walk along the tower of cablings would take
+        # days to reach; a subprocess so that a hang fails the test
+        ps = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+        starts = [sum(ps[:i]) for i in range(len(ps))]
+        gamma = from_cycles(100, [range(s, s + p) for s, p in zip(starts, ps)])
+        path = self._census_file(tmp_path, trivial_cycle_set(gamma).table)
+        proc = subprocess.run(
+            [sys.executable, "-m", "cycleset", "verify", "--census", path,
+             "--suite", "cabling", "--ks", "1000000000"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        verdict = json.loads(proc.stdout)
+        assert (verdict["checker"], verdict["passed"]) == ("cabling_laws", True)
+
     def test_census_file_clean_pass(self, run, tmp_path):
         code, out, _ = run("enumerate", "-n", "3", "-o",
                            str(tmp_path / "c3.jsonl"))

@@ -8,8 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from cycleset import (
     Congruence,
-    CycleSet,
-    DehornoyCapExceeded,
     InvalidCycleSet,
     canonical_form,
     cycle_set,
@@ -225,12 +223,15 @@ class TestCabling:
                         assert got[x][y] == X.omega((x,) * copies + (y,))
 
     def test_doubling_matches_the_tower(self, censuses_small):
+        # x *_k y = omega(x, ..., x, y) with k copies of x, across three
+        # returns of the tower to X
         for census in censuses_small.values():
             for X in census.cycle_sets():
-                top = 3 * X.dehornoy_class() + 1
-                tower = itertools.islice(X._cablings(), top)
-                for k, rows in enumerate(tower, start=1):
-                    assert X.cabling(k).table == rows
+                for k in range(1, 3 * X.dehornoy_class() + 2):
+                    got = X.cabling(k).table
+                    for x in range(X.n):
+                        for y in range(X.n):
+                            assert got[x][y] == X.omega((x,) * k + (y,))
 
     def test_huge_index_on_a_huge_dehornoy_class(self):
         # cycles of the primes 2..23 on 100 points: d = 223,092,870, so a
@@ -270,24 +271,25 @@ class TestDehornoy:
                     for y in range(X.n):
                         assert X.omega((x,) * d + (y,)) == y
 
-    def test_cap_exceeded(self, cyclic3):
-        with pytest.raises(DehornoyCapExceeded):
-            cyclic3.dehornoy_class(cap=2)
+    def test_class_is_least_annihilating_index(self, censuses_small):
+        # the definition: no k below d has omega(x, ..., x, y) = y for all
+        # x, y (k copies of x)
+        for census in censuses_small.values():
+            for X in census.cycle_sets():
+                for k in range(1, X.dehornoy_class()):
+                    assert any(
+                        X.omega((x,) * k + (y,)) != y
+                        for x in range(X.n)
+                        for y in range(X.n)
+                    )
 
-    def test_cap_stops_the_walk(self, monkeypatch):
-        drawn = []
-        tower = CycleSet._cablings
-
-        def counted(self):
-            for rows in tower(self):
-                drawn.append(rows)
-                yield rows
-
-        monkeypatch.setattr(CycleSet, "_cablings", counted)
+    def test_huge_class_in_closed_form(self):
+        # cycles of the primes 2..23 on 100 points: d = 2 * 3 * ... * 23,
+        # which the walk along the tower would have taken days to reach
         X = trivial_cycle_set(from_cycles(100, PRIME_CYCLES_100))
-        with pytest.raises(DehornoyCapExceeded):
-            X.dehornoy_class(cap=40)
-        assert len(drawn) == 40
+        start = time.perf_counter()
+        assert X.dehornoy_class() == 223_092_870
+        assert time.perf_counter() - start < 1
 
 
 class TestCongruences:

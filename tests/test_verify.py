@@ -85,7 +85,7 @@ def _without_elapsed(verdict):
     return d
 
 
-def _assert_clean(cid, tables, ks=None):
+def _assert_clean(cid, tables, ks=range(1, 7)):
     verdict = run_checker(cid, tables, ks=ks)
     assert verdict.passed, verdict.counterexamples
 
@@ -136,7 +136,7 @@ def _mut_block_bound(request, monkeypatch):
 
 def _mut_fixed_point_orders(request, monkeypatch):
     _assert_clean("fixed_point_orders", [CycleSet(TABLE4)])
-    monkeypatch.setattr(CycleSet, "dehornoy_class", lambda self, cap=None: 999)
+    monkeypatch.setattr(CycleSet, "dehornoy_class", lambda self: 999)
     return [CycleSet(TABLE4)]
 
 
