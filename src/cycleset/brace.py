@@ -202,18 +202,21 @@ class LeftBrace:
         ident = identity(self.n)
         return frozenset(x for x in range(self.n) if self.lambda_maps[x] == ident)
 
-    def _order(self, op: Table, x: int) -> int:
-        k, cur = 1, x
+    def _cycle(self, op: Table, x: int) -> tuple[int, ...]:
+        """The powers 0, x, x op x, ... of x under ``op``, up to the order of
+        x, so the k-th power is the entry at k mod its length."""
+        out = [self.zero]
+        cur = x
         while cur != self.zero:
+            out.append(cur)
             cur = op[cur][x]
-            k += 1
-        return k
+        return tuple(out)
 
     def additive_order(self, x: int) -> int:
-        return self._order(self.add, x)
+        return len(self._cycle(self.add, x))
 
     def multiplicative_order(self, x: int) -> int:
-        return self._order(self.circ, x)
+        return len(self._cycle(self.circ, x))
 
     @cached_property
     def additive_exponent(self) -> int:
@@ -222,12 +225,7 @@ class LeftBrace:
     def additive_cycle(self, x: int) -> tuple[int, ...]:
         """The multiples 0, x, 2x, ... in (B, +), up to the additive order
         of x, so k x is the entry at k mod its length."""
-        out = [self.zero]
-        cur = x
-        while cur != self.zero:
-            out.append(cur)
-            cur = self.add[cur][x]
-        return tuple(out)
+        return self._cycle(self.add, x)
 
     def additive_multiple(self, k: int, x: int) -> int:
         """k x in (B, +), k >= 0."""

@@ -57,7 +57,10 @@ def validate_table(table: Sequence[Sequence[int]]) -> None:
 
     Checks, in order: shape, row bijectivity, the cycloid law (in the
     equivalent permutation form sigma_{x.y} o sigma_x == sigma_{y.x} o
-    sigma_y), and bijectivity of the diagonal.
+    sigma_y), and bijectivity of the diagonal.  The law at (x, y) reads only
+    the rows of x, y, x.y and y.x, so it is checked once per distinct
+    quadruple of those rows: O(n^2 + q n) work for q distinct quadruples,
+    so tables with few distinct rows validate in quadratic time.
     """
     n = len(table)
     if n == 0:
@@ -73,11 +76,20 @@ def validate_table(table: Sequence[Sequence[int]]) -> None:
         if not is_permutation(row):
             raise InvalidCycleSet("row", x, f"row {x} is not bijective")
         rows.append(row)
+    row_class: dict[tuple[int, ...], int] = {}
+    cls = [row_class.setdefault(row, len(row_class)) for row in rows]
+    # a quadruple seen before passed, or validation would have stopped there
+    checked = set()
     for x in range(n):
+        sx = rows[x]
         for y in range(x + 1, n):
-            left = rows[rows[x][y]]
-            right = rows[rows[y][x]]
-            sx, sy = rows[x], rows[y]
+            sy = rows[y]
+            quad = (cls[x], cls[y], cls[sx[y]], cls[sy[x]])
+            if quad in checked:
+                continue
+            checked.add(quad)
+            left = rows[sx[y]]
+            right = rows[sy[x]]
             for z in range(n):
                 if left[sx[z]] != right[sy[z]]:
                     raise InvalidCycleSet(

@@ -55,7 +55,7 @@ from typing import Callable, Iterable, Sequence
 
 from . import canon
 from .canon import SearchCancelled
-from .core import CycleSet, Table, validate_table
+from .core import CycleSet, Table, cycle_set
 from .perm import Perm, cycle_type, cycles, from_cycles, inverse, is_permutation
 
 ENGINE_VERSION = "cycleset-enum/1"
@@ -456,9 +456,7 @@ def enumerate_cycle_sets(
                 if progress is not None:
                     progress(f"task {merged}/{len(tasks)} merged")
 
-    for t in canon_set:
-        validate_table(t)
-    reps = [CycleSet(t) for t in sorted(canon_set)]
+    reps = [cycle_set(t) for t in sorted(canon_set)]
     kept = tuple(X.table for X in reps if filt.matches(X))
     return Census(
         n=n,

@@ -158,6 +158,24 @@ def prime_support(n: int) -> frozenset[int]:
     return frozenset(out)
 
 
+def prime_part(m: int, primes: Iterable[int]) -> int:
+    """Largest divisor of ``m`` whose prime factors all lie in ``primes``.
+
+    >>> prime_part(360, {2, 5})
+    40
+    >>> prime_part(7, ())
+    1
+    """
+    if m < 1:
+        raise ValueError("positive integer required")
+    out = 1
+    for p in primes:
+        while m % p == 0:
+            out *= p
+            m //= p
+    return out
+
+
 def closure(
     n: int, pairs: Iterable[tuple[int, int]], maps: Sequence[Sequence[int]] = ()
 ) -> tuple[int, ...]:
@@ -358,10 +376,8 @@ class PermGroup:
         support = {k: prime_support(k) for k in orders}
         n = self.order
         for p in prime_support(n):
-            p_part = p
-            while n % (p_part * p) == 0:
-                p_part *= p
-            if sum(c for k, c in orders.items() if support[k] <= {p}) != p_part:
+            p_elements = sum(c for k, c in orders.items() if support[k] <= {p})
+            if p_elements != prime_part(n, {p}):
                 return False
         return True
 

@@ -25,6 +25,7 @@ from .core import (
     CycleSet,
     InvalidCycleSet,
     Table,
+    cycle_set,
     direct_product,
     is_isomorphic,
 )
@@ -34,6 +35,7 @@ from .perm import (
     identity,
     perm_order,
     power,
+    prime_part,
     prime_support,
 )
 
@@ -140,7 +142,7 @@ def _chk_prime_support_match(X: CycleSet, ctx: dict):
         return False, []
     target = prime_support(X.n)
     fails = []
-    if prime_support(X.perm_group.order) != target:
+    if not X.prime_support_match():
         fails.append(
             f"primes of group order {X.perm_group.order} differ from primes of size"
         )
@@ -159,14 +161,7 @@ def _chk_nilpotent_factorization(X: CycleSet, ctx: dict):
         return False, []
     if not X.perm_group.is_nilpotent:
         return False, []
-    parts = []
-    for p in primes:
-        q = 1
-        m = X.n
-        while m % p == 0:
-            q *= p
-            m //= p
-        parts.append(q)
+    parts = [prime_part(X.n, {p}) for p in primes]
     congs = X.congruences()
     by_classes: dict[int, list] = {}
     for c in congs:
@@ -259,14 +254,10 @@ def _chk_block_bound(X: CycleSet, ctx: dict):
     T = X.squaring_map
     fix = len(X.fixed_points)
     m = X.n - fix
-    pi_n = prime_support(X.n)
-    k1 = 1
-    while True:
-        tk = power(T, k1)
-        o = perm_order(tk)
-        if o == 1 or prime_support(o) <= pi_n:
-            break
-        k1 += 1
+    # the least k1 >= 1 with the primes of ord(T^k1) in those of n:
+    # ord(T^k1) = t / gcd(t, k1), so k1 is the pi(n)'-part of t = ord(T)
+    t = perm_order(T)
+    tk = power(T, prime_part(t, prime_support(t) - prime_support(X.n)))
     k = X.n - len([x for x in range(X.n) if tk[x] == x])
     fails = []
     if not (m <= X.n <= k * k + k):
@@ -346,8 +337,12 @@ def _chk_cabling_laws(X: CycleSet, ctx: dict):
 
     fails = []
     T = X.squaring_map
-    gb = None
-    capped = False  # G(X) is past the brace cap: no additive multiples
+    try:
+        gb = brace_of_cycle_set(X)
+    except BraceOrderCapExceeded:
+        gb = None  # G(X) is past the brace cap: no additive multiples
+    else:
+        cycles = [gb.brace.additive_cycle(b) for b in range(gb.brace.n)]
     for k in ks:
         try:
             Xk = cabling(k)
@@ -356,13 +351,6 @@ def _chk_cabling_laws(X: CycleSet, ctx: dict):
             continue
         if Xk.squaring_map != power(T, k):
             fails.append(f"cabling {k}: squaring map is not the {k}-th power")
-        if gb is None and not capped:
-            try:
-                gb = brace_of_cycle_set(X)
-            except BraceOrderCapExceeded:
-                capped = True
-            else:
-                cycles = [gb.brace.additive_cycle(b) for b in range(gb.brace.n)]
         if gb is not None:
             mult = {gb.elements[cyc[k % len(cyc)]] for cyc in cycles}
             if mult != set(Xk.perm_group.elements):
@@ -373,12 +361,7 @@ def _chk_cabling_laws(X: CycleSet, ctx: dict):
             fails.append(f"cabling {k} coprime to size broke indecomposability")
     if X.is_indecomposable:
         g = X.perm_group.order
-        l = 1
-        for p in prime_support(g):
-            if p not in prime_support(X.n):
-                while g % p == 0:
-                    l *= p
-                    g //= p
+        l = prime_part(g, prime_support(g) - prime_support(X.n))
         Xl = cabling(l)
         if prime_support(Xl.perm_group.order) != prime_support(X.n):
             fails.append(f"{l}-cabling is not of matching prime support")
@@ -532,9 +515,8 @@ def run_checker(
     scope: str = "",
     ks: Iterable[int] = range(1, 7),
 ) -> Verdict:
-    tables = _cycle_sets(tables)
-    ctx = {"ks": cabling_indices(ks)}
-    return _run(checker_id, tables, scope, ctx, hash_tables(tables))
+    """The verdict of one checker: :func:`run_all` with that checker alone."""
+    return run_all(tables, scope=scope, ks=ks, checker_ids=[checker_id])[0]
 
 
 def run_all(
@@ -544,21 +526,17 @@ def run_all(
     ks: Iterable[int] = range(1, 7),
     checker_ids: Iterable[str] | None = None,
 ) -> list[Verdict]:
+    """One verdict per checker in ``checker_ids`` (default: all of
+    :data:`CHECKERS`), in that order, over ``tables`` with cabling indices
+    ``ks``.  Raw tables are validated through :func:`cycle_set` and raise
+    :class:`InvalidCycleSet` when one is not a cycle set; ``CycleSet``
+    instances are trusted, as their constructor is."""
     ids = list(checker_ids) if checker_ids is not None else list(CHECKERS)
-    # converted, materialized and hashed once, then shared by every checker
-    tables = _cycle_sets(tables)
+    # validated, materialized and hashed once, then shared by every checker
+    tables = [X if isinstance(X, CycleSet) else cycle_set(X) for X in tables]
     ctx = {"ks": cabling_indices(ks)}
     census_hash = hash_tables(tables)
     return [_run(cid, tables, scope, ctx, census_hash) for cid in ids]
-
-
-def _cycle_sets(
-    tables: Iterable[CycleSet | Sequence[Sequence[int]]],
-) -> list[CycleSet]:
-    return [
-        X if isinstance(X, CycleSet) else CycleSet(tuple(map(tuple, X)))
-        for X in tables
-    ]
 
 
 def _run(

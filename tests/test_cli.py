@@ -435,6 +435,7 @@ class TestVerify:
         "table",
         [
             [[1, 0], [0, 1]],  # the cycloid law fails
+            [[0, 0], [1, 1]],  # the rows are not bijective
             [[5, 0], [0, 1, 7]],  # the shape is wrong
         ],
     )

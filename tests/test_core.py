@@ -28,8 +28,53 @@ PRIME_CYCLES_100 = [
     for p, end in zip(PRIMES_TO_23, itertools.accumulate(PRIMES_TO_23))
 ]
 
+# one cycle per prime 2, 3, ..., 89, on 963 of 1,024 points
+PRIMES_TO_89 = tuple(p for p in range(2, 90) if all(p % d for d in range(2, p)))
+PRIME_CYCLES_1024 = [
+    tuple(range(end - p, end))
+    for p, end in zip(PRIMES_TO_89, itertools.accumulate(PRIMES_TO_89))
+]
+
 # rows bijective, diagonal bijective, cycloid broken at (0, 2, 0)
 CYCLOID_BROKEN = ((0, 1, 2), (0, 2, 1), (2, 0, 1))
+
+
+def element_loop_error(t):
+    """Reference for tables of bijective rows: the cycloid law at every
+    triple, pairs x < y in order, then the diagonal, as the (kind, witness,
+    message) of the first failure, or None."""
+    n = len(t)
+    for x in range(n):
+        for y in range(x + 1, n):
+            for z in range(n):
+                left, right = t[t[x][y]][t[x][z]], t[t[y][x]][t[y][z]]
+                if left != right:
+                    message = f"cycloid law fails at ({x}, {y}, {z}): {left} != {right}"
+                    return "cycloid", (x, y, z), message
+    diag = tuple(t[x][x] for x in range(n))
+    if sorted(diag) != list(range(n)):
+        return "degenerate", diag, "diagonal is not bijective"
+    return None
+
+
+def tables_from_a_row_pool(n):
+    """Tables whose rows come from a pool of at most three permutations, so
+    that row quadruples repeat; in some of them one cell of one row is
+    swapped with another cell of that row."""
+    pool = st.lists(st.permutations(range(n)).map(tuple), min_size=1, max_size=3)
+    rows = pool.flatmap(
+        lambda p: st.lists(st.sampled_from(p), min_size=n, max_size=n)
+    )
+    cells = st.tuples(*[st.integers(0, n - 1)] * 3)
+
+    def swap(rows, cell):
+        rows = [list(r) for r in rows]
+        if cell is not None:
+            x, i, j = cell
+            rows[x][i], rows[x][j] = rows[x][j], rows[x][i]
+        return tuple(map(tuple, rows))
+
+    return st.builds(swap, rows, st.none() | cells)
 
 
 class TestValidation:
@@ -70,6 +115,26 @@ class TestValidation:
         assert X.n == 1
         assert X.is_indecomposable
         assert X.is_simple
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(1, 7).flatmap(tables_from_a_row_pool))
+    def test_agrees_with_the_element_loop(self, t):
+        # one check per distinct row quadruple raises the same kind, witness
+        # and message as a check of every triple
+        try:
+            validate_table(t)
+            got = None
+        except InvalidCycleSet as exc:
+            got = exc.kind, exc.witness, str(exc)
+        assert got == element_loop_error(t)
+
+    def test_few_distinct_rows_validate_in_quadratic_time(self):
+        # constant rows on 1,024 points: every pair reads the same four rows,
+        # so the cycloid law is checked once, not at 10^9 triples
+        g = from_cycles(1024, PRIME_CYCLES_1024)
+        start = time.perf_counter()
+        validate_table([g] * 1024)
+        assert time.perf_counter() - start < 10
 
     def test_exhaustive_agreement_with_naive_check_n3(self):
         # validate() accepts exactly the tables passing a direct triple loop

@@ -11,6 +11,7 @@ import pytest
 from cycleset import (
     CHECKERS,
     CycleSet,
+    InvalidCycleSet,
     cycle_set,
     direct_product,
     from_cycles,
@@ -21,6 +22,7 @@ from cycleset import (
 )
 import cycleset.brace as brace_mod
 import cycleset.verify as verify_mod
+from cycleset.perm import perm_order, power, prime_part, prime_support
 from cycleset.verify import CheckerDef, hash_tables
 
 ID8 = tuple(range(8))
@@ -270,6 +272,14 @@ class TestHarness:
         verdict = run_checker("pair_map_bijective", [size2_indec.table])
         assert verdict.passed and verdict.instances == 1
 
+    def test_invalid_raw_tables_are_refused(self):
+        # rows that are not bijections make no cycle set, so no checker may
+        # report this table as a counterexample
+        with pytest.raises(InvalidCycleSet, match="row 0 is not bijective"):
+            run_all([[[0, 0], [1, 1]]])
+        with pytest.raises(InvalidCycleSet, match="row 0 is not bijective"):
+            run_checker("latin_fixed_points", [[[0, 0], [1, 1]]])
+
     def test_crashing_instance_checker_is_a_counterexample(
         self, monkeypatch, size2_indec
     ):
@@ -384,3 +394,37 @@ class TestHarness:
         # d = 2, so 1..6 name two cablings, and l = 1 is the first of them
         assert run_checker("cabling_laws", [table4], ks=range(1, 7)).passed
         assert sorted(cabling_calls) == [1, 2]
+
+
+def _partitions(n, largest=None):
+    largest = n if largest is None else largest
+    if n == 0:
+        yield ()
+    for part in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
+
+
+def _k1_by_search(T, n):
+    """The least k1 >= 1 with the primes of ord(T^k1) among those of n,
+    found by trying k1 = 1, 2, ..."""
+    k1 = 1
+    while not prime_support(perm_order(power(T, k1))) <= prime_support(n):
+        k1 += 1
+    return k1
+
+
+def test_block_bound_k1_is_the_coprime_part_of_the_squaring_order():
+    # block_bound takes k1 as the pi(n)'-part of t = ord(T), since
+    # ord(T^k) = t / gcd(t, k); it agrees with the search on every cycle
+    # type of degree 2 to 14
+    types = 0
+    for n in range(2, 15):
+        for parts in _partitions(n):
+            starts = [sum(parts[:i]) for i in range(len(parts))]
+            T = from_cycles(n, [range(s, s + p) for s, p in zip(starts, parts)])
+            t = perm_order(T)
+            k1 = prime_part(t, prime_support(t) - prime_support(n))
+            assert k1 == _k1_by_search(T, n), parts
+            types += 1
+    assert types == 506
