@@ -38,8 +38,11 @@ def analyze(X: CycleSet) -> AnalysisReport:
     """Populate every report field.
 
     Simplicity is skipped (None) above ``CONGRUENCE_MAX_N``, the size cap of
-    the congruence search.
+    the congruence search.  The group order is read first: past the group
+    cap it raises at once, before the cablings of the Dehornoy class are
+    built.
     """
+    group_order = X.perm_group.order
     return AnalysisReport(
         n=X.n,
         squaring_cycle_type=cycle_type(X.squaring_map),
@@ -50,7 +53,7 @@ def analyze(X: CycleSet) -> AnalysisReport:
         simple=X.is_simple if X.n <= CONGRUENCE_MAX_N else None,
         retractable=not X.is_irretractable,
         dehornoy_class=X.dehornoy_class(),
-        group_order=X.perm_group.order,
+        group_order=group_order,
         displacement_order=X.displacement_group.order,
         group_nilpotent=X.perm_group.is_nilpotent,
         displacement_nilpotent=X.displacement_group.is_nilpotent,

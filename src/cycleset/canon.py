@@ -28,7 +28,10 @@ once per isomorphism class rather than once per emitted table.
    of McKay) cost more than the search it saved at every census size.
    With a single cell the key is the canonical form.
 2. The public form, ``canonical_form``, is the lex-min over all relabelings;
-   the census computes it once per distinct key.
+   the census computes it once per distinct key.  Its search starts from
+   the automorphisms that stage 1 found for the first table with that key,
+   carried to the key's labels (``_carry_autos``), so it does not find them
+   again.
 
 Both stages run the same search, which polls ``cancel`` at its first node
 and then every 1,024 nodes.
@@ -41,6 +44,9 @@ from typing import Callable, Sequence
 from .perm import Perm, inverse
 
 Table = tuple[tuple[int, ...], ...]
+# automorphisms as ``_lex_min`` keeps them: each inverse map with the mask
+# of its fixed points
+Autos = list[tuple[list[int], int]]
 
 
 class SearchCancelled(RuntimeError):
@@ -60,6 +66,7 @@ def _lex_min(
     rows: Table,
     cells: Sequence[Sequence[int]],
     cancel: Callable[[], bool] | None,
+    autos: Autos | None = None,
 ) -> tuple[Perm, Table]:
     """The lex-least relabeled table over the pre-orders that give the
     points of each cell, cell after cell, consecutive labels, with its
@@ -75,7 +82,14 @@ def _lex_min(
     unlabelled point.  A leaf that ties the incumbent gives an automorphism
     g of the table; a point c is skipped at label k when some such g fixes
     pre[0..k-1] and maps a smaller candidate c' to c, since g carries the
-    subtree of c' onto that of c, leaf for leaf and table for table."""
+    subtree of c' onto that of c, leaf for leaf and table for table.
+
+    ``autos`` holds automorphisms of ``rows`` known in advance, each mapping
+    every cell onto itself, as every automorphism does with one cell or
+    with the colour cells, whose colours are invariants.  The search prunes by them
+    from its first node and appends the ones it finds.  Pruning by a real
+    automorphism cuts only pre-orders that a lex-earlier one matches table
+    for table, so the result does not depend on which are known."""
     n = len(rows)
     # the points that may take label k, as a bit mask
     masks = [sum(1 << x for x in cell) for cell in cells for _ in cell]
@@ -86,8 +100,8 @@ def _lex_min(
     label = [n] * n  # n marks an unlabelled point
     best_rho: Perm | None = None
     best_pre: list[int] = []
-    # inverses of the automorphisms found, each with the mask of its fixed points
-    autos: list[tuple[list[int], int]] = []
+    if autos is None:
+        autos = []
     nodes = 0
 
     def compare(k: int, free: int) -> int:
@@ -165,6 +179,18 @@ def _lex_min(
     return best_rho, tuple(tuple(best[i * n : (i + 1) * n]) for i in range(n))
 
 
+def _carry_autos(autos: Autos, rho: Perm) -> Autos:
+    """Automorphisms of a table carried to the table relabeled by rho: g
+    becomes h = rho g rho^-1, that is h[rho[x]] = rho[g[x]]."""
+    out = []
+    for g, _ in autos:
+        h = [0] * len(rho)
+        for x, y in enumerate(g):
+            h[rho[x]] = rho[y]
+        out.append((h, sum(1 << x for x, y in enumerate(h) if x == y)))
+    return out
+
+
 def canonical_relabeling(
     table: Sequence[Sequence[int]],
     cancel: Callable[[], bool] | None = None,
@@ -182,26 +208,43 @@ def canonical_form(
 
 def _orbit_sizes(f: Sequence[int]) -> list[int]:
     """How many points x, f(x), f(f(x)), ... visit, for each x: the length
-    of the cycle through x when f is a permutation.  Any map is allowed."""
-    out = []
+    of the cycle through x when f is a permutation.  Any map is allowed.
+    A walk that returns to its start has gone round a cycle, whose points
+    all visit just that cycle, so a permutation is walked once per cycle."""
+    size = [0] * len(f)
     for x in range(len(f)):
+        if size[x]:
+            continue
+        path = [x]
         seen = {x}
         y = f[x]
         while y not in seen:
             seen.add(y)
+            path.append(y)
             y = f[y]
-        out.append(len(seen))
-    return out
+        if y == x:
+            for z in path:
+                size[z] = len(path)
+        else:
+            size[x] = len(path)
+    return size
 
 
 def _colour_cells(rows: Table) -> list[tuple[int, ...]]:
-    """The points grouped by invariant colour, cells in increasing colour."""
+    """The points grouped by invariant colour, cells in increasing colour.
+    The colour of x is the length of its T-cycle, the cycle type of its row
+    (the sorted sizes of ``_orbit_sizes``, once per distinct row) and how
+    many y have y.x = x (counted in one pass over the table, by columns)."""
     n = len(rows)
     t_len = _orbit_sizes([rows[x][x] for x in range(n)])
+    fixing = [col.count(x) for x, col in enumerate(zip(*rows))]
+    types: dict[tuple[int, ...], tuple[int, ...]] = {}
     cells: dict[tuple, list[int]] = {}
     for x, r in enumerate(rows):
-        colour = (t_len[x], tuple(sorted(_orbit_sizes(r))), [s[x] for s in rows].count(x))
-        cells.setdefault(colour, []).append(x)
+        ty = types.get(r)
+        if ty is None:
+            ty = types[r] = tuple(sorted(_orbit_sizes(r)))
+        cells.setdefault((t_len[x], ty, fixing[x]), []).append(x)
     return [tuple(cells[c]) for c in sorted(cells)]
 
 

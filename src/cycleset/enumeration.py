@@ -27,20 +27,26 @@ all n! slices with no restriction on row 0, so it visits every valid table
 exactly once.
 
 Candidate rows are generated, not scanned.  One index, built once per
-search, lists for every cell (x, v) the permutations p with p[x] = v, and
-row d starts from the pin (d, T(d)).  Putting y = d and z = x in the
-cycloid law gives T(d.x) = (x.d).T(x), so once row x and row x.d are known,
-cell (d, x) is the point T^-1((x.d).T(x)).  These pins are intersected
-before any row is tried, so only trials that would fail anyway are skipped.
+census and shared by its slices, lists for every cell (x, v) the
+permutations p with p[x] = v, and row d starts from the pin (d, T(d)).
+Putting y = d and z = x in the cycloid law gives T(d.x) = (x.d).T(x), so
+once row x and row x.d are known, cell (d, x) is the point
+T^-1((x.d).T(x)).  These pins are intersected before any row is tried, so
+only trials that would fail anyway are skipped.
 
 Row 0 is chosen first; below it the search branches on the unknown row with
 the fewest candidates, the lowest index on ties, so the visit order is not
-lexicographic.  Every emitted table is reduced to its class key
+lexicographic.  With symmetry breaking, the cycle-type rule then filters the
+rows tried: when the row branched on is at a point of a T-cycle as long as
+0's, its candidates of greater cycle type than row 0 are dropped before any
+is placed.  The filter runs after the choice of row, so it changes neither
+that choice nor the visit order; rows forced by propagation are checked as
+they are forced.  Every emitted table is reduced to its class key
 (``canon.class_key``), a complete isomorphism invariant that is cheap to
 compute; once the search is done the full canonical form is computed once
-per distinct key, so the output is one canonical representative per
-isomorphism class, sorted, independent of the number of jobs and of
-scheduling.
+per distinct key, starting from the automorphisms found by the key search,
+so the output is one canonical representative per isomorphism class,
+sorted, independent of the number of jobs and of scheduling.
 """
 
 from __future__ import annotations
@@ -229,14 +235,16 @@ def _search(
     emit: Callable[[Table], None],
     symmetry_breaking: bool = True,
     cancel=None,
+    *,
+    cells: Sequence[Sequence[Sequence[Perm]]],
 ) -> None:
     """Backtracking core over the tables whose row x maps x to diagonal[x].
     Symmetry breaking restricts row 0 to ``_slice_first_rows`` and rejects
-    a row, when it is placed or forced, at a point of a T-cycle as long as
-    0's whose cycle type is greater than row 0's.  ``cancel`` is polled at
-    the first node and then every 512 nodes."""
-    cells = _cell_index(n)
-
+    a row at a point of a T-cycle as long as 0's whose cycle type is greater
+    than row 0's: such rows are dropped from the candidates of the row
+    branched on, and a forced row is checked when it is forced.  ``cancel``
+    is polled at the first node and then every 512 nodes.  ``cells`` is
+    ``_cell_index(n)``, which a census builds once for all its slices."""
     rows: list[Perm | None] = [None] * n
     t_inv = inverse(diagonal)
     pending: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -250,17 +258,20 @@ def _search(
     top: tuple[int, ...] = ()
     ranks: dict[Perm, tuple[int, ...]] = {}  # cycle types of rows tried at them
 
+    def rank(q: Perm) -> tuple[int, ...]:
+        r = ranks.get(q)
+        if r is None:
+            r = ranks[q] = cycle_type(q)
+        return r
+
     def force(y: int, q: Perm, trail: list, queue: list) -> bool:
         nonlocal top
         if q[y] != diagonal[y]:
             return False
         if y in eligible:
-            rank = ranks.get(q)
-            if rank is None:
-                rank = ranks[q] = cycle_type(q)
             if y == 0:
-                top = rank
-            elif rank > top:
+                top = rank(q)
+            elif rank(q) > top:
                 return False
         rows[y] = q
         trail.append((0, y))
@@ -352,6 +363,10 @@ def _search(
                     d, cands = x, c
                     if not c:
                         return
+            if d in eligible:
+                # the rows that force would reject, dropped before they are
+                # placed; the order of the rest is kept
+                cands = [p for p in cands if rank(p) <= top]
         for p in cands:
             trail: list = []
             if place(d, p, trail):
@@ -389,18 +404,28 @@ def _diagonals(
 def _census_classes(
     n: int, diagonals: Sequence[Perm], symmetry_breaking: bool, cancel
 ) -> set[Table]:
-    """Search the slices of ``diagonals``, keep the class key of each table
-    they emit, then return the canonical form of each distinct key."""
+    """Search the slices of ``diagonals`` over one cell index, keep the class
+    key of each table they emit, then return the canonical form of each
+    distinct key, its search seeded with the automorphisms that the key
+    search of the key's first table found."""
     # canon takes a plain callable, not an Event
     poll = cancel.is_set if cancel is not None else None
-    keys: set[Table] = set()
+    # each distinct key with its first table's automorphisms, carried to
+    # the key's labels
+    keys: dict[Table, canon.Autos] = {}
 
     def emit(t: Table) -> None:
-        keys.add(canon.class_key(t, cancel=poll))
+        autos: canon.Autos = []
+        rho, key = canon._lex_min(t, canon._colour_cells(t), poll, autos)
+        if key not in keys:
+            keys[key] = canon._carry_autos(autos, rho)
 
+    cells = _cell_index(n)
     for d in diagonals:
-        _search(n, d, emit, symmetry_breaking, cancel=cancel)
-    return {canon.canonical_form(k, cancel=poll) for k in keys}
+        _search(n, d, emit, symmetry_breaking, cancel=cancel, cells=cells)
+    return {
+        canon._lex_min(k, [range(n)], poll, autos)[1] for k, autos in keys.items()
+    }
 
 
 def _census_task(args: tuple) -> list[Table]:
@@ -498,8 +523,9 @@ def scan_cycle_sets(
         count += 1
         visit(t)
 
+    cells = _cell_index(n)
     for d in diagonals:
-        _search(n, d, emit, symmetry_breaking=symmetry_breaking, cancel=cancel)
+        _search(n, d, emit, symmetry_breaking, cancel=cancel, cells=cells)
     return count
 
 

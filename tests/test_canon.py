@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from cycleset.canon import (
     SearchCancelled,
     _colour_cells,
+    _lex_min,
     canonical_form,
     canonical_relabeling,
     class_key,
@@ -182,3 +183,90 @@ def test_cancel_fires_on_a_later_poll():
     with pytest.raises(SearchCancelled):
         canonical_form(t, cancel=lambda: count() or len(polls) == 2)
     assert len(polls) == 2
+
+
+def reference_colour_cells(rows):
+    """The colour cells as first written: the orbit sizes walked from every
+    point of every row, and a column built for every point."""
+
+    def orbit_sizes(f):
+        out = []
+        for x in range(len(f)):
+            seen = {x}
+            y = f[x]
+            while y not in seen:
+                seen.add(y)
+                y = f[y]
+            out.append(len(seen))
+        return out
+
+    n = len(rows)
+    t_len = orbit_sizes([rows[x][x] for x in range(n)])
+    cells = {}
+    for x, r in enumerate(rows):
+        colour = (t_len[x], tuple(sorted(orbit_sizes(r))), [s[x] for s in rows].count(x))
+        cells.setdefault(colour, []).append(x)
+    return [tuple(cells[c]) for c in sorted(cells)]
+
+
+def test_colour_cells_match_the_reference_on_census_members(censuses_small):
+    rng = random.Random(5)
+    for n, census in censuses_small.items():
+        for t in census.representatives:
+            rho = list(range(n))
+            rng.shuffle(rho)
+            for u in (t, relabel_table(t, rho)):
+                assert _colour_cells(u) == reference_colour_cells(u)
+
+
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.one_of(tables_from_few_rows(n), random_tables(n), random_maps(n))
+    )
+)
+def test_colour_cells_match_the_reference(t):
+    assert _colour_cells(t) == reference_colour_cells(t)
+
+
+def automorphisms(t):
+    """Every automorphism of t, by brute force over all relabelings."""
+    n = len(t)
+    return [
+        g
+        for g in itertools.permutations(range(n))
+        if all(t[g[x]][g[y]] == g[t[x][y]] for x in range(n) for y in range(n))
+    ]
+
+
+def seeds(autos):
+    """Automorphisms in the format of ``_lex_min``: the inverse map and the
+    mask of the fixed points."""
+    return [
+        (list(inverse(g)), sum(1 << x for x in range(len(g)) if g[x] == x))
+        for g in autos
+    ]
+
+
+def assert_seeded_exact(t, rng):
+    auts = automorphisms(t)
+    for cells in ([range(len(t))], _colour_cells(t)):
+        for chosen in (auts, [g for g in auts if rng.random() < 0.5], []):
+            known = seeds(chosen)
+            autos = list(known)
+            assert _lex_min(t, cells, None, autos) == scan_relabeling(t, cells)
+            # the seeds are read, not replaced, and what is appended is real
+            assert autos[: len(known)] == known
+            assert all(tuple(inverse(g)) in auts for g, _ in autos)
+            assert seeds(inverse(g) for g, _ in autos) == autos
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(tables_from_few_rows), st.randoms(use_true_random=False))
+def test_seeded_automorphisms_keep_the_labeling_on_repeated_rows(t, rng):
+    assert_seeded_exact(t, rng)
+
+
+def test_seeded_automorphisms_keep_the_labeling_on_census_members(censuses_small):
+    rng = random.Random(7)
+    for t in censuses_small[5].representatives:
+        assert_seeded_exact(t, rng)

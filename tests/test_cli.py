@@ -192,6 +192,23 @@ class TestAnalyze:
         assert (code, out) == (2, "")
         assert err == "error: group order exceeds cap 125000\n"
 
+    def test_group_cap_is_read_before_the_dehornoy_class(self, run, tmp_path, monkeypatch):
+        # constant rows with one cycle per prime 2..89 on 1,024 points: the
+        # group cap (10**7 entries, 9,765 elements) stops the report before
+        # the cablings of the Dehornoy class, whose squaring order is the
+        # product of those primes, are built
+        asked = []
+        monkeypatch.setattr(CycleSet, "dehornoy_class", lambda X: asked.append(X) or 1)
+        primes = [p for p in range(2, 90) if all(p % d for d in range(2, p))]
+        starts = [sum(primes[:i]) for i in range(len(primes))]
+        gamma = from_cycles(1024, [range(s, s + p) for s, p in zip(starts, primes)])
+        path = tmp_path / "primes1024.json"
+        path.write_text(dump_cycle_set(trivial_cycle_set(gamma)))
+        code, out, err = run("analyze", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: group order exceeds cap 9765\n"
+        assert asked == []
+
 
 class TestTrivial:
     def test_one_based_cycles(self, run):

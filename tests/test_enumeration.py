@@ -24,7 +24,7 @@ from cycleset import (
     scan_cycle_sets,
     size_cap,
 )
-from cycleset import enumeration
+from cycleset import canon, enumeration
 from cycleset.canon import canonical_form as canonical_table
 from cycleset.enumeration import (
     ENGINE_VERSION,
@@ -311,6 +311,42 @@ class TestScan:
         involution = from_cycles(6, [(0, 1), (2, 3), (4, 5)])
         assert scan_cycle_sets(6, lambda t: None, diagonal=involution) == 141
         assert scan_cycle_sets(6, lambda t: None, diagonal=tuple(range(6))) == 183
+
+    def test_visit_order_pinned(self):
+        # the order of the visited tables, not just their set: pruning that
+        # drops a trial which would fail anyway must leave it unchanged
+        h = hashlib.sha256()
+
+        def visit(t):
+            h.update(repr(t).encode())
+
+        for n in range(1, 6):
+            scan_cycle_sets(n, visit)
+            scan_cycle_sets(n, visit, symmetry_breaking=False)
+        scan_cycle_sets(6, visit, diagonal=from_cycles(6, [(0, 1), (2, 3), (4, 5)]))
+        assert h.hexdigest() == (
+            "28f3870122248cfcf2a2480ed494edefaa6591e61489c34ccaf962d4a0d258a2"
+        )
+
+    def test_carried_automorphisms_are_automorphisms_of_the_key(self):
+        # the census seeds the canonical search of each key with the
+        # automorphisms found by the key search of its first table, carried
+        # to the key's labels
+        tables = []
+        scan_cycle_sets(6, tables.append)
+        assert len(tables) == 1214
+        carried = 0
+        for t in tables:
+            autos = []
+            rho, key = canon._lex_min(t, canon._colour_cells(t), None, autos)
+            for (g, fixed), (h, mask) in zip(autos, canon._carry_autos(autos, rho)):
+                assert all(
+                    key[h[x]][h[y]] == h[key[x][y]] for x in range(6) for y in range(6)
+                )
+                assert mask == sum(1 << x for x in range(6) if h[x] == x)
+                assert mask == sum(1 << rho[x] for x in range(6) if fixed >> x & 1)
+                carried += 1
+        assert carried > 0
 
     def test_row_zero_outranks_the_points_of_its_cycle_length(self):
         # centralizer elements of T move any point of a T-cycle as long as
