@@ -34,7 +34,10 @@ once per isomorphism class rather than once per emitted table.
    again.
 
 Both stages run the same search, which polls ``cancel`` at its first node
-and then every 1,024 nodes.
+and then every 1,024 nodes.  What depends only on a row, its cycle type and
+its fixed points, is kept in a ``RowFacts`` table; a census keeps one for
+all its tables and both stages, since the same permutations recur as rows,
+and each standalone call makes a fresh one.
 """
 
 from __future__ import annotations
@@ -53,6 +56,16 @@ class SearchCancelled(RuntimeError):
     """Raised when a cooperative cancellation callback fires."""
 
 
+class RowFacts(dict):
+    """row -> (its cycle type, the sorted sizes of ``_orbit_sizes``; the
+    mask of its fixed points), computed on first use and kept."""
+
+    def __missing__(self, row: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+        fixed = sum(1 << x for x, y in enumerate(row) if x == y)
+        facts = self[row] = (tuple(sorted(_orbit_sizes(row))), fixed)
+        return facts
+
+
 def relabel_table(table: Sequence[Sequence[int]], rho: Sequence[int]) -> Table:
     """Relabel points of a table: entry (i, j) becomes rho[t[inv(i)][inv(j)]]."""
     inv = inverse(rho)
@@ -67,6 +80,7 @@ def _lex_min(
     cells: Sequence[Sequence[int]],
     cancel: Callable[[], bool] | None,
     autos: Autos | None = None,
+    facts: RowFacts | None = None,
 ) -> tuple[Perm, Table]:
     """The lex-least relabeled table over the pre-orders that give the
     points of each cell, cell after cell, consecutive labels, with its
@@ -89,13 +103,19 @@ def _lex_min(
     with the colour cells, whose colours are invariants.  The search prunes by them
     from its first node and appends the ones it finds.  Pruning by a real
     automorphism cuts only pre-orders that a lex-earlier one matches table
-    for table, so the result does not depend on which are known."""
+    for table, so the result does not depend on which are known.  The
+    fixed points of the rows are read from ``facts``, a fresh table when
+    it is None."""
     n = len(rows)
     # the points that may take label k, as a bit mask
-    masks = [sum(1 << x for x in cell) for cell in cells for _ in cell]
+    masks: list[int] = []
+    for cell in cells:
+        masks += [sum(1 << x for x in cell)] * len(cell)
     # every real table is lex-less than this, so the first leaf wins it
     best = [n] * (n * n)
-    fixes = [sum(1 << y for y in range(n) if r[y] == y) for r in rows]
+    if facts is None:
+        facts = RowFacts()
+    fixes = [facts[r][1] for r in rows]
     pre = [0] * n
     label = [n] * n  # n marks an unlabelled point
     best_rho: Perm | None = None
@@ -171,9 +191,12 @@ def _lex_min(
                 best = [label[rows[x][y]] for x in pre for y in pre]
             elif verdict == 0:
                 g = [0] * n
+                fixed = 0
                 for old, new in zip(best_pre, pre):
                     g[new] = old
-                autos.append((g, sum(1 << x for x in range(n) if g[x] == x)))
+                    if old == new:
+                        fixed |= 1 << new
+                autos.append((g, fixed))
         label[c] = n
         free |= bit
     return best_rho, tuple(tuple(best[i * n : (i + 1) * n]) for i in range(n))
@@ -181,13 +204,17 @@ def _lex_min(
 
 def _carry_autos(autos: Autos, rho: Perm) -> Autos:
     """Automorphisms of a table carried to the table relabeled by rho: g
-    becomes h = rho g rho^-1, that is h[rho[x]] = rho[g[x]]."""
+    becomes h = rho g rho^-1, that is h[rho[x]] = rho[g[x]], and h fixes
+    rho[x] exactly when g fixes x."""
     out = []
     for g, _ in autos:
         h = [0] * len(rho)
+        fixed = 0
         for x, y in enumerate(g):
             h[rho[x]] = rho[y]
-        out.append((h, sum(1 << x for x, y in enumerate(h) if x == y)))
+            if x == y:
+                fixed |= 1 << rho[x]
+        out.append((h, fixed))
     return out
 
 
@@ -230,21 +257,23 @@ def _orbit_sizes(f: Sequence[int]) -> list[int]:
     return size
 
 
-def _colour_cells(rows: Table) -> list[tuple[int, ...]]:
+def _colour_cells(
+    rows: Table, facts: RowFacts | None = None, t_len: Sequence[int] | None = None
+) -> list[tuple[int, ...]]:
     """The points grouped by invariant colour, cells in increasing colour.
     The colour of x is the length of its T-cycle, the cycle type of its row
-    (the sorted sizes of ``_orbit_sizes``, once per distinct row) and how
-    many y have y.x = x (counted in one pass over the table, by columns)."""
-    n = len(rows)
-    t_len = _orbit_sizes([rows[x][x] for x in range(n)])
+    (read from ``facts``) and how many y have y.x = x (counted in one pass
+    over the table, by columns).  ``t_len`` is ``_orbit_sizes`` of the
+    diagonal, which a census computes once per slice; None computes it, and
+    a None ``facts`` is a fresh table."""
+    if facts is None:
+        facts = RowFacts()
+    if t_len is None:
+        t_len = _orbit_sizes([r[x] for x, r in enumerate(rows)])
     fixing = [col.count(x) for x, col in enumerate(zip(*rows))]
-    types: dict[tuple[int, ...], tuple[int, ...]] = {}
     cells: dict[tuple, list[int]] = {}
     for x, r in enumerate(rows):
-        ty = types.get(r)
-        if ty is None:
-            ty = types[r] = tuple(sorted(_orbit_sizes(r)))
-        cells.setdefault((t_len[x], ty, fixing[x]), []).append(x)
+        cells.setdefault((t_len[x], facts[r][0], fixing[x]), []).append(x)
     return [tuple(cells[c]) for c in sorted(cells)]
 
 
@@ -256,7 +285,8 @@ def class_relabeling(
     keep the colour cells in colour order, with its relabeling.
     Cheaper than ``canonical_relabeling`` but a different table in general."""
     rows = tuple(tuple(r) for r in table)
-    return _lex_min(rows, _colour_cells(rows), cancel)
+    facts = RowFacts()
+    return _lex_min(rows, _colour_cells(rows, facts), cancel, facts=facts)
 
 
 def class_key(

@@ -407,24 +407,30 @@ def _census_classes(
     """Search the slices of ``diagonals`` over one cell index, keep the class
     key of each table they emit, then return the canonical form of each
     distinct key, its search seeded with the automorphisms that the key
-    search of the key's first table found."""
+    search of the key's first table found.  One table of row facts serves
+    every slice and both stages, and the T-cycle lengths, which every table
+    of a slice shares, are computed once per slice."""
     # canon takes a plain callable, not an Event
     poll = cancel.is_set if cancel is not None else None
     # each distinct key with its first table's automorphisms, carried to
     # the key's labels
     keys: dict[Table, canon.Autos] = {}
+    facts = canon.RowFacts()
 
     def emit(t: Table) -> None:
         autos: canon.Autos = []
-        rho, key = canon._lex_min(t, canon._colour_cells(t), poll, autos)
+        colours = canon._colour_cells(t, facts, t_len)
+        rho, key = canon._lex_min(t, colours, poll, autos, facts)
         if key not in keys:
             keys[key] = canon._carry_autos(autos, rho)
 
     cells = _cell_index(n)
     for d in diagonals:
+        t_len = canon._orbit_sizes(d)
         _search(n, d, emit, symmetry_breaking, cancel=cancel, cells=cells)
     return {
-        canon._lex_min(k, [range(n)], poll, autos)[1] for k, autos in keys.items()
+        canon._lex_min(k, [range(n)], poll, autos, facts)[1]
+        for k, autos in keys.items()
     }
 
 

@@ -4,17 +4,20 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cycleset import scan_cycle_sets
 from cycleset.canon import (
+    RowFacts,
     SearchCancelled,
     _colour_cells,
     _lex_min,
+    _orbit_sizes,
     canonical_form,
     canonical_relabeling,
     class_key,
     class_relabeling,
     relabel_table,
 )
-from cycleset.perm import inverse
+from cycleset.perm import from_cycles, inverse
 
 
 def random_tables(n):
@@ -270,3 +273,40 @@ def test_seeded_automorphisms_keep_the_labeling_on_census_members(censuses_small
     rng = random.Random(7)
     for t in censuses_small[5].representatives:
         assert_seeded_exact(t, rng)
+
+
+def assert_shared_facts_match(tables, facts):
+    """The census path, one ``RowFacts`` kept across all ``tables`` and the
+    T-cycle lengths computed once per diagonal, gives the colour cells, the
+    labelings and the automorphisms found of the standalone path."""
+    t_lens = {}
+    for t in tables:
+        n = len(t)
+        diagonal = tuple(t[x][x] for x in range(n))
+        if diagonal not in t_lens:
+            t_lens[diagonal] = _orbit_sizes(diagonal)
+        cells = _colour_cells(t, facts, t_lens[diagonal])
+        assert cells == _colour_cells(t)
+        for c in (cells, [range(n)]):
+            shared, alone = [], []
+            assert _lex_min(t, c, None, shared, facts) == _lex_min(t, c, None, alone)
+            assert shared == alone
+
+
+def test_shared_row_facts_match_the_standalone_path_on_scanned_tables():
+    tables = []
+    for n in range(1, 6):
+        scan_cycle_sets(n, tables.append)
+    for cycs in ([(0, 1), (2, 3), (4, 5)], []):
+        scan_cycle_sets(6, tables.append, diagonal=from_cycles(6, cycs))
+    assert_shared_facts_match(tables, RowFacts())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.lists(tables_from_few_rows(n), min_size=2, max_size=6)
+    )
+)
+def test_shared_row_facts_match_the_standalone_path_on_repeated_rows(tables):
+    assert_shared_facts_match(tables, RowFacts())

@@ -1,4 +1,5 @@
 import itertools
+import math
 import sys
 import time
 from dataclasses import fields
@@ -266,8 +267,6 @@ class TestCabling:
                 for k in range(1, 7):
                     if X.n % k == 0 and k > 1:
                         continue
-                    import math
-
                     if math.gcd(k, X.n) == 1:
                         assert X.cabling(k).is_indecomposable
 
@@ -308,6 +307,16 @@ class TestCabling:
         got = trivial_cycle_set(g).cabling(k).table
         assert time.perf_counter() - start < 5
         assert got == trivial_cycle_set(power(g, k)).table
+
+
+def tower_walk_class(X):
+    """Reference: the least d for which the cabling X_d has identity rows,
+    trying d = 1, 2, ... in turn."""
+    ident = identity(X.n)
+    d = 1
+    while any(row != ident for row in X.cabling(d).table):
+        d += 1
+    return d
 
 
 class TestDehornoy:
@@ -355,6 +364,26 @@ class TestDehornoy:
         start = time.perf_counter()
         assert X.dehornoy_class() == 223_092_870
         assert time.perf_counter() - start < 1
+
+    def test_one_product_per_squaring_cycle_on_1024_points(self):
+        # cycles of the primes 2..89: one product of rows per cycle takes
+        # about 0.1 s, where 176 compositions of the whole table took 12 s
+        X = trivial_cycle_set(from_cycles(1024, PRIME_CYCLES_1024))
+        start = time.perf_counter()
+        assert X.dehornoy_class() == math.prod(PRIMES_TO_89)
+        assert time.perf_counter() - start < 2
+
+    def test_class_matches_the_tower_walk_on_census_members(
+        self, censuses_small, census6
+    ):
+        for census in (*censuses_small.values(), census6):
+            for X in census.cycle_sets():
+                assert X.dehornoy_class() == tower_walk_class(X)
+
+    @given(st.integers(1, 8).flatmap(lambda n: st.permutations(range(n))))
+    def test_class_matches_the_tower_walk_on_constant_rows(self, gamma):
+        X = trivial_cycle_set(gamma)
+        assert X.dehornoy_class() == tower_walk_class(X)
 
 
 class TestCongruences:
