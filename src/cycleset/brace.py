@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .core import CycleSet, cycle_set, product_table
-from .perm import Partition, Perm, closure, compose, identity, inverse, partition
+from .perm import Partition, Perm, _compose_right, closure, identity, inverse, partition
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -80,11 +80,12 @@ def _generators(table: Table, zero: int) -> list[int]:
 def _is_associative(table: Table, gens: Iterable[int]) -> bool:
     """Light's test: the middles a with (x a) y = x (a y) for all x, y are
     closed under the product and include the identity, so it suffices that
-    every generator is one of them."""
+    every generator is one of them.  Row x s of the table must equal row x
+    composed with row s, one :func:`_compose_right` per generator."""
     for s in gens:
-        ts = table[s]
+        by_s = _compose_right(table[s])
         for row in table:
-            if table[row[s]] != tuple(map(row.__getitem__, ts)):
+            if table[row[s]] != by_s(row):
                 return False
     return True
 
@@ -126,12 +127,15 @@ def _check_group(
 def _is_linked(add: Table, circ: Table, gens: Iterable[int]) -> bool:
     """The linking axiom for z in a generating set of (B, +).  With + abelian
     it says y -> -x + x o y is additive, and the z for which it holds for
-    all x, y include zero and are closed under +."""
+    all x, y include zero and are closed under +.  As rows: (row x of +) o
+    (row x of o) o (row z of +) equals (row x o z of +) o (row x of o), with
+    one :func:`_compose_right` per row of o and per generator."""
+    by_gen = [(z, _compose_right(add[z])) for z in gens]
     for ax, cx in zip(add, circ):
-        for z in gens:
-            if tuple(map(ax.__getitem__, map(cx.__getitem__, add[z]))) != tuple(
-                map(add[cx[z]].__getitem__, cx)
-            ):
+        by_cx = _compose_right(cx)
+        axcx = by_cx(ax)
+        for z, by_z in by_gen:
+            if by_z(axcx) != by_cx(add[cx[z]]):
                 return False
     return True
 
@@ -398,24 +402,24 @@ def brace_of_cycle_set(X: CycleSet) -> GroupBrace:
     Since lambda_g sends sigma_z^-1 to sigma_{g(z)}^-1, right-multiplying
     any g by sigma_z^-1 realizes the sum g + sigma_{g(z)}^-1; a breadth-first
     spanning tree over these steps reaches every element of the group and
-    determines every sum.  Both tables are filled along that tree by lookups
-    in the right-multiplication table by the sigma_y^-1, which the search
-    computes anyway.  The result is validated in full, so an inconsistent
-    closure cannot slip through.  A group of more than
-    ``BRACE_MAX_ORDER`` elements raises BraceOrderCapExceeded before any
-    table is built.
+    determines every sum.  The search right-multiplies by each sigma_y^-1
+    through one :func:`_compose_right` per y.  Both tables are filled along
+    that tree by lookups in the right-multiplication table by the
+    sigma_y^-1, which the search computes anyway.  The result is validated
+    in full, so an inconsistent closure cannot slip through.  A group of
+    more than ``BRACE_MAX_ORDER`` elements raises BraceOrderCapExceeded
+    before any table is built.
     """
-    n = X.n
-    ident = identity(n)
-    e = tuple(inverse(row) for row in X.table)
+    ident = identity(X.n)
+    by_inv = [_compose_right(inverse(row)) for row in X.table]
     bfs = [ident]
     where = {ident: 0}
     right = []  # right[i][y]: position in bfs of bfs[i] o sigma_y^-1
     tree = []  # the spanning tree: (h, p, y) with bfs[h] = bfs[p] o sigma_y^-1
     for i, p in enumerate(bfs):
         row = []
-        for y in range(n):
-            h = compose(p, e[y])
+        for y, by_y in enumerate(by_inv):
+            h = by_y(p)
             j = where.get(h)
             if j is None:
                 if len(bfs) == BRACE_MAX_ORDER:

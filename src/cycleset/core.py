@@ -26,6 +26,7 @@ from .perm import (
     Partition,
     Perm,
     PermGroup,
+    _compose_right,
     closure,
     compose,
     cycles,
@@ -61,24 +62,31 @@ def validate_table(table: Sequence[Sequence[int]]) -> None:
     sigma_y), and bijectivity of the diagonal.  The law at (x, y) reads only
     the rows of x, y, x.y and y.x, so it is checked once per distinct
     quadruple of those rows: O(n^2 + q n) work for q distinct quadruples,
-    so tables with few distinct rows validate in quadratic time.
+    so tables with few distinct rows validate in quadratic time.  Each
+    quadruple compares its two composed rows whole, through one
+    :func:`~cycleset.perm._compose_right` per distinct row, and scans the
+    points for the witness only when they differ.
     """
     n = len(table)
     if n == 0:
         raise InvalidCycleSet("shape", None, "empty table")
+    # a row passes when its entries are ints that sort to 0..n-1 (bool is a
+    # subclass of int, but true and false are not points); only a row that
+    # fails is told apart as out of range or not bijective
+    ints, points = (int,) * n, list(range(n))
     rows = []
     for x, row in enumerate(table):
         row = tuple(row)
         if len(row) != n:
             raise InvalidCycleSet("shape", x, f"row {x} has length {len(row)}, expected {n}")
-        # bool is a subclass of int, but true and false are not points
-        if not all(type(v) is int and 0 <= v < n for v in row):
-            raise InvalidCycleSet("shape", x, f"row {x} has entries outside 0..{n - 1}")
-        if not is_permutation(row):
+        if tuple(map(type, row)) != ints or sorted(row) != points:
+            if tuple(map(type, row)) != ints or min(row) < 0 or max(row) >= n:
+                raise InvalidCycleSet("shape", x, f"row {x} has entries outside 0..{n - 1}")
             raise InvalidCycleSet("row", x, f"row {x} is not bijective")
         rows.append(row)
     row_class: dict[tuple[int, ...], int] = {}
     cls = [row_class.setdefault(row, len(row_class)) for row in rows]
+    by_class = [_compose_right(row) for row in row_class]
     # a quadruple seen before passed, or validation would have stopped there
     checked = set()
     for x in range(n):
@@ -91,14 +99,15 @@ def validate_table(table: Sequence[Sequence[int]]) -> None:
             checked.add(quad)
             left = rows[sx[y]]
             right = rows[sy[x]]
-            for z in range(n):
-                if left[sx[z]] != right[sy[z]]:
-                    raise InvalidCycleSet(
-                        "cycloid",
-                        (x, y, z),
-                        f"cycloid law fails at ({x}, {y}, {z}): "
-                        f"{left[sx[z]]} != {right[sy[z]]}",
-                    )
+            if by_class[cls[x]](left) == by_class[cls[y]](right):
+                continue
+            z = next(z for z in range(n) if left[sx[z]] != right[sy[z]])
+            raise InvalidCycleSet(
+                "cycloid",
+                (x, y, z),
+                f"cycloid law fails at ({x}, {y}, {z}): "
+                f"{left[sx[z]]} != {right[sy[z]]}",
+            )
     diag = tuple(rows[x][x] for x in range(n))
     if not is_permutation(diag):
         raise InvalidCycleSet("degenerate", diag, "diagonal is not bijective")
@@ -147,9 +156,10 @@ class CycleSet:
     @cached_property
     def displacement_group(self) -> PermGroup:
         """Dis(X), generated by the sigma_x sigma_0^-1, since every
-        sigma_x sigma_y^-1 is (sigma_x sigma_0^-1)(sigma_y sigma_0^-1)^-1."""
-        s0 = inverse(self.table[0])
-        gens = {compose(row, s0) for row in self.table} - {identity(self.n)}
+        sigma_x sigma_y^-1 is (sigma_x sigma_0^-1)(sigma_y sigma_0^-1)^-1;
+        they take one :func:`~cycleset.perm._compose_right` by sigma_0^-1."""
+        by_s0 = _compose_right(inverse(self.table[0]))
+        gens = set(map(by_s0, self.table)) - {identity(self.n)}
         return generate(sorted(gens) or [identity(self.n)])
 
     @property

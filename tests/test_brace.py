@@ -45,6 +45,10 @@ class TestValidation:
             left_brace(comp, comp)
         assert exc.value.kind == "not_abelian_group"
 
+    def test_one_element(self):
+        B = left_brace([[0]], [[0]])
+        assert (B.n, B.zero, B.neg, B.inv) == (1, 0, (0,), (0,))
+
     def test_rejects_boolean_entries(self):
         # bool is a subclass of int; Z/2 written with false and true
         add = [[False, True], [True, False]]
@@ -316,6 +320,11 @@ class TestProducts:
 
 
 class TestBraceOfCycleSet:
+    def test_size1(self):
+        gb = brace_of_cycle_set(cycle_set([[0]]))
+        assert gb.elements == ((0,),)
+        assert (gb.brace.add, gb.brace.circ) == (((0,),), ((0,),))
+
     def test_size2(self, size2_indec):
         gb = brace_of_cycle_set(size2_indec)
         assert gb.brace.n == 2

@@ -107,6 +107,34 @@ class TestValidation:
         with pytest.raises(InvalidCycleSet):
             validate_table(((0, 2), (1, 0)))
 
+    @pytest.mark.parametrize("entry", [True, False, 1.0, 0.5, "1", None, -1, 3, 10**20])
+    def test_entries_that_are_not_points(self, entry):
+        # any entry of row 1 that is not an int in 0..2 names that row
+        with pytest.raises(InvalidCycleSet) as exc:
+            validate_table(((0, 1, 2), (0, entry, 2), (0, 1, 2)))
+        assert (exc.value.kind, exc.value.witness) == ("shape", 1)
+        assert str(exc.value) == "row 1 has entries outside 0..2"
+
+    @pytest.mark.parametrize(
+        "table, error",
+        [
+            (((0,),), None),
+            (((1, 0), (1, 0)), None),
+            (((0, 1), (0, 1)), None),
+            (((1, 0), (0, 1)), ("cycloid", (0, 1, 0), "cycloid law fails at (0, 1, 0): 0 != 1")),
+            (((0, 1), (1, 0)), ("cycloid", (0, 1, 0), "cycloid law fails at (0, 1, 0): 1 != 0")),
+            (((0, 0), (0, 1)), ("row", 0, "row 0 is not bijective")),
+            (((1,),), ("shape", 0, "row 0 has entries outside 0..0")),
+        ],
+    )
+    def test_sizes_1_and_2(self, table, error):
+        try:
+            validate_table(table)
+            got = None
+        except InvalidCycleSet as exc:
+            got = exc.kind, exc.witness, str(exc)
+        assert got == error
+
     def test_empty_rejected(self):
         with pytest.raises(InvalidCycleSet):
             validate_table(())

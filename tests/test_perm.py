@@ -2,11 +2,12 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cycleset.perm import (
     Partition,
     PermGroup,
+    _compose_right,
     compose,
     cycle_type,
     cycles,
@@ -43,6 +44,16 @@ def test_compose_applies_right_factor_first():
     b = (0, 2, 1)
     assert compose(a, b) == (1, 2, 0)
     assert compose(b, a) == (2, 0, 1)
+
+
+@given(
+    st.integers(0, 7).flatmap(
+        lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))
+    )
+)
+def test_compose_right_matches_compose(pair):
+    a, b = map(tuple, pair)
+    assert _compose_right(b)(a) == compose(a, b)
 
 
 @given(perms)
@@ -118,7 +129,38 @@ def _nilpotency_test_groups(censuses):
     return groups + nilpotent + not_nilpotent
 
 
+def plain_closure(gens, n):
+    """Every product of generators: the identity and the generators, closed
+    under composition until nothing new appears."""
+    els = {identity(n), *gens}
+    while True:
+        grown = els | {compose(a, b) for a in els for b in gens}
+        if grown == els:
+            return tuple(sorted(els))
+        els = grown
+
+
+# generator lists of degree 0..7, often holding the identity, whose first
+# generator is always repeated
+generator_lists = st.integers(0, 7).flatmap(
+    lambda n: st.lists(
+        st.permutations(range(n)).map(tuple) | st.just(tuple(range(n))),
+        min_size=1,
+        max_size=4,
+    ).map(lambda gens: gens + gens[:1])
+)
+
+
 class TestPermGroup:
+    def test_degrees_0_and_1(self):
+        assert generate([()]).elements == ((),)
+        assert generate([(0,)]).elements == ((0,),)
+
+    @settings(max_examples=200, deadline=None)
+    @given(generator_lists)
+    def test_elements_match_a_plain_closure(self, gens):
+        assert generate(gens).elements == plain_closure(gens, len(gens[0]))
+
     def test_cyclic(self):
         g = generate([(1, 2, 3, 4, 0)])
         assert g.order == 5
