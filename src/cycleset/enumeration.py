@@ -51,13 +51,15 @@ sorted, independent of the number of jobs and of scheduling.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import multiprocessing
+import multiprocessing.connection
 import os
 import time
 from dataclasses import dataclass, field, fields
 from itertools import permutations, product
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import canon
 from .canon import SearchCancelled
@@ -436,9 +438,74 @@ def _census_classes(
 
 def _census_task(args: tuple) -> list[Table]:
     """The classes of one slice, the pool's unit of work.  It takes no
-    cancel event: the pool stops its workers by terminating them."""
+    cancel event: the pool stops its workers by killing them."""
     n, diagonal, symmetry_breaking = args
     return sorted(_census_classes(n, (diagonal,), symmetry_breaking, None))
+
+
+def _worker(conn) -> None:
+    """Run the tasks that arrive on ``conn`` until the pool kills the
+    worker, answering each with (True, its classes) or (False, the
+    exception it raised)."""
+    while True:
+        task = conn.recv()
+        try:
+            reply = True, _census_task(task)
+        except Exception as exc:
+            reply = False, exc
+        conn.send(reply)
+
+
+def _pool_results(tasks: Sequence[tuple], processes: int, cancel) -> Iterator[list[Table]]:
+    """Yield the results of ``tasks`` as ``processes`` worker processes
+    finish them.  Tasks are handed out in order, each to the next free
+    worker, and ``cancel`` is polled every 0.1 s while no result arrives.
+    Every worker talks to the caller over its own pipe and shares no lock,
+    so killing one mid-reply cannot block the caller, as it can with a
+    ``multiprocessing.Pool``, whose workers share one result queue and its
+    lock; a worker that exits without a reply raises.  Closing the
+    generator kills and joins the workers, whether the tasks are done,
+    cancelled or interrupted, or one raised."""
+    pending = iter(tasks)
+    workers = {}
+    try:
+        for _ in range(processes):
+            conn, child = multiprocessing.Pipe()
+            proc = multiprocessing.Process(target=_worker, args=(child,), daemon=True)
+            proc.start()
+            child.close()
+            workers[conn] = proc
+        busy = 0
+        for conn in workers:
+            task = next(pending, None)
+            if task is not None:
+                conn.send(task)
+                busy += 1
+        while busy:
+            if cancel is not None and cancel.is_set():
+                raise SearchCancelled
+            for conn in multiprocessing.connection.wait(list(workers), timeout=0.1):
+                try:
+                    ok, result = conn.recv()
+                except EOFError:
+                    proc = workers[conn]
+                    proc.join(1)  # the pipe closes just before the exit code is set
+                    raise RuntimeError(
+                        f"a census worker exited with code {proc.exitcode}"
+                    ) from None
+                if not ok:
+                    raise result
+                busy -= 1
+                task = next(pending, None)
+                if task is not None:
+                    conn.send(task)
+                    busy += 1
+                yield result
+    finally:
+        for conn, proc in workers.items():
+            proc.kill()
+            proc.join()
+            conn.close()
 
 
 def enumerate_cycle_sets(
@@ -458,8 +525,8 @@ def enumerate_cycle_sets(
     for.  Every task passes ``symmetry_breaking`` through, so without it the
     pool path is the unbroken search too.  Setting ``cancel`` raises
     ``SearchCancelled`` at the next poll of the search, or within about
-    0.1 s on the pool path.  The pool's workers are terminated when it
-    returns or raises, so no worker outlives the call."""
+    0.1 s on the pool path.  The pool's workers are killed when it returns
+    or raises, so no worker outlives the call (see ``_pool_results``)."""
     filt = filt or EnumerationFilter()
     start = time.monotonic()
     diagonals = _diagonals(n, symmetry_breaking, diagonal)
@@ -471,19 +538,12 @@ def enumerate_cycle_sets(
         # costliest, so they go first and the small slices fill in beside
         # them
         tasks = [(n, d, symmetry_breaking) for d in reversed(diagonals)]
-        # leaving the with block terminates the workers, whether the census
-        # is done, cancelled or interrupted, or a task raised
-        with multiprocessing.Pool(min(jobs, len(tasks), os.cpu_count() or 1)) as pool:
-            results = pool.imap_unordered(_census_task, tasks)
-            merged = 0
-            while merged < len(tasks):
-                if cancel is not None and cancel.is_set():
-                    raise SearchCancelled
-                try:
-                    canon_set.update(results.next(timeout=0.1))
-                except multiprocessing.TimeoutError:
-                    continue
-                merged += 1
+        processes = min(jobs, len(tasks), os.cpu_count() or 1)
+        # leaving the with block kills the workers, whether the census is
+        # done, cancelled or interrupted, or a task raised
+        with contextlib.closing(_pool_results(tasks, processes, cancel)) as results:
+            for merged, classes in enumerate(results, 1):
+                canon_set.update(classes)
                 if progress is not None:
                     progress(f"task {merged}/{len(tasks)} merged")
 

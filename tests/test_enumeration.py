@@ -3,7 +3,7 @@ filters, determinism, and the size cap."""
 
 import hashlib
 import multiprocessing
-import multiprocessing.pool
+import os
 import threading
 import time
 from collections import Counter
@@ -150,16 +150,16 @@ class TestWorkSplitting:
         assert multiprocessing.active_children() == []
 
     def test_pool_size_is_bounded_by_tasks(self, monkeypatch):
-        # the pool forks all its workers when it is built, so a huge jobs
-        # must not reach it; the spy builds a real pool of at most 2
+        # the pool forks all its workers when it starts, so a huge jobs
+        # must not reach it; the spy runs a real pool of at most 2
         asked = []
+        pool_results = enumeration._pool_results
 
-        class Spy(multiprocessing.pool.Pool):
-            def __init__(self, processes):
-                asked.append(processes)
-                super().__init__(min(processes, 2))
+        def spy(tasks, processes, cancel):
+            asked.append(processes)
+            return pool_results(tasks, min(processes, 2), cancel)
 
-        monkeypatch.setattr(multiprocessing, "Pool", Spy)
+        monkeypatch.setattr(enumeration, "_pool_results", spy)
         census = enumerate_cycle_sets(5, jobs=10**6)
         assert len(asked) == 1 and 1 <= asked[0] <= 7
         assert _sha256(census) == CENSUS5_SHA256
@@ -169,13 +169,13 @@ class TestWorkSplitting:
         # the costliest, so they must not wait behind the small slices for
         # a free worker
         tasks = []
+        pool_results = enumeration._pool_results
 
-        class Spy(multiprocessing.pool.Pool):
-            def imap_unordered(self, func, iterable, chunksize=1):
-                tasks.extend(iterable)
-                return super().imap_unordered(func, tasks, chunksize)
+        def spy(iterable, processes, cancel):
+            tasks.extend(iterable)
+            return pool_results(tasks, processes, cancel)
 
-        monkeypatch.setattr(multiprocessing, "Pool", Spy)
+        monkeypatch.setattr(enumeration, "_pool_results", spy)
         census = enumerate_cycle_sets(4, jobs=2)
         assert tasks[0] == (4, (0, 1, 2, 3), True)
         assert len(tasks) == 5 and census.count == 23
@@ -187,6 +187,30 @@ class TestWorkSplitting:
     def test_task_error_propagates_and_leaves_no_workers(self, monkeypatch):
         monkeypatch.setattr(enumeration, "_search", _failing_search)
         with pytest.raises(RuntimeError, match="slice failed"):
+            enumerate_cycle_sets(5, jobs=2)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched search reaches the workers only when they are forked",
+    )
+    def test_repeated_task_errors_never_hang(self, monkeypatch):
+        # killing a worker mid-reply cannot leave a lock held: on a
+        # multiprocessing.Pool, whose workers share one result queue, this
+        # loop hung within a few hundred rounds
+        monkeypatch.setattr(enumeration, "_search", _failing_search)
+        for _ in range(200):
+            with pytest.raises(RuntimeError, match="slice failed"):
+                enumerate_cycle_sets(5, jobs=2)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched task reaches the workers only when they are forked",
+    )
+    def test_worker_exit_raises_instead_of_waiting(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "_census_task", lambda task: os._exit(3))
+        with pytest.raises(RuntimeError, match="exited with code 3"):
             enumerate_cycle_sets(5, jobs=2)
         assert multiprocessing.active_children() == []
 
