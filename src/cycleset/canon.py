@@ -34,17 +34,18 @@ once per isomorphism class rather than once per emitted table.
    again.
 
 Both stages run the same search, which polls ``cancel`` at its first node
-and then every 1,024 nodes.  What depends only on a row, its cycle type and
-its fixed points, is kept in a ``RowFacts`` table; a census keeps one for
-all its tables and both stages, since the same permutations recur as rows,
-and each standalone call makes a fresh one.
+and then every 1,024 nodes.  What depends only on a permutation, the
+length of the cycle through each point, its cycle type and its fixed
+points, is kept in a ``RowFacts`` table.  A census keeps one for its search
+and both stages, since the same permutations recur as rows and as squaring
+maps, and each standalone call makes a fresh one.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .perm import Perm, inverse
+from .perm import Perm, _orbit_sizes, inverse
 
 Table = tuple[tuple[int, ...], ...]
 # automorphisms as ``_lex_min`` keeps them: each inverse map with the mask
@@ -57,12 +58,16 @@ class SearchCancelled(RuntimeError):
 
 
 class RowFacts(dict):
-    """row -> (its cycle type, the sorted sizes of ``_orbit_sizes``; the
-    mask of its fixed points), computed on first use and kept."""
+    """row -> (the length of the cycle through each point, ``_orbit_sizes``;
+    those lengths in descending order, its cycle type spelt out point by
+    point, which orders the cycle types of one degree as ``cycle_type``
+    does; the mask of its fixed points), computed on first use and kept."""
 
-    def __missing__(self, row: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-        fixed = sum(1 << x for x, y in enumerate(row) if x == y)
-        facts = self[row] = (tuple(sorted(_orbit_sizes(row))), fixed)
+    def __missing__(self, row: Perm) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+        sizes = _orbit_sizes(row)
+        # only a fixed point walks a path of one point
+        fixed = sum(1 << x for x, s in enumerate(sizes) if s == 1)
+        facts = self[row] = (tuple(sizes), tuple(sorted(sizes, reverse=True)), fixed)
         return facts
 
 
@@ -115,7 +120,7 @@ def _lex_min(
     best = [n] * (n * n)
     if facts is None:
         facts = RowFacts()
-    fixes = [facts[r][1] for r in rows]
+    fixes = [facts[r][2] for r in rows]
     pre = [0] * n
     label = [n] * n  # n marks an unlabelled point
     best_rho: Perm | None = None
@@ -233,47 +238,20 @@ def canonical_form(
     return canonical_relabeling(table, cancel)[1]
 
 
-def _orbit_sizes(f: Sequence[int]) -> list[int]:
-    """How many points x, f(x), f(f(x)), ... visit, for each x: the length
-    of the cycle through x when f is a permutation.  Any map is allowed.
-    A walk that returns to its start has gone round a cycle, whose points
-    all visit just that cycle, so a permutation is walked once per cycle."""
-    size = [0] * len(f)
-    for x in range(len(f)):
-        if size[x]:
-            continue
-        path = [x]
-        seen = {x}
-        y = f[x]
-        while y not in seen:
-            seen.add(y)
-            path.append(y)
-            y = f[y]
-        if y == x:
-            for z in path:
-                size[z] = len(path)
-        else:
-            size[x] = len(path)
-    return size
-
-
-def _colour_cells(
-    rows: Table, facts: RowFacts | None = None, t_len: Sequence[int] | None = None
-) -> list[tuple[int, ...]]:
+def _colour_cells(rows: Table, facts: RowFacts | None = None) -> list[tuple[int, ...]]:
     """The points grouped by invariant colour, cells in increasing colour.
-    The colour of x is the length of its T-cycle, the cycle type of its row
-    (read from ``facts``) and how many y have y.x = x (counted in one pass
-    over the table, by columns).  ``t_len`` is ``_orbit_sizes`` of the
-    diagonal, which a census computes once per slice; None computes it, and
-    a None ``facts`` is a fresh table."""
+    The colour of x is the length of its T-cycle, ``facts[T][0][x]`` for
+    the diagonal T; the cycle type of its row r, ``facts[r][1]``; and how
+    many y have y.x = x, counted in one pass over the table, by columns.
+    A census passes the table its search keeps, so the facts of T, shared
+    by every table of a slice, are computed once; None makes a fresh one."""
     if facts is None:
         facts = RowFacts()
-    if t_len is None:
-        t_len = _orbit_sizes([r[x] for x, r in enumerate(rows)])
+    t_len = facts[tuple(r[x] for x, r in enumerate(rows))][0]
     fixing = [col.count(x) for x, col in enumerate(zip(*rows))]
     cells: dict[tuple, list[int]] = {}
     for x, r in enumerate(rows):
-        cells.setdefault((t_len[x], facts[r][0], fixing[x]), []).append(x)
+        cells.setdefault((t_len[x], facts[r][1], fixing[x]), []).append(x)
     return [tuple(cells[c]) for c in sorted(cells)]
 
 

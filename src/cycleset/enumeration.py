@@ -24,7 +24,8 @@ symmetry-breaking scheme; it changes only speed, never the set of
 canonical forms, and is cross-checked against the unbroken search and the
 brute-force oracle.  Without symmetry breaking the search is the union of
 all n! slices with no restriction on row 0, so it visits every valid table
-exactly once.
+exactly once.  The cycle types and T's cycle lengths are read from the
+census's ``canon.RowFacts``, the table its class keys read too.
 
 Candidate rows are generated, not scanned.  One index, built once per
 census and shared by its slices, lists for every cell (x, v) the
@@ -64,7 +65,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from . import canon
 from .canon import SearchCancelled
 from .core import CycleSet, Table, cycle_set
-from .perm import Perm, cycle_type, cycles, from_cycles, inverse, is_permutation
+from .perm import Perm, cycle_type, from_cycles, inverse, is_permutation
 
 ENGINE_VERSION = "cycleset-enum/1"
 DEFAULT_MAX_N = 8
@@ -239,6 +240,7 @@ def _search(
     cancel=None,
     *,
     cells: Sequence[Sequence[Sequence[Perm]]],
+    facts: canon.RowFacts,
 ) -> None:
     """Backtracking core over the tables whose row x maps x to diagonal[x].
     Symmetry breaking restricts row 0 to ``_slice_first_rows`` and rejects
@@ -246,25 +248,19 @@ def _search(
     than row 0's: such rows are dropped from the candidates of the row
     branched on, and a forced row is checked when it is forced.  ``cancel``
     is polled at the first node and then every 512 nodes.  ``cells`` is
-    ``_cell_index(n)``, which a census builds once for all its slices."""
+    ``_cell_index(n)`` and ``facts``, where cycle types and T's cycle
+    lengths are read, a ``canon.RowFacts``; a census keeps one of each."""
     rows: list[Perm | None] = [None] * n
     t_inv = inverse(diagonal)
     pending: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     nodes = 0
     # the points on T-cycles as long as 0's: the centralizer of T moves any
     # of them to 0, so with symmetry breaking no row of theirs outranks row 0
-    length = {x: len(c) for c in cycles(diagonal) for x in c}
+    length = facts[diagonal][0]
     eligible = set()
     if symmetry_breaking:
         eligible = {x for x in range(n) if length[x] == length[0]}
     top: tuple[int, ...] = ()
-    ranks: dict[Perm, tuple[int, ...]] = {}  # cycle types of rows tried at them
-
-    def rank(q: Perm) -> tuple[int, ...]:
-        r = ranks.get(q)
-        if r is None:
-            r = ranks[q] = cycle_type(q)
-        return r
 
     def force(y: int, q: Perm, trail: list, queue: list) -> bool:
         nonlocal top
@@ -272,8 +268,8 @@ def _search(
             return False
         if y in eligible:
             if y == 0:
-                top = rank(q)
-            elif rank(q) > top:
+                top = facts[q][1]
+            elif facts[q][1] > top:
                 return False
         rows[y] = q
         trail.append((0, y))
@@ -368,7 +364,7 @@ def _search(
             if d in eligible:
                 # the rows that force would reject, dropped before they are
                 # placed; the order of the rest is kept
-                cands = [p for p in cands if rank(p) <= top]
+                cands = [p for p in cands if facts[p][1] <= top]
         for p in cands:
             trail: list = []
             if place(d, p, trail):
@@ -410,8 +406,8 @@ def _census_classes(
     key of each table they emit, then return the canonical form of each
     distinct key, its search seeded with the automorphisms that the key
     search of the key's first table found.  One table of row facts serves
-    every slice and both stages, and the T-cycle lengths, which every table
-    of a slice shares, are computed once per slice."""
+    the search of every slice and both stages; it holds the T-cycle lengths
+    of each slice's diagonal too, so they are computed once."""
     # canon takes a plain callable, not an Event
     poll = cancel.is_set if cancel is not None else None
     # each distinct key with its first table's automorphisms, carried to
@@ -421,42 +417,35 @@ def _census_classes(
 
     def emit(t: Table) -> None:
         autos: canon.Autos = []
-        colours = canon._colour_cells(t, facts, t_len)
+        colours = canon._colour_cells(t, facts)
         rho, key = canon._lex_min(t, colours, poll, autos, facts)
         if key not in keys:
             keys[key] = canon._carry_autos(autos, rho)
 
     cells = _cell_index(n)
     for d in diagonals:
-        t_len = canon._orbit_sizes(d)
-        _search(n, d, emit, symmetry_breaking, cancel=cancel, cells=cells)
+        _search(n, d, emit, symmetry_breaking, cancel=cancel, cells=cells, facts=facts)
     return {
         canon._lex_min(k, [range(n)], poll, autos, facts)[1]
         for k, autos in keys.items()
     }
 
 
-def _census_task(args: tuple) -> list[Table]:
-    """The classes of one slice, the pool's unit of work.  It takes no
-    cancel event: the pool stops its workers by killing them."""
-    n, diagonal, symmetry_breaking = args
-    return sorted(_census_classes(n, (diagonal,), symmetry_breaking, None))
-
-
 def _worker(conn) -> None:
     """Run the tasks that arrive on ``conn`` until the pool kills the
     worker, answering each with (True, its classes) or (False, the
-    exception it raised)."""
+    exception it raised).  A task (n, diagonal, symmetry_breaking) is one
+    slice; it takes no cancel event, as the pool kills its workers."""
     while True:
-        task = conn.recv()
+        n, diagonal, symmetry_breaking = conn.recv()
         try:
-            reply = True, _census_task(task)
+            reply = True, _census_classes(n, (diagonal,), symmetry_breaking, None)
         except Exception as exc:
             reply = False, exc
         conn.send(reply)
 
 
-def _pool_results(tasks: Sequence[tuple], processes: int, cancel) -> Iterator[list[Table]]:
+def _pool_results(tasks: Sequence[tuple], processes: int, cancel) -> Iterator[set[Table]]:
     """Yield the results of ``tasks`` as ``processes`` worker processes
     finish them.  Tasks are handed out in order, each to the next free
     worker, and ``cancel`` is polled every 0.1 s while no result arrives.
@@ -590,8 +579,9 @@ def scan_cycle_sets(
         visit(t)
 
     cells = _cell_index(n)
+    facts = canon.RowFacts()
     for d in diagonals:
-        _search(n, d, emit, symmetry_breaking, cancel=cancel, cells=cells)
+        _search(n, d, emit, symmetry_breaking, cancel=cancel, cells=cells, facts=facts)
     return count
 
 

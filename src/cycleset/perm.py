@@ -120,6 +120,36 @@ def cycles(p: Sequence[int]) -> list[tuple[int, ...]]:
     return out
 
 
+def _orbit_sizes(f: Sequence[int]) -> list[int]:
+    """How many points x, f(x), f(f(x)), ... visit, for each x: the length
+    of the cycle through x when f is a permutation.  Any map is allowed.
+    A walk that returns to its start has gone round a cycle, whose points
+    all visit just that cycle, so a permutation is walked once per cycle.
+
+    >>> _orbit_sizes((1, 0, 3, 4, 2))
+    [2, 2, 3, 3, 3]
+    >>> _orbit_sizes((1, 1))
+    [2, 1]
+    """
+    size = [0] * len(f)
+    for x in range(len(f)):
+        if size[x]:
+            continue
+        path = [x]
+        seen = {x}
+        y = f[x]
+        while y not in seen:
+            seen.add(y)
+            path.append(y)
+            y = f[y]
+        if y == x:
+            for z in path:
+                size[z] = len(path)
+        else:
+            size[x] = len(path)
+    return size
+
+
 def cycle_type(p: Sequence[int]) -> tuple[int, ...]:
     """Multiset of cycle lengths, sorted in decreasing order.
 
@@ -393,8 +423,9 @@ class PermGroup:
         """A finite group is nilpotent exactly when every Sylow subgroup is
         normal, that is, when for each prime p dividing |G| the elements of
         p-power order number exactly the p-part of |G|: two distinct Sylow
-        p-subgroups would hold more between them."""
-        orders = Counter(perm_order(g) for g in self.elements)
+        p-subgroups would hold more between them.  The elements need no
+        permutation check, so their orders skip ``perm_order``."""
+        orders = Counter(math.lcm(*_orbit_sizes(g)) for g in self.elements)
         support = {k: prime_support(k) for k in orders}
         n = self.order
         for p in prime_support(n):

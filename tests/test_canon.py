@@ -10,14 +10,14 @@ from cycleset.canon import (
     SearchCancelled,
     _colour_cells,
     _lex_min,
-    _orbit_sizes,
     canonical_form,
     canonical_relabeling,
     class_key,
     class_relabeling,
     relabel_table,
 )
-from cycleset.perm import from_cycles, inverse
+from cycleset.enumeration import _normal_forms
+from cycleset.perm import cycle_type, cycles, fixed_points, from_cycles, inverse
 
 
 def random_tables(n):
@@ -190,7 +190,8 @@ def test_cancel_fires_on_a_later_poll():
 
 def reference_colour_cells(rows):
     """The colour cells as first written: the orbit sizes walked from every
-    point of every row, and a column built for every point."""
+    point of every row, and a column built for every point.  A row's sizes
+    are taken in descending order, as ``RowFacts`` keys them."""
 
     def orbit_sizes(f):
         out = []
@@ -207,9 +208,38 @@ def reference_colour_cells(rows):
     t_len = orbit_sizes([rows[x][x] for x in range(n)])
     cells = {}
     for x, r in enumerate(rows):
-        colour = (t_len[x], tuple(sorted(orbit_sizes(r))), [s[x] for s in rows].count(x))
+        colour = (
+            t_len[x],
+            tuple(sorted(orbit_sizes(r), reverse=True)),
+            [s[x] for s in rows].count(x),
+        )
         cells.setdefault(colour, []).append(x)
     return [tuple(cells[c]) for c in sorted(cells)]
+
+
+def test_row_facts_spell_out_the_cycle_type():
+    # the cycle-type key is the cycle type with each part written once per
+    # point of its cycles, beside the per-point lengths and the fixed points
+    facts = RowFacts()
+    for n in range(7):
+        for p in itertools.permutations(range(n)):
+            length = {x: len(c) for c in cycles(p) for x in c}
+            assert facts[p] == (
+                tuple(length[x] for x in range(n)),
+                tuple(k for k in cycle_type(p) for _ in range(k)),
+                sum(1 << x for x in fixed_points(p)),
+            )
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_row_facts_order_cycle_types_as_cycle_type_does(n):
+    # the search compares the keys of rows where it compared cycle types,
+    # so its visit order rests on the two orders being the same
+    facts = RowFacts()
+    forms = _normal_forms(n)
+    for a, b in itertools.product(forms, repeat=2):
+        assert (facts[a][1] < facts[b][1]) == (cycle_type(a) < cycle_type(b))
+        assert (facts[a][1] == facts[b][1]) == (cycle_type(a) == cycle_type(b))
 
 
 def test_colour_cells_match_the_reference_on_census_members(censuses_small):
@@ -276,16 +306,12 @@ def test_seeded_automorphisms_keep_the_labeling_on_census_members(censuses_small
 
 
 def assert_shared_facts_match(tables, facts):
-    """The census path, one ``RowFacts`` kept across all ``tables`` and the
-    T-cycle lengths computed once per diagonal, gives the colour cells, the
+    """The census path, one ``RowFacts`` kept across all ``tables``, for
+    their rows and their diagonals alike, gives the colour cells, the
     labelings and the automorphisms found of the standalone path."""
-    t_lens = {}
     for t in tables:
         n = len(t)
-        diagonal = tuple(t[x][x] for x in range(n))
-        if diagonal not in t_lens:
-            t_lens[diagonal] = _orbit_sizes(diagonal)
-        cells = _colour_cells(t, facts, t_lens[diagonal])
+        cells = _colour_cells(t, facts)
         assert cells == _colour_cells(t)
         for c in (cells, [range(n)]):
             shared, alone = [], []

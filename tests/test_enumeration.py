@@ -29,7 +29,7 @@ from cycleset.canon import canonical_form as canonical_table
 from cycleset.enumeration import (
     ENGINE_VERSION,
     _cell_index,
-    _census_task,
+    _census_classes,
     _diagonals,
     _naive_valid,
     _normal_forms,
@@ -119,7 +119,8 @@ class TestFirstRowRepresentatives:
 
 
 class TestWorkSplitting:
-    # the pool runs one _census_task per slice, the diagonals of _diagonals
+    # each pool worker runs _census_classes on one slice, the diagonals of
+    # _diagonals
 
     def test_zero_depth_is_one_task_per_slice(self):
         diag = from_cycles(4, [(0, 1)])
@@ -132,13 +133,15 @@ class TestWorkSplitting:
             assert len(diagonals) == (5 if broken else 24)
             merged = set()
             for diag in diagonals:
-                merged.update(_census_task((4, diag, broken)))
+                merged.update(_census_classes(4, (diag,), broken, None))
             assert tuple(sorted(merged)) == censuses_small[4].representatives
 
     def test_parallel_census_canonicalizes_each_class_once(self, censuses_small):
         # slices hold disjoint classes, so the task results add up to the
         # class count: no class is canonicalized twice
-        results = [_census_task((5, d, True)) for d in _diagonals(5, True, None)]
+        results = [
+            _census_classes(5, (d,), True, None) for d in _diagonals(5, True, None)
+        ]
         assert sum(len(r) for r in results) == 88
         assert set().union(*results) == set(censuses_small[5].representatives)
 
@@ -209,7 +212,7 @@ class TestWorkSplitting:
         reason="the patched task reaches the workers only when they are forked",
     )
     def test_worker_exit_raises_instead_of_waiting(self, monkeypatch):
-        monkeypatch.setattr(enumeration, "_census_task", lambda task: os._exit(3))
+        monkeypatch.setattr(enumeration, "_census_classes", lambda *args: os._exit(3))
         with pytest.raises(RuntimeError, match="exited with code 3"):
             enumerate_cycle_sets(5, jobs=2)
         assert multiprocessing.active_children() == []
