@@ -15,11 +15,18 @@ only tables whose row 0 has the greatest cycle type (a descending tuple,
 compared lexicographically) among the rows of the points whose T-cycle is
 as long as 0's, and restricts row 0 to ``_slice_first_rows``: one
 representative per conjugation orbit of the relabelings that fix point 0
-and commute with T.  Both rules lose no class.  The centralizer of T moves
-any point of a T-cycle as long as 0's to 0, so any table of the slice can
-be relabeled, inside the slice, to put the point with the greatest row
-cycle type at 0; relabeling by the stabilizer of 0 then canonicalizes row
-0 without changing any row's cycle type.  This is the only
+and commute with T.  A tie of cycle type goes to the point with the most y
+such that y.x = x.  Below row 0 the residual group, the relabelings that
+fix 0, commute with T and keep every row branched on in place, is used the
+same way: of the candidates for the next row d, only the first of each
+orbit of the elements that fix d is tried.  These rules lose no class.
+The centralizer of T moves any point of a T-cycle as long as 0's to 0, so
+any table of the slice can be relabeled, inside the slice, to put the
+point with the greatest (row cycle type, fixing count) at 0; relabeling by
+the stabilizer of 0 then canonicalizes row 0 without changing either, and
+an element of the residual group that fixes d carries every completion
+with the one candidate at d onto an isomorphic completion with the other
+(the orbit pruning of McKay, 1981, applied to rows).  This is the only
 symmetry-breaking scheme; it changes only speed, never the set of
 canonical forms, and is cross-checked against the unbroken search and the
 brute-force oracle.  Without symmetry breaking the search is the union of
@@ -42,12 +49,14 @@ rows tried: when the row branched on is at a point of a T-cycle as long as
 0's, its candidates of greater cycle type than row 0 are dropped before any
 is placed.  The filter runs after the choice of row, so it changes neither
 that choice nor the visit order; rows forced by propagation are checked as
-they are forced.  Every emitted table is reduced to its class key
-(``canon.class_key``), a complete isomorphism invariant that is cheap to
-compute; once the search is done the full canonical form is computed once
-per distinct key, starting from the automorphisms found by the key search,
-so the output is one canonical representative per isomorphism class,
-sorted, independent of the number of jobs and of scheduling.
+they are forced.  The orbit pruning, after the filter, and the tie-break,
+checked at the leaves, only drop tables and keep the order of the rest.
+Every emitted table is reduced to its class key (``canon.class_key``), a
+complete isomorphism invariant that is cheap to compute; once the search is
+done the full canonical form is computed once per distinct key, starting
+from the automorphisms found by the key search, so the output is one
+canonical representative per isomorphism class, sorted, independent of the
+number of jobs and of scheduling.
 """
 
 from __future__ import annotations
@@ -202,34 +211,47 @@ def _cell_index(n: int) -> list[list[list[Perm]]]:
     return cells
 
 
+def _orbit_representatives(
+    rows: Sequence[Perm], group: Sequence[Perm]
+) -> dict[Perm, list[Perm]]:
+    """The first row of ``rows`` in each orbit of ``group`` acting by
+    conjugation, p -> phi p phi^-1, each with its stabilizer in ``group``,
+    which must hold the identity."""
+    reps: dict[Perm, list[Perm]] = {}
+    seen: set[Perm] = set()
+    for p in rows:
+        if p in seen:
+            continue
+        stab = reps[p] = []
+        for phi in group:
+            q = [0] * len(p)
+            for i, v in enumerate(p):
+                q[phi[i]] = phi[v]
+            q = tuple(q)
+            if q == p:
+                stab.append(phi)
+            seen.add(q)
+    return reps
+
+
 def _slice_first_rows(
     diagonal: Perm, cells: Sequence[Sequence[Sequence[Perm]]]
-) -> tuple[Perm, ...]:
+) -> dict[Perm, list[Perm]]:
     """Row-0 candidates for a fixed-diagonal search, read from its cell
-    index: one row of ``cells[0][T(0)]`` per conjugation orbit of the
+    index: one row p of ``cells[0][T(0)]`` per conjugation orbit of the
     stabilizer of point 0 in the centralizer of T, the rows of
-    ``cells[0][0]`` that commute with T.  Relabeling by the stabilizer keeps
-    the diagonal and row 0 in place, so for any table in the slice the
-    element that canonicalizes its row 0 gives an isomorphic table still in
-    the slice whose row 0 is the chosen representative, and the restriction
-    loses no isomorphism class."""
+    ``cells[0][0]`` that commute with T, each with its residual group, the
+    elements of that stabilizer that commute with p.  Relabeling by the
+    stabilizer keeps the diagonal and row 0 in place, so for any table in
+    the slice the element that canonicalizes its row 0 gives an isomorphic
+    table still in the slice whose row 0 is the chosen representative, and
+    the restriction loses no isomorphism class."""
     n = len(diagonal)
     stab = [
         phi for phi in cells[0][0]
         if all(phi[diagonal[x]] == diagonal[phi[x]] for x in range(n))
     ]
-    reps: list[Perm] = []
-    seen: set[Perm] = set()
-    for p in cells[0][diagonal[0]]:
-        if p in seen:
-            continue
-        reps.append(p)
-        for phi in stab:
-            q = [0] * n
-            for i in range(n):
-                q[phi[i]] = phi[p[i]]
-            seen.add(tuple(q))
-    return tuple(reps)
+    return _orbit_representatives(cells[0][diagonal[0]], stab)
 
 
 def _search(
@@ -246,10 +268,14 @@ def _search(
     Symmetry breaking restricts row 0 to ``_slice_first_rows`` and rejects
     a row at a point of a T-cycle as long as 0's whose cycle type is greater
     than row 0's: such rows are dropped from the candidates of the row
-    branched on, and a forced row is checked when it is forced.  ``cancel``
-    is polled at the first node and then every 512 nodes.  ``cells`` is
-    ``_cell_index(n)`` and ``facts``, where cycle types and T's cycle
-    lengths are read, a ``canon.RowFacts``; a census keeps one of each."""
+    branched on, and a forced row is checked when it is forced.  Below row
+    0 it tries one candidate per orbit of the elements of the residual group
+    that fix the point branched on, and at a leaf it rejects the table when
+    a point of row 0's cycle type and T-cycle length has more y with
+    y.x = x than 0 has.  ``cancel`` is polled at the first node and then
+    every 512 nodes.  ``cells`` is ``_cell_index(n)`` and ``facts``, where
+    cycle types and T's cycle lengths are read, a ``canon.RowFacts``; a
+    census keeps one of each."""
     rows: list[Perm | None] = [None] * n
     t_inv = inverse(diagonal)
     pending: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -260,6 +286,9 @@ def _search(
     eligible = set()
     if symmetry_breaking:
         eligible = {x for x in range(n) if length[x] == length[0]}
+        first = _slice_first_rows(diagonal, cells)
+    # ties with row 0's cycle type go to the point with most y.x = x
+    peers = sorted(eligible - {0})
     top: tuple[int, ...] = ()
 
     def force(y: int, q: Perm, trail: list, queue: list) -> bool:
@@ -341,17 +370,28 @@ def _search(
                     cands = [p for p in cands if p[x] == a]
         return cands
 
-    def extend() -> None:
+    def extend(group: Sequence[Perm]) -> None:
+        """Branch below the current rows; ``group`` is the residual group,
+        the relabelings that fix 0, commute with T and fix every point
+        branched on so far and its row, so they carry the known rows onto
+        themselves and any completion onto an isomorphic one."""
         nonlocal nodes
         nodes += 1
         if cancel is not None and nodes % 512 == 1 and cancel.is_set():
             raise SearchCancelled
         unknown = [x for x in range(n) if rows[x] is None]
         if not unknown:
+            if peers:
+                fixing = [r[0] for r in rows].count(0)
+                for x in peers:
+                    if facts[rows[x]][1] != top:
+                        continue
+                    if [r[x] for r in rows].count(x) > fixing:
+                        return
             emit(tuple(rows))  # type: ignore[arg-type]
             return
         if unknown[0] == 0 and symmetry_breaking:
-            d, cands = 0, _slice_first_rows(diagonal, cells)
+            d, stabs = 0, first
         else:
             # the most constrained row, lowest index on ties
             d, cands = -1, None
@@ -365,13 +405,20 @@ def _search(
                 # the rows that force would reject, dropped before they are
                 # placed; the order of the rest is kept
                 cands = [p for p in cands if facts[p][1] <= top]
-        for p in cands:
+            # the residual group is the identity alone at most nodes, and
+            # then nothing is pruned and nothing computed
+            stabs = None
+            if len(group) > 1:
+                group = [phi for phi in group if phi[d] == d]
+                if len(group) > 1:
+                    stabs = _orbit_representatives(cands, group)
+        for p in cands if stabs is None else stabs:
             trail: list = []
             if place(d, p, trail):
-                extend()
+                extend(group if stabs is None else stabs[p])
             undo(trail)
 
-    extend()
+    extend([tuple(range(n))])
 
 
 def _diagonals(
@@ -400,20 +447,28 @@ def _diagonals(
 
 
 def _census_classes(
-    n: int, diagonals: Sequence[Perm], symmetry_breaking: bool, cancel
+    n: int,
+    diagonals: Sequence[Perm],
+    symmetry_breaking: bool,
+    cancel,
+    cells: Sequence[Sequence[Sequence[Perm]]] | None = None,
+    facts: canon.RowFacts | None = None,
 ) -> set[Table]:
     """Search the slices of ``diagonals`` over one cell index, keep the class
     key of each table they emit, then return the canonical form of each
     distinct key, its search seeded with the automorphisms that the key
     search of the key's first table found.  One table of row facts serves
     the search of every slice and both stages; it holds the T-cycle lengths
-    of each slice's diagonal too, so they are computed once."""
+    of each slice's diagonal too, so they are computed once.  ``cells`` and
+    ``facts`` are built here when None; a pool worker passes its own, kept
+    for all its tasks."""
     # canon takes a plain callable, not an Event
     poll = cancel.is_set if cancel is not None else None
     # each distinct key with its first table's automorphisms, carried to
     # the key's labels
     keys: dict[Table, canon.Autos] = {}
-    facts = canon.RowFacts()
+    if facts is None:
+        facts = canon.RowFacts()
 
     def emit(t: Table) -> None:
         autos: canon.Autos = []
@@ -422,7 +477,8 @@ def _census_classes(
         if key not in keys:
             keys[key] = canon._carry_autos(autos, rho)
 
-    cells = _cell_index(n)
+    if cells is None:
+        cells = _cell_index(n)
     for d in diagonals:
         _search(n, d, emit, symmetry_breaking, cancel=cancel, cells=cells, facts=facts)
     return {
@@ -433,13 +489,25 @@ def _census_classes(
 
 def _worker(conn) -> None:
     """Run the tasks that arrive on ``conn`` until the pool kills the
-    worker, answering each with (True, its classes) or (False, the
-    exception it raised).  A task (n, diagonal, symmetry_breaking) is one
-    slice; it takes no cancel event, as the pool kills its workers."""
+    worker or closes the pipe, answering each with (True, its classes) or
+    (False, the exception it raised).  A task (n, diagonal,
+    symmetry_breaking) is one slice; it takes no cancel event, as the pool
+    kills its workers.  The worker builds one cell index and one table of
+    row facts and keeps them for all its tasks, as a serial census does for
+    its slices."""
+    cells: list = []
+    facts = canon.RowFacts()
     while True:
-        n, diagonal, symmetry_breaking = conn.recv()
         try:
-            reply = True, _census_classes(n, (diagonal,), symmetry_breaking, None)
+            n, diagonal, symmetry_breaking = conn.recv()
+        except EOFError:
+            return
+        try:
+            if len(cells) != n:
+                cells = _cell_index(n)
+            reply = True, _census_classes(
+                n, (diagonal,), symmetry_breaking, None, cells, facts
+            )
         except Exception as exc:
             reply = False, exc
         conn.send(reply)
@@ -559,11 +627,12 @@ def scan_cycle_sets(
     canonicalizing or deduplicating.  With symmetry breaking on, the
     visited tables are the union of the normal-form slices (or of the given
     diagonal's slice) with row 0 restricted: row 0 has the greatest cycle
-    type among the rows of the points whose T-cycle is as long as 0's, and
-    is one of ``_slice_first_rows``.  Relabeling by the centralizer of T
-    brings any table of the slice to that form, so at least one table of
-    every isomorphism class is visited, though a class may be seen several
-    times (123 tables for the 88 classes of size 5).
+    type, then the most y with y.x = x, among the rows of the points whose
+    T-cycle is as long as 0's, and is one of ``_slice_first_rows``; below
+    row 0 the residual group prunes the rows tried.  Relabeling by the
+    centralizer of T brings any table of the slice to that form, so at
+    least one table of every isomorphism class is visited, though a class
+    may be seen several times (112 tables for the 88 classes of size 5).
     Without it every valid table (of the slice) is visited exactly once.
     This is the tool of choice when the property being checked is
     isomorphism-invariant and the size makes canonical labeling the

@@ -217,6 +217,44 @@ class TestWorkSplitting:
             enumerate_cycle_sets(5, jobs=2)
         assert multiprocessing.active_children() == []
 
+    def test_worker_builds_its_index_and_facts_once(self, monkeypatch):
+        # a worker keeps one cell index and one table of row facts for all
+        # its tasks; it stops when the pipe closes
+        built = []
+        cell_index = enumeration._cell_index
+
+        def spy(n):
+            built.append(n)
+            return cell_index(n)
+
+        class Facts(canon.RowFacts):
+            def __init__(self):
+                super().__init__()
+                built.append("facts")
+
+        class Conn:
+            def __init__(self, tasks):
+                self.tasks = list(tasks)
+                self.sent = []
+
+            def recv(self):
+                if not self.tasks:
+                    raise EOFError
+                return self.tasks.pop(0)
+
+            def send(self, reply):
+                self.sent.append(reply)
+
+        monkeypatch.setattr(enumeration, "_cell_index", spy)
+        monkeypatch.setattr(canon, "RowFacts", Facts)
+        diagonals = _diagonals(4, True, None)[-2:]
+        conn = Conn((4, d, True) for d in diagonals)
+        enumeration._worker(conn)
+        assert built == ["facts", 4]
+        monkeypatch.undo()
+        want = [(True, _census_classes(4, (d,), True, None)) for d in diagonals]
+        assert conn.sent == want
+
     def test_split_checks_cap_and_degree(self, monkeypatch):
         monkeypatch.delenv("CYCLESET_MAX_N", raising=False)
         with pytest.raises(ValueError, match="exceeds the enumeration cap"):
@@ -303,6 +341,24 @@ class TestDiagonalConstraint:
                 pool = {p for p in permutations(range(n)) if p[0] == diag[0]}
                 assert set().union(*orbits) == pool
 
+    def test_residual_groups_fix_row_zero(self):
+        # the search prunes below row 0 = p by the residual group of p, so it
+        # must hold every relabeling that keeps 0, T and row 0 in place, and
+        # only those
+        for n in range(1, 6):
+            cells = _cell_index(n)
+            perms = list(permutations(range(n)))
+            for diag in _normal_forms(n):
+                for p, group in _slice_first_rows(diag, cells).items():
+                    want = {
+                        phi
+                        for phi in perms
+                        if phi[0] == 0
+                        and all(phi[diag[x]] == diag[phi[x]] for x in range(n))
+                        and all(phi[p[x]] == p[phi[x]] for x in range(n))
+                    }
+                    assert len(group) == len(want) and set(group) == want
+
     def test_sliced_search_parallel_byte_identity(self):
         diag = from_cycles(4, [(0, 1)])
         seq = enumerate_cycle_sets(4, diagonal=diag)
@@ -333,15 +389,21 @@ class TestScan:
         # the tables of the 7 normal-form slices, each with row 0 restricted
         # to one representative per orbit of the relabelings that fix 0 and
         # commute with the squaring map, and with row 0 of greatest cycle
-        # type among the rows of the points on T's longest cycles
-        assert scan_cycle_sets(5, lambda t: None) == 123
+        # type among the rows of the points on T's longest cycles.  Below
+        # row 0 one candidate per orbit of the residual group is tried, and
+        # row 0's ties of cycle type go to the point with most y.x = x;
+        # these two rules took the counts from 123, 141 and 183 down to
+        # 112, 109 and 113
+        assert scan_cycle_sets(5, lambda t: None) == 112
         involution = from_cycles(6, [(0, 1), (2, 3), (4, 5)])
-        assert scan_cycle_sets(6, lambda t: None, diagonal=involution) == 141
-        assert scan_cycle_sets(6, lambda t: None, diagonal=tuple(range(6))) == 183
+        assert scan_cycle_sets(6, lambda t: None, diagonal=involution) == 109
+        assert scan_cycle_sets(6, lambda t: None, diagonal=tuple(range(6))) == 113
 
     def test_visit_order_pinned(self):
         # the order of the visited tables, not just their set: pruning that
-        # drops a trial which would fail anyway must leave it unchanged
+        # drops a trial which would fail anyway must leave it unchanged; the
+        # residual-group pruning and the tie-break for point 0 dropped tables
+        # from it, keeping the order of the rest
         h = hashlib.sha256()
 
         def visit(t):
@@ -352,7 +414,7 @@ class TestScan:
             scan_cycle_sets(n, visit, symmetry_breaking=False)
         scan_cycle_sets(6, visit, diagonal=from_cycles(6, [(0, 1), (2, 3), (4, 5)]))
         assert h.hexdigest() == (
-            "28f3870122248cfcf2a2480ed494edefaa6591e61489c34ccaf962d4a0d258a2"
+            "85cdeae4a2f4388d8cad4cbb4f76a4cb8c5396b69b7a392f6d36dcbd06711373"
         )
 
     def test_carried_automorphisms_are_automorphisms_of_the_key(self):
@@ -361,7 +423,8 @@ class TestScan:
         # to the key's labels
         tables = []
         scan_cycle_sets(6, tables.append)
-        assert len(tables) == 1214
+        # 1,214 before the residual-group pruning and the tie-break for point 0
+        assert len(tables) == 978
         carried = 0
         for t in tables:
             autos = []
@@ -385,6 +448,26 @@ class TestScan:
             scan_cycle_sets(5, seen.append, diagonal=diag)
             for t in seen:
                 assert all(cycle_type(t[x]) <= cycle_type(t[0]) for x in peers)
+
+    def test_row_zero_wins_ties_by_fixing_count(self):
+        # among the points on T-cycles as long as 0's, point 0 has the
+        # greatest (row cycle type, number of y with y.x = x); the rule keeps
+        # ties, so every class still has an emitted table
+        def rank(t, x):
+            return cycle_type(t[x]), sum(row[x] == x for row in t)
+
+        cases = [(n, None, KNOWN_COUNTS[n]) for n in range(1, 6)]
+        cases.append((6, from_cycles(6, [(0, 1), (2, 3), (4, 5)]), 77))
+        cases.append((6, tuple(range(6)), 68))
+        for n, diagonal, classes in cases:
+            seen = []
+            scan_cycle_sets(n, seen.append, diagonal=diagonal)
+            for t in seen:
+                squaring = tuple(t[x][x] for x in range(n))
+                length = {x: len(c) for c in cycles(squaring) for x in c}
+                peers = [x for x in range(n) if length[x] == length[0]]
+                assert all(rank(t, x) <= rank(t, 0) for x in peers)
+            assert len({canonical_table(t) for t in seen}) == classes
 
     def test_unbroken_scan_visits_each_valid_table_once(self):
         # the element-form oracle over every table of rows, per diagonal slice
