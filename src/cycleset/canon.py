@@ -11,22 +11,24 @@ the same relabeling as a scan of all n! relabelings in lex order, without
 visiting them all: over the 3,456 classes of size 7 it visits 141 nodes per
 class on average, against 5,040 relabelings.
 
-A census deduplicates in two stages, so that the canonical form is computed
-once per isomorphism class rather than once per emitted table.
+A census deduplicates in two stages, kept together in ``Classes``, so that
+the canonical form is computed once per isomorphism class rather than once
+per emitted table.
 
-1. ``class_key`` colours the points by invariants (the length of the cycle
-   of the squaring map T(x) = x.x through x, the cycle type of the row of x,
-   and how many y have y.x = x) and orders the colour cells by colour
-   value, never by point index.  The key is the lex-least relabeled table
-   over the relabelings that send each cell, in order, onto consecutive
-   labels.  It is a complete invariant by construction.  Relabeling a table
-   carries its colours, hence its admissible relabelings, along with it, so
-   isomorphic tables have the same set of images and get the same key; and
-   the key is itself a relabeling of its table, so tables with the same key
-   are isomorphic.  A coarser colouring only makes the key slower, never
-   wrong; refining the colours to a fixed point (the vertex-invariant step
-   of McKay) cost more than the search it saved at every census size.
-   With a single cell the key is the canonical form.
+1. ``class_key`` colours the points by invariants (``colours``: the length
+   of the cycle of the squaring map T(x) = x.x through x, the cycle type of
+   the row of x, and how many y have y.x = x; the census search picks its
+   point 0 by them too) and orders the colour cells by colour value, never
+   by point index.  The key is the lex-least relabeled table over the
+   relabelings that send each cell, in order, onto consecutive labels.  It
+   is a complete invariant by construction.  Relabeling a table carries its
+   colours, hence its admissible relabelings, along with it, so isomorphic
+   tables have the same set of images and get the same key; and the key is
+   itself a relabeling of its table, so tables with the same key are
+   isomorphic.  A coarser colouring only makes the key slower, never wrong;
+   refining the colours to a fixed point (the vertex-invariant step of
+   McKay) cost more than the search it saved at every census size.  With a
+   single cell the key is the canonical form.
 2. The public form, ``canonical_form``, is the lex-min over all relabelings;
    the census computes it once per distinct key.  Its search starts from
    the automorphisms that stage 1 found for the first table with that key,
@@ -238,20 +240,27 @@ def canonical_form(
     return canonical_relabeling(table, cancel)[1]
 
 
-def _colour_cells(rows: Table, facts: RowFacts | None = None) -> list[tuple[int, ...]]:
-    """The points grouped by invariant colour, cells in increasing colour.
-    The colour of x is the length of its T-cycle, ``facts[T][0][x]`` for
-    the diagonal T; the cycle type of its row r, ``facts[r][1]``; and how
-    many y have y.x = x, counted in one pass over the table, by columns.
-    A census passes the table its search keeps, so the facts of T, shared
-    by every table of a slice, are computed once; None makes a fresh one."""
+def colours(rows: Sequence[Perm], facts: RowFacts | None = None) -> list[tuple]:
+    """The invariant colour of each point x: the length of its T-cycle for
+    the diagonal T, the cycle type of its row, both read from ``facts``, a
+    fresh ``RowFacts`` when None, and how many y have y.x = x, counted by
+    columns.  A census passes its own facts, so T's are computed once.
+
+    >>> colours(((1, 0, 2), (1, 0, 2), (1, 0, 2)))
+    [(2, (2, 2, 1), 0), (2, (2, 2, 1), 0), (1, (2, 2, 1), 3)]
+    """
     if facts is None:
         facts = RowFacts()
     t_len = facts[tuple(r[x] for x, r in enumerate(rows))][0]
     fixing = [col.count(x) for x, col in enumerate(zip(*rows))]
+    return [(t_len[x], facts[r][1], fixing[x]) for x, r in enumerate(rows)]
+
+
+def _colour_cells(rows: Table, facts: RowFacts | None = None) -> list[tuple[int, ...]]:
+    """The points grouped by ``colours``, cells in increasing colour."""
     cells: dict[tuple, list[int]] = {}
-    for x, r in enumerate(rows):
-        cells.setdefault((t_len[x], facts[r][1], fixing[x]), []).append(x)
+    for x, c in enumerate(colours(rows, facts)):
+        cells.setdefault(c, []).append(x)
     return [tuple(cells[c]) for c in sorted(cells)]
 
 
@@ -271,3 +280,29 @@ def class_key(
     table: Sequence[Sequence[int]], cancel: Callable[[], bool] | None = None
 ) -> Table:
     return class_relabeling(table, cancel)[1]
+
+
+class Classes:
+    """The isomorphism classes of the tables added, by the two stages above:
+    ``add`` keeps each new class key with the automorphisms its search
+    found, carried to the key's labels, and ``forms`` returns the canonical
+    form of each key, its search seeded with them.  Every search polls
+    ``cancel`` and reads ``facts``, a fresh ``RowFacts`` when None."""
+
+    def __init__(self, cancel: Callable[[], bool] | None = None, facts: RowFacts | None = None):
+        self.cancel = cancel
+        self.facts = RowFacts() if facts is None else facts
+        self.keys: dict[Table, Autos] = {}
+
+    def add(self, table: Sequence[Sequence[int]]) -> None:
+        rows = tuple(map(tuple, table))
+        autos: Autos = []
+        rho, key = _lex_min(rows, _colour_cells(rows, self.facts), self.cancel, autos, self.facts)
+        if key not in self.keys:
+            self.keys[key] = _carry_autos(autos, rho)
+
+    def forms(self) -> set[Table]:
+        return {
+            _lex_min(key, [range(len(key))], self.cancel, autos, self.facts)[1]
+            for key, autos in self.keys.items()
+        }

@@ -11,28 +11,26 @@ squaring map T(x) = x.x.  Relabeling a table conjugates its squaring map,
 so with symmetry breaking the full census searches one slice per conjugacy
 class of S_n, that is per partition of n, with T in normal form (its cycles
 on consecutive points, largest first).  Inside a slice the search keeps
-only tables whose row 0 has the greatest cycle type (a descending tuple,
-compared lexicographically) among the rows of the points whose T-cycle is
-as long as 0's, and restricts row 0 to ``_slice_first_rows``: one
-representative per conjugation orbit of the relabelings that fix point 0
-and commute with T.  A tie of cycle type goes to the point with the most y
-such that y.x = x.  Below row 0 the residual group, the relabelings that
-fix 0, commute with T and keep every row branched on in place, is used the
-same way: of the candidates for the next row d, only the first of each
-orbit of the elements that fix d is tried.  These rules lose no class.
-The centralizer of T moves any point of a T-cycle as long as 0's to 0, so
-any table of the slice can be relabeled, inside the slice, to put the
-point with the greatest (row cycle type, fixing count) at 0; relabeling by
-the stabilizer of 0 then canonicalizes row 0 without changing either, and
-an element of the residual group that fixes d carries every completion
-with the one candidate at d onto an isomorphic completion with the other
-(the orbit pruning of McKay, 1981, applied to rows).  This is the only
-symmetry-breaking scheme; it changes only speed, never the set of
-canonical forms, and is cross-checked against the unbroken search and the
-brute-force oracle.  Without symmetry breaking the search is the union of
-all n! slices with no restriction on row 0, so it visits every valid table
-exactly once.  The cycle types and T's cycle lengths are read from the
-census's ``canon.RowFacts``, the table its class keys read too.
+only tables where no peer of 0, a point other than 0 whose T-cycle is as
+long as 0's, has a greater colour than 0 (``canon.colours``: T-cycle
+length, row cycle type as a descending tuple, then how many y have
+y.x = x), and it prunes by the residual group: the relabelings that fix
+0, commute with T and keep every row branched on in place, which before
+any row is known is ``_slice_group``, the stabilizer of 0 in the
+centralizer of T.  Of the candidates for the next row d, row 0 first, only
+the first of each orbit of the elements that fix d is tried.  These rules
+lose no class.  The centralizer of T moves any peer of 0 to 0, so any
+table of the slice can be relabeled, inside the slice, to put the point of
+greatest colour at 0; an element of the residual group that fixes d
+carries every completion with the one candidate at d onto an isomorphic
+completion with the other (the orbit pruning of McKay, 1981, applied to
+rows).  This is the only symmetry-breaking scheme; it changes only speed,
+never the set of canonical forms, and is cross-checked against the
+unbroken search and the brute-force oracle.  Without symmetry breaking the
+search is the union of all n! slices with the identity as residual group,
+so it visits every valid table exactly once.  The cycle types and T's
+cycle lengths are read from the census's ``canon.RowFacts``, the table its
+class keys read too.
 
 Candidate rows are generated, not scanned.  One index, built once per
 census and shared by its slices, lists for every cell (x, v) the
@@ -42,21 +40,21 @@ once row x and row x.d are known, cell (d, x) is the point
 T^-1((x.d).T(x)).  These pins are intersected before any row is tried, so
 only trials that would fail anyway are skipped.
 
-Row 0 is chosen first; below it the search branches on the unknown row with
-the fewest candidates, the lowest index on ties, so the visit order is not
-lexicographic.  With symmetry breaking, the cycle-type rule then filters the
-rows tried: when the row branched on is at a point of a T-cycle as long as
-0's, its candidates of greater cycle type than row 0 are dropped before any
-is placed.  The filter runs after the choice of row, so it changes neither
-that choice nor the visit order; rows forced by propagation are checked as
-they are forced.  The orbit pruning, after the filter, and the tie-break,
-checked at the leaves, only drop tables and keep the order of the rest.
-Every emitted table is reduced to its class key (``canon.class_key``), a
-complete isomorphism invariant that is cheap to compute; once the search is
-done the full canonical form is computed once per distinct key, starting
-from the automorphisms found by the key search, so the output is one
-canonical representative per isomorphism class, sorted, independent of the
-number of jobs and of scheduling.
+The search branches on the unknown row with the fewest candidates, the
+lowest index on ties (row 0 at the root, where all tie), so the visit order
+is not lexicographic.  With symmetry breaking, the cycle-type rule then
+filters the candidates of a peer of 0, dropping those of greater cycle type
+than row 0 before any is placed.  The filter runs after the
+choice of row, so it changes neither that choice nor the visit order; rows
+forced by propagation are checked as they are forced.  The orbit pruning,
+after the filter, and the tie-break of fixing counts, checked at the
+leaves, only drop tables and keep the order of the rest.
+Every emitted table goes to a ``canon.Classes``, which reduces it to its
+class key, a complete isomorphism invariant that is cheap to compute; once
+the search is done the full canonical form is computed once per distinct
+key, starting from the automorphisms found by the key search, so the
+output is one canonical representative per isomorphism class, sorted,
+independent of the number of jobs and of scheduling.
 """
 
 from __future__ import annotations
@@ -234,24 +232,15 @@ def _orbit_representatives(
     return reps
 
 
-def _slice_first_rows(
-    diagonal: Perm, cells: Sequence[Sequence[Sequence[Perm]]]
-) -> dict[Perm, list[Perm]]:
-    """Row-0 candidates for a fixed-diagonal search, read from its cell
-    index: one row p of ``cells[0][T(0)]`` per conjugation orbit of the
-    stabilizer of point 0 in the centralizer of T, the rows of
-    ``cells[0][0]`` that commute with T, each with its residual group, the
-    elements of that stabilizer that commute with p.  Relabeling by the
-    stabilizer keeps the diagonal and row 0 in place, so for any table in
-    the slice the element that canonicalizes its row 0 gives an isomorphic
-    table still in the slice whose row 0 is the chosen representative, and
-    the restriction loses no isomorphism class."""
+def _slice_group(diagonal: Perm, cells: Sequence[Sequence[Sequence[Perm]]]) -> list[Perm]:
+    """The stabilizer of point 0 in the centralizer of T, the rows of
+    ``cells[0][0]`` that commute with T: the residual group of a slice's
+    search before any row is known, as it keeps T and point 0 in place."""
     n = len(diagonal)
-    stab = [
+    return [
         phi for phi in cells[0][0]
         if all(phi[diagonal[x]] == diagonal[phi[x]] for x in range(n))
     ]
-    return _orbit_representatives(cells[0][diagonal[0]], stab)
 
 
 def _search(
@@ -265,41 +254,36 @@ def _search(
     facts: canon.RowFacts,
 ) -> None:
     """Backtracking core over the tables whose row x maps x to diagonal[x].
-    Symmetry breaking restricts row 0 to ``_slice_first_rows`` and rejects
-    a row at a point of a T-cycle as long as 0's whose cycle type is greater
-    than row 0's: such rows are dropped from the candidates of the row
-    branched on, and a forced row is checked when it is forced.  Below row
-    0 it tries one candidate per orbit of the elements of the residual group
-    that fix the point branched on, and at a leaf it rejects the table when
-    a point of row 0's cycle type and T-cycle length has more y with
-    y.x = x than 0 has.  ``cancel`` is polled at the first node and then
-    every 512 nodes.  ``cells`` is ``_cell_index(n)`` and ``facts``, where
-    cycle types and T's cycle lengths are read, a ``canon.RowFacts``; a
-    census keeps one of each."""
+    Symmetry breaking rejects a row at a peer of 0, a point other than 0
+    on a T-cycle as long as 0's, of greater cycle type than row 0: it is
+    dropped from the candidates of the row branched on, or checked when
+    forced.  Every branching, row 0's at the root included, tries one
+    candidate per orbit of the residual group, ``_slice_group`` at the root,
+    and a leaf is rejected when a peer has a greater ``canon.colours`` than
+    0.  ``cancel`` is polled at the first node and then every 512 nodes.
+    ``cells`` is ``_cell_index(n)`` and ``facts``, where cycle types and T's
+    cycle lengths are read, a ``canon.RowFacts``; a census keeps one of each."""
     rows: list[Perm | None] = [None] * n
     t_inv = inverse(diagonal)
     pending: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     nodes = 0
-    # the points on T-cycles as long as 0's: the centralizer of T moves any
-    # of them to 0, so with symmetry breaking no row of theirs outranks row 0
-    length = facts[diagonal][0]
-    eligible = set()
+    # the peers of 0: the centralizer of T moves any of them to 0, so with
+    # symmetry breaking no row of theirs outranks row 0
+    group, peers = [tuple(range(n))], set()
     if symmetry_breaking:
-        eligible = {x for x in range(n) if length[x] == length[0]}
-        first = _slice_first_rows(diagonal, cells)
-    # ties with row 0's cycle type go to the point with most y.x = x
-    peers = sorted(eligible - {0})
+        length = facts[diagonal][0]
+        group = _slice_group(diagonal, cells)
+        peers = {x for x in range(1, n) if length[x] == length[0]}
     top: tuple[int, ...] = ()
 
     def force(y: int, q: Perm, trail: list, queue: list) -> bool:
         nonlocal top
         if q[y] != diagonal[y]:
             return False
-        if y in eligible:
-            if y == 0:
-                top = facts[q][1]
-            elif facts[q][1] > top:
-                return False
+        if y == 0:
+            top = facts[q][1]
+        elif y in peers and facts[q][1] > top:
+            return False
         rows[y] = q
         trail.append((0, y))
         queue.append(y)
@@ -382,43 +366,37 @@ def _search(
         unknown = [x for x in range(n) if rows[x] is None]
         if not unknown:
             if peers:
-                fixing = [r[0] for r in rows].count(0)
-                for x in peers:
-                    if facts[rows[x]][1] != top:
-                        continue
-                    if [r[x] for r in rows].count(x) > fixing:
-                        return
+                colour = canon.colours(rows, facts)  # type: ignore[arg-type]
+                if any(colour[x] > colour[0] for x in peers):
+                    return
             emit(tuple(rows))  # type: ignore[arg-type]
             return
-        if unknown[0] == 0 and symmetry_breaking:
-            d, stabs = 0, first
-        else:
-            # the most constrained row, lowest index on ties
-            d, cands = -1, None
-            for x in unknown:
-                c = candidates(x)
-                if cands is None or len(c) < len(cands):
-                    d, cands = x, c
-                    if not c:
-                        return
-            if d in eligible:
-                # the rows that force would reject, dropped before they are
-                # placed; the order of the rest is kept
-                cands = [p for p in cands if facts[p][1] <= top]
-            # the residual group is the identity alone at most nodes, and
-            # then nothing is pruned and nothing computed
-            stabs = None
+        # the most constrained row, lowest index on ties: row 0 at the root
+        d, cands = -1, None
+        for x in unknown:
+            c = candidates(x)
+            if cands is None or len(c) < len(cands):
+                d, cands = x, c
+                if not c:
+                    return
+        if d in peers:
+            # the rows that force would reject, dropped before they are
+            # placed; the order of the rest is kept
+            cands = [p for p in cands if facts[p][1] <= top]
+        # the residual group is the identity alone at most nodes, and then
+        # nothing is pruned and nothing computed
+        stabs = None
+        if len(group) > 1:
+            group = [phi for phi in group if phi[d] == d]
             if len(group) > 1:
-                group = [phi for phi in group if phi[d] == d]
-                if len(group) > 1:
-                    stabs = _orbit_representatives(cands, group)
+                stabs = _orbit_representatives(cands, group)
         for p in cands if stabs is None else stabs:
             trail: list = []
             if place(d, p, trail):
                 extend(group if stabs is None else stabs[p])
             undo(trail)
 
-    extend([tuple(range(n))])
+    extend(group)
 
 
 def _diagonals(
@@ -454,37 +432,18 @@ def _census_classes(
     cells: Sequence[Sequence[Sequence[Perm]]] | None = None,
     facts: canon.RowFacts | None = None,
 ) -> set[Table]:
-    """Search the slices of ``diagonals`` over one cell index, keep the class
-    key of each table they emit, then return the canonical form of each
-    distinct key, its search seeded with the automorphisms that the key
-    search of the key's first table found.  One table of row facts serves
-    the search of every slice and both stages; it holds the T-cycle lengths
-    of each slice's diagonal too, so they are computed once.  ``cells`` and
-    ``facts`` are built here when None; a pool worker passes its own, kept
-    for all its tasks."""
+    """Search the slices of ``diagonals`` over one cell index and return the
+    canonical forms of the classes of the tables they emit, by one
+    ``canon.Classes``, whose row facts serve every slice's search too.
+    ``cells`` and ``facts`` are built here when None; a pool worker passes
+    its own, kept for all its tasks."""
     # canon takes a plain callable, not an Event
-    poll = cancel.is_set if cancel is not None else None
-    # each distinct key with its first table's automorphisms, carried to
-    # the key's labels
-    keys: dict[Table, canon.Autos] = {}
-    if facts is None:
-        facts = canon.RowFacts()
-
-    def emit(t: Table) -> None:
-        autos: canon.Autos = []
-        colours = canon._colour_cells(t, facts)
-        rho, key = canon._lex_min(t, colours, poll, autos, facts)
-        if key not in keys:
-            keys[key] = canon._carry_autos(autos, rho)
-
+    classes = canon.Classes(cancel.is_set if cancel is not None else None, facts)
     if cells is None:
         cells = _cell_index(n)
     for d in diagonals:
-        _search(n, d, emit, symmetry_breaking, cancel=cancel, cells=cells, facts=facts)
-    return {
-        canon._lex_min(k, [range(n)], poll, autos, facts)[1]
-        for k, autos in keys.items()
-    }
+        _search(n, d, classes.add, symmetry_breaking, cancel, cells=cells, facts=classes.facts)
+    return classes.forms()
 
 
 def _worker(conn) -> None:
@@ -626,11 +585,11 @@ def scan_cycle_sets(
     """Stream every completed table of the search to ``visit`` without
     canonicalizing or deduplicating.  With symmetry breaking on, the
     visited tables are the union of the normal-form slices (or of the given
-    diagonal's slice) with row 0 restricted: row 0 has the greatest cycle
-    type, then the most y with y.x = x, among the rows of the points whose
-    T-cycle is as long as 0's, and is one of ``_slice_first_rows``; below
-    row 0 the residual group prunes the rows tried.  Relabeling by the
-    centralizer of T brings any table of the slice to that form, so at
+    diagonal's slice) restricted: no peer of 0, a point other than 0 whose
+    T-cycle is as long as 0's, has a greater ``canon.colours`` than 0, and
+    at every branching, row 0's included, one candidate per orbit of the
+    residual group is tried, starting from ``_slice_group``.  Relabeling by
+    the centralizer of T brings any table of the slice to that form, so at
     least one table of every isomorphism class is visited, though a class
     may be seen several times (112 tables for the 88 classes of size 5).
     Without it every valid table (of the slice) is visited exactly once.

@@ -237,10 +237,14 @@ def parse_census_jsonl(text: str) -> Census:
     elapsed = summary.get("elapsed", 0.0)
     if isinstance(elapsed, bool) or not isinstance(elapsed, (int, float)):
         raise ValueError("census summary 'elapsed' must be a number")
+    try:
+        tables = sorted(tables)
+    except TypeError:  # entries that are not points: cycle_set rejects them
+        pass
     return Census(
         n=summary["n"],
         filter_desc=tuple(sorted(filt.items())),
-        representatives=tuple(sorted(tables)),
+        representatives=tuple(tables),
         engine_version=summary.get("engine_version", "unknown"),
         elapsed=float(elapsed),
     )

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from cycleset import scan_cycle_sets
 from cycleset.canon import (
+    Classes,
     RowFacts,
     SearchCancelled,
     _colour_cells,
@@ -14,6 +15,7 @@ from cycleset.canon import (
     canonical_relabeling,
     class_key,
     class_relabeling,
+    colours,
     relabel_table,
 )
 from cycleset.enumeration import _normal_forms
@@ -336,3 +338,29 @@ def test_shared_row_facts_match_the_standalone_path_on_scanned_tables():
 )
 def test_shared_row_facts_match_the_standalone_path_on_repeated_rows(tables):
     assert_shared_facts_match(tables, RowFacts())
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_classes_give_the_canonical_forms_in_any_order(n):
+    # stage 2 is seeded by the automorphisms of a key's first table, so the
+    # forms must not depend on which table of a key comes first
+    tables = []
+    scan_cycle_sets(n, tables.append)
+    want = {canonical_form(t) for t in tables}
+    shuffled = tables[:]
+    random.Random(n).shuffle(shuffled)
+    for order in (tables, tables[::-1], shuffled):
+        classes = Classes()
+        for t in order:
+            classes.add(t)
+        assert classes.forms() == want
+
+
+@given(st.integers(1, 5).flatmap(random_tables), st.randoms(use_true_random=False))
+def test_colours_follow_their_points(t, rng):
+    # colours are invariants: relabeling by rho gives point rho[x] the
+    # colour of x, which both the class keys and the search rely on
+    rho = list(range(len(t)))
+    rng.shuffle(rho)
+    c = colours(t)
+    assert [c[x] for x in inverse(rho)] == colours(relabel_table(t, rho))

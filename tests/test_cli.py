@@ -426,11 +426,9 @@ class TestVerify:
         assert built == []
 
     @staticmethod
-    def _census_file(tmp_path, table):
-        lines = [
-            json.dumps({"n": len(table), "table": [list(r) for r in table]}),
-            json.dumps({"summary": {"n": len(table), "count": 1}}),
-        ]
+    def _census_file(tmp_path, *tables):
+        lines = [json.dumps({"n": len(t), "table": [list(r) for r in t]}) for t in tables]
+        lines.append(json.dumps({"summary": {"n": len(tables[0]), "count": len(tables)}}))
         path = tmp_path / "one.jsonl"
         path.write_text("\n".join(lines) + "\n")
         return str(path)
@@ -460,6 +458,16 @@ class TestVerify:
         code, out, err = run("verify", "--census", self._census_file(tmp_path, table))
         assert (code, out) == (1, "")
         assert err.startswith("invalid input: ")
+
+    @pytest.mark.parametrize("bad", [[["a", 1], [1, 0]], [[0, 1], [None, 0]]])
+    def test_census_file_entries_that_do_not_compare(self, run, tmp_path, bad):
+        # two records are sorted on parse, which must not raise before the
+        # tables are validated, whichever record comes first
+        good = [[0, 1], [0, 1]]
+        for tables in ([bad, good], [good, bad]):
+            code, out, err = run("verify", "--census", self._census_file(tmp_path, *tables))
+            assert (code, out) == (1, "")
+            assert err.startswith("invalid input: ")
 
     def test_census_file_boolean_size_is_a_parse_error(self, run, tmp_path):
         path = tmp_path / "bool.jsonl"

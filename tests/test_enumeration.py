@@ -33,7 +33,8 @@ from cycleset.enumeration import (
     _diagonals,
     _naive_valid,
     _normal_forms,
-    _slice_first_rows,
+    _orbit_representatives,
+    _slice_group,
 )
 
 KNOWN_COUNTS = {1: 1, 2: 2, 3: 5, 4: 23, 5: 88, 6: 595}
@@ -333,7 +334,8 @@ class TestDiagonalConstraint:
                     for phi in permutations(range(n))
                     if phi[0] == 0 and all(phi[diag[x]] == diag[phi[x]] for x in range(n))
                 ]
-                reps = _slice_first_rows(diag, cells)
+                # the row-0 candidates the search tries at the root
+                reps = _orbit_representatives(cells[0][diag[0]], _slice_group(diag, cells))
                 orbits = [{conjugate(phi, p) for phi in stab} for p in reps]
                 # each orbit holds one representative, so no two share one
                 assert all(len(o & set(reps)) == 1 for o in orbits)
@@ -349,7 +351,8 @@ class TestDiagonalConstraint:
             cells = _cell_index(n)
             perms = list(permutations(range(n)))
             for diag in _normal_forms(n):
-                for p, group in _slice_first_rows(diag, cells).items():
+                first = _orbit_representatives(cells[0][diag[0]], _slice_group(diag, cells))
+                for p, group in first.items():
                     want = {
                         phi
                         for phi in perms
@@ -415,6 +418,19 @@ class TestScan:
         scan_cycle_sets(6, visit, diagonal=from_cycles(6, [(0, 1), (2, 3), (4, 5)]))
         assert h.hexdigest() == (
             "85cdeae4a2f4388d8cad4cbb4f76a4cb8c5396b69b7a392f6d36dcbd06711373"
+        )
+
+    def test_visit_order_pinned_at_size_6(self):
+        # every slice of size 6, the identity slice among them, where the
+        # residual group at the root is largest (S_5, 120 elements)
+        h = hashlib.sha256()
+
+        def visit(t):
+            h.update(repr(t).encode())
+
+        assert scan_cycle_sets(6, visit) == 978
+        assert h.hexdigest() == (
+            "d2f1a6826f72182f59b6bcc9d6f865a6681cbaf52271b8ea4e6d49add9aea822"
         )
 
     def test_carried_automorphisms_are_automorphisms_of_the_key(self):

@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+the census engine reads no private name of the canonical labeling."""
 
 import ast
 from pathlib import Path
@@ -41,3 +42,35 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_reads(source: str, module: str) -> list[str]:
+    """The underscore names of the sibling ``module`` that ``source`` reads,
+    as ``module._name`` or by ``from .module import _name``."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == module:
+            names += [a.name for a in node.names if a.name.startswith("_")]
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == module
+            and node.attr.startswith("_")
+        ):
+            names.append(node.attr)
+    return names
+
+
+def test_private_reads_are_found():
+    source = (
+        "from . import canon\n"
+        "from .canon import _a, b\n"
+        "from .perm import _c\n"
+        "canon._d(canon.e, other._f)\n"
+    )
+    assert private_reads(source, "canon") == ["_a", "_d"]
+
+
+def test_enumeration_reads_no_private_name_of_canon():
+    source = (Path(cycleset.__file__).parent / "enumeration.py").read_text(encoding="utf-8")
+    assert private_reads(source, "canon") == []
