@@ -21,9 +21,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .core import CycleSet, cycle_set, product_table
-from .perm import Partition, Perm, _compose_right, closure, identity, inverse, partition
-
-Table = tuple[tuple[int, ...], ...]
+from .perm import Partition, Perm, Table, _compose_right, closure, identity, inverse, partition
 
 # most lambda-orbits whose unions cycle_bases scans (2^k - 1 unions)
 MAX_LAMBDA_ORBITS = 16

@@ -38,18 +38,18 @@ per emitted table.
 Both stages run the same search, which polls ``cancel`` at its first node
 and then every 1,024 nodes.  What depends only on a permutation, the
 length of the cycle through each point, its cycle type and its fixed
-points, is kept in a ``RowFacts`` table.  A census keeps one for its search
-and both stages, since the same permutations recur as rows and as squaring
-maps, and each standalone call makes a fresh one.
+points, is kept in a ``RowFacts`` table.  The census engine keeps one per
+degree, for its search and both stages, since the same permutations recur
+as rows and as squaring maps in every census of that degree.  Each
+standalone call makes a fresh one, as it takes tables of any degree.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .perm import Perm, _orbit_sizes, inverse
+from .perm import Perm, Table, _orbit_sizes, inverse
 
-Table = tuple[tuple[int, ...], ...]
 # automorphisms as ``_lex_min`` keeps them: each inverse map with the mask
 # of its fixed points
 Autos = list[tuple[list[int], int]]
@@ -244,7 +244,8 @@ def colours(rows: Sequence[Perm], facts: RowFacts | None = None) -> list[tuple]:
     """The invariant colour of each point x: the length of its T-cycle for
     the diagonal T, the cycle type of its row, both read from ``facts``, a
     fresh ``RowFacts`` when None, and how many y have y.x = x, counted by
-    columns.  A census passes its own facts, so T's are computed once.
+    columns.  A census passes the facts of its degree, so T's are computed
+    once.
 
     >>> colours(((1, 0, 2), (1, 0, 2), (1, 0, 2)))
     [(2, (2, 2, 1), 0), (2, (2, 2, 1), 0), (1, (2, 2, 1), 3)]

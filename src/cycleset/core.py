@@ -26,6 +26,7 @@ from .perm import (
     Partition,
     Perm,
     PermGroup,
+    Table,
     _compose_right,
     closure,
     compose,
@@ -38,8 +39,6 @@ from .perm import (
     perm_order,
     prime_support,
 )
-
-Table = tuple[tuple[int, ...], ...]
 
 # largest size whose congruences are computed; above it simplicity is unknown
 CONGRUENCE_MAX_N = 8

@@ -29,16 +29,18 @@ never the set of canonical forms, and is cross-checked against the
 unbroken search and the brute-force oracle.  Without symmetry breaking the
 search is the union of all n! slices with the identity as residual group,
 so it visits every valid table exactly once.  The cycle types and T's
-cycle lengths are read from the census's ``canon.RowFacts``, the table its
-class keys read too.
+cycle lengths are read from a ``canon.RowFacts``, the table the class keys
+read too.
 
-Candidate rows are generated, not scanned.  One index, built once per
-census and shared by its slices, lists for every cell (x, v) the
-permutations p with p[x] = v, and row d starts from the pin (d, T(d)).
-Putting y = d and z = x in the cycloid law gives T(d.x) = (x.d).T(x), so
-once row x and row x.d are known, cell (d, x) is the point
-T^-1((x.d).T(x)).  These pins are intersected before any row is tried, so
-only trials that would fail anyway are skipped.
+Candidate rows are generated, not scanned.  One index lists for every cell
+(x, v) the permutations p with p[x] = v, and row d starts from the pin
+(d, T(d)).  Putting y = d and z = x in the cycloid law gives
+T(d.x) = (x.d).T(x), so once row x and row x.d are known, cell (d, x) is
+the point T^-1((x.d).T(x)).  These pins are intersected before any row is
+tried, so only trials that would fail anyway are skipped.  The index and
+the row facts depend only on n, so ``_degree_tables`` keeps them for the
+last degree searched: every slice, census, scan and pool task of that
+degree reads the same two tables, and nothing writes to the index.
 
 The search branches on the unknown row with the fewest candidates, the
 lowest index on ties (row 0 at the root, where all tie), so the visit order
@@ -60,6 +62,7 @@ independent of the number of jobs and of scheduling.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import multiprocessing
 import multiprocessing.connection
@@ -174,6 +177,26 @@ class Census:
         return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
 
 
+def _census(
+    n: int,
+    filt: EnumerationFilter | None,
+    reps: Iterable[CycleSet],
+    engine_version: str,
+    start: float,
+) -> Census:
+    """The census of size n whose representatives are the tables of
+    ``reps``, canonical and sorted, that ``filt`` keeps, all of them when
+    it is None; ``start`` is the ``time.monotonic()`` of the call."""
+    filt = filt or EnumerationFilter()
+    return Census(
+        n=n,
+        filter_desc=tuple(sorted(filt.describe().items())),
+        representatives=tuple(X.table for X in reps if filt.matches(X)),
+        engine_version=engine_version,
+        elapsed=time.monotonic() - start,
+    )
+
+
 def _partitions(n: int, largest: int | None = None) -> Iterable[tuple[int, ...]]:
     if n == 0:
         yield ()
@@ -199,14 +222,19 @@ def _normal_forms(n: int) -> tuple[Perm, ...]:
     return tuple(out)
 
 
-def _cell_index(n: int) -> list[list[list[Perm]]]:
-    """cells[x][v]: the permutations p of degree n with p[x] == v, in
-    lexicographic order."""
+@functools.lru_cache(maxsize=1)
+def _degree_tables(n: int) -> tuple[Sequence[Sequence[Sequence[Perm]]], canon.RowFacts]:
+    """(cells, facts) for degree n: cells[x][v] lists the permutations p of
+    degree n with p[x] == v, in lexicographic order, and facts is a
+    ``canon.RowFacts`` for the rows and squaring maps of that degree.  Only
+    the last degree's pair is kept (at n = 8, about 7 MB of index and up to
+    16 MB of facts on Python 3.11); the index is built of tuples, as every
+    caller shares it."""
     cells: list[list[list[Perm]]] = [[[] for _ in range(n)] for _ in range(n)]
     for p in permutations(range(n)):
         for x, v in enumerate(p):
             cells[x][v].append(p)
-    return cells
+    return tuple(tuple(map(tuple, row)) for row in cells), canon.RowFacts()
 
 
 def _orbit_representatives(
@@ -232,26 +260,22 @@ def _orbit_representatives(
     return reps
 
 
-def _slice_group(diagonal: Perm, cells: Sequence[Sequence[Sequence[Perm]]]) -> list[Perm]:
-    """The stabilizer of point 0 in the centralizer of T, the rows of
-    ``cells[0][0]`` that commute with T: the residual group of a slice's
-    search before any row is known, as it keeps T and point 0 in place."""
+def _slice_group(diagonal: Perm) -> list[Perm]:
+    """The stabilizer of point 0 in the centralizer of T, the permutations
+    fixing 0 that commute with T: the residual group of a slice's search
+    before any row is known, as it keeps T and point 0 in place."""
     n = len(diagonal)
     return [
-        phi for phi in cells[0][0]
+        phi for phi in _degree_tables(n)[0][0][0]
         if all(phi[diagonal[x]] == diagonal[phi[x]] for x in range(n))
     ]
 
 
 def _search(
-    n: int,
     diagonal: Perm,
     emit: Callable[[Table], None],
     symmetry_breaking: bool = True,
     cancel=None,
-    *,
-    cells: Sequence[Sequence[Sequence[Perm]]],
-    facts: canon.RowFacts,
 ) -> None:
     """Backtracking core over the tables whose row x maps x to diagonal[x].
     Symmetry breaking rejects a row at a peer of 0, a point other than 0
@@ -261,8 +285,10 @@ def _search(
     candidate per orbit of the residual group, ``_slice_group`` at the root,
     and a leaf is rejected when a peer has a greater ``canon.colours`` than
     0.  ``cancel`` is polled at the first node and then every 512 nodes.
-    ``cells`` is ``_cell_index(n)`` and ``facts``, where cycle types and T's
-    cycle lengths are read, a ``canon.RowFacts``; a census keeps one of each."""
+    Candidates come from the cell index, and cycle types and T's cycle
+    lengths from the row facts, of ``_degree_tables``."""
+    n = len(diagonal)
+    cells, facts = _degree_tables(n)
     rows: list[Perm | None] = [None] * n
     t_inv = inverse(diagonal)
     pending: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -272,7 +298,7 @@ def _search(
     group, peers = [tuple(range(n))], set()
     if symmetry_breaking:
         length = facts[diagonal][0]
-        group = _slice_group(diagonal, cells)
+        group = _slice_group(diagonal)
         peers = {x for x in range(1, n) if length[x] == length[0]}
     top: tuple[int, ...] = ()
 
@@ -425,24 +451,16 @@ def _diagonals(
 
 
 def _census_classes(
-    n: int,
-    diagonals: Sequence[Perm],
-    symmetry_breaking: bool,
-    cancel,
-    cells: Sequence[Sequence[Sequence[Perm]]] | None = None,
-    facts: canon.RowFacts | None = None,
+    n: int, diagonals: Sequence[Perm], symmetry_breaking: bool, cancel
 ) -> set[Table]:
-    """Search the slices of ``diagonals`` over one cell index and return the
+    """Search the slices of ``diagonals``, of degree n, and return the
     canonical forms of the classes of the tables they emit, by one
-    ``canon.Classes``, whose row facts serve every slice's search too.
-    ``cells`` and ``facts`` are built here when None; a pool worker passes
-    its own, kept for all its tasks."""
+    ``canon.Classes`` that reads the row facts of ``_degree_tables``."""
+    facts = _degree_tables(n)[1]
     # canon takes a plain callable, not an Event
     classes = canon.Classes(cancel.is_set if cancel is not None else None, facts)
-    if cells is None:
-        cells = _cell_index(n)
     for d in diagonals:
-        _search(n, d, classes.add, symmetry_breaking, cancel, cells=cells, facts=classes.facts)
+        _search(d, classes.add, symmetry_breaking, cancel)
     return classes.forms()
 
 
@@ -451,22 +469,14 @@ def _worker(conn) -> None:
     worker or closes the pipe, answering each with (True, its classes) or
     (False, the exception it raised).  A task (n, diagonal,
     symmetry_breaking) is one slice; it takes no cancel event, as the pool
-    kills its workers.  The worker builds one cell index and one table of
-    row facts and keeps them for all its tasks, as a serial census does for
-    its slices."""
-    cells: list = []
-    facts = canon.RowFacts()
+    kills its workers."""
     while True:
         try:
             n, diagonal, symmetry_breaking = conn.recv()
         except EOFError:
             return
         try:
-            if len(cells) != n:
-                cells = _cell_index(n)
-            reply = True, _census_classes(
-                n, (diagonal,), symmetry_breaking, None, cells, facts
-            )
+            reply = True, _census_classes(n, (diagonal,), symmetry_breaking, None)
         except Exception as exc:
             reply = False, exc
         conn.send(reply)
@@ -543,7 +553,6 @@ def enumerate_cycle_sets(
     ``SearchCancelled`` at the next poll of the search, or within about
     0.1 s on the pool path.  The pool's workers are killed when it returns
     or raises, so no worker outlives the call (see ``_pool_results``)."""
-    filt = filt or EnumerationFilter()
     start = time.monotonic()
     diagonals = _diagonals(n, symmetry_breaking, diagonal)
     if jobs <= 1 or len(diagonals) == 1:
@@ -563,15 +572,7 @@ def enumerate_cycle_sets(
                 if progress is not None:
                     progress(f"task {merged}/{len(tasks)} merged")
 
-    reps = [cycle_set(t) for t in sorted(canon_set)]
-    kept = tuple(X.table for X in reps if filt.matches(X))
-    return Census(
-        n=n,
-        filter_desc=tuple(sorted(filt.describe().items())),
-        representatives=kept,
-        engine_version=ENGINE_VERSION,
-        elapsed=time.monotonic() - start,
-    )
+    return _census(n, filt, map(cycle_set, sorted(canon_set)), ENGINE_VERSION, start)
 
 
 def scan_cycle_sets(
@@ -606,10 +607,8 @@ def scan_cycle_sets(
         count += 1
         visit(t)
 
-    cells = _cell_index(n)
-    facts = canon.RowFacts()
     for d in diagonals:
-        _search(n, d, emit, symmetry_breaking, cancel=cancel, cells=cells, facts=facts)
+        _search(d, emit, symmetry_breaking, cancel)
     return count
 
 
@@ -651,7 +650,6 @@ def brute_force_census(n: int, filt: EnumerationFilter | None = None) -> Census:
         raise ValueError("size must be >= 1")
     if n > 4:
         raise ValueError("brute-force oracle is limited to n <= 4")
-    filt = filt or EnumerationFilter()
     start = time.monotonic()
     perms = tuple(permutations(range(n)))
     canon_reps = sorted({
@@ -659,13 +657,4 @@ def brute_force_census(n: int, filt: EnumerationFilter | None = None) -> Census:
         for t in product(perms, repeat=n)
         if _naive_valid(t, n)
     })
-    kept = tuple(
-        t for t in canon_reps if filt.matches(CycleSet(t))
-    )
-    return Census(
-        n=n,
-        filter_desc=tuple(sorted(filt.describe().items())),
-        representatives=kept,
-        engine_version="cycleset-brute/1",
-        elapsed=time.monotonic() - start,
-    )
+    return _census(n, filt, map(CycleSet, canon_reps), "cycleset-brute/1", start)

@@ -22,6 +22,8 @@ from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 Perm = tuple[int, ...]
+# an operation table: row x is the image tuple of the map y -> x.y
+Table = tuple[tuple[int, ...], ...]
 
 # most elements a group may have before materialization gives up
 ORDER_CAP = 10**6

@@ -4,6 +4,8 @@ filters, determinism, and the size cap."""
 import hashlib
 import multiprocessing
 import os
+import subprocess
+import sys
 import threading
 import time
 from collections import Counter
@@ -28,8 +30,8 @@ from cycleset import canon, enumeration
 from cycleset.canon import canonical_form as canonical_table
 from cycleset.enumeration import (
     ENGINE_VERSION,
-    _cell_index,
     _census_classes,
+    _degree_tables,
     _diagonals,
     _naive_valid,
     _normal_forms,
@@ -40,6 +42,7 @@ from cycleset.enumeration import (
 KNOWN_COUNTS = {1: 1, 2: 2, 3: 5, 4: 23, 5: 88, 6: 595}
 
 # sha256 of Census.canonical_bytes(), produced by cycleset-enum/1
+CENSUS4_SHA256 = "24893763c8a24365b1de5519c2c182f182307acf0ccab0e82324661f604c96bc"
 CENSUS5_SHA256 = "3f7942e73c4efc93a81b1677a805ec9979d4d17a9ab2d85b9f17261eb32e73fe"
 CENSUS6_SHA256 = "49850eb62801542888d8b74e26d3d76d3e396633be830cec36c91bed52dca3a3"
 INVOLUTION6_SHA256 = "efb8abbec834cea17b2202912aa648b0641531af6f1f81a89373ff7863922957"
@@ -218,15 +221,11 @@ class TestWorkSplitting:
             enumerate_cycle_sets(5, jobs=2)
         assert multiprocessing.active_children() == []
 
-    def test_worker_builds_its_index_and_facts_once(self, monkeypatch):
-        # a worker keeps one cell index and one table of row facts for all
-        # its tasks; it stops when the pipe closes
+    def test_degree_tables_are_built_once(self, monkeypatch):
+        # the cell index and the row facts of a degree are built by its
+        # first census and read by every later census, scan and pool task
+        # of that degree; a worker stops when its pipe closes
         built = []
-        cell_index = enumeration._cell_index
-
-        def spy(n):
-            built.append(n)
-            return cell_index(n)
 
         class Facts(canon.RowFacts):
             def __init__(self):
@@ -246,15 +245,60 @@ class TestWorkSplitting:
             def send(self, reply):
                 self.sent.append(reply)
 
-        monkeypatch.setattr(enumeration, "_cell_index", spy)
         monkeypatch.setattr(canon, "RowFacts", Facts)
+        _degree_tables.cache_clear()
+        first = enumerate_cycle_sets(4)
+        second = enumerate_cycle_sets(4)
+        scanned = scan_cycle_sets(4, lambda t: None)
         diagonals = _diagonals(4, True, None)[-2:]
         conn = Conn((4, d, True) for d in diagonals)
         enumeration._worker(conn)
-        assert built == ["facts", 4]
+        assert built == ["facts"]
+        assert _degree_tables.cache_info().misses == 1
+        assert _sha256(first) == _sha256(second) == CENSUS4_SHA256
+        assert scanned == 24
+        # leave no spy in the memo for later tests
         monkeypatch.undo()
+        _degree_tables.cache_clear()
         want = [(True, _census_classes(4, (d,), True, None)) for d in diagonals]
         assert conn.sent == want
+
+    def test_degree_tables_keep_the_last_degree_only(self):
+        _degree_tables.cache_clear()
+        for n, sha in ((4, CENSUS4_SHA256), (5, CENSUS5_SHA256), (4, CENSUS4_SHA256)):
+            assert _sha256(enumerate_cycle_sets(n)) == sha
+            assert _degree_tables.cache_info().currsize == 1
+        # the one entry kept is degree 4's: asking for it builds nothing
+        misses = _degree_tables.cache_info().misses
+        _degree_tables(4)
+        assert _degree_tables.cache_info().misses == misses == 3
+
+    @pytest.mark.parametrize(
+        "method", [m for m in multiprocessing.get_all_start_methods() if m != "fork"]
+    )
+    def test_pool_without_fork(self, method):
+        # workers that start from a fresh import inherit no tables and no
+        # patched names from the parent; each builds its own
+        code = (
+            "import hashlib, multiprocessing\n"
+            "from cycleset import enumerate_cycle_sets\n"
+            f"multiprocessing.set_start_method({method!r})\n"
+            "census = enumerate_cycle_sets(5, jobs=2)\n"
+            "print(hashlib.sha256(census.canonical_bytes()).hexdigest())\n"
+            "print(len(multiprocessing.active_children()))\n"
+        )
+        src = os.path.dirname(os.path.dirname(enumeration.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == [CENSUS5_SHA256, "0"]
 
     def test_split_checks_cap_and_degree(self, monkeypatch):
         monkeypatch.delenv("CYCLESET_MAX_N", raising=False)
@@ -326,7 +370,7 @@ class TestDiagonalConstraint:
             return tuple(q)
 
         for n in range(1, 6):
-            cells = _cell_index(n)
+            cells = _degree_tables(n)[0]
             for diag in _normal_forms(n):
                 # brute force: every relabeling that fixes 0 and commutes with T
                 stab = [
@@ -335,7 +379,7 @@ class TestDiagonalConstraint:
                     if phi[0] == 0 and all(phi[diag[x]] == diag[phi[x]] for x in range(n))
                 ]
                 # the row-0 candidates the search tries at the root
-                reps = _orbit_representatives(cells[0][diag[0]], _slice_group(diag, cells))
+                reps = _orbit_representatives(cells[0][diag[0]], _slice_group(diag))
                 orbits = [{conjugate(phi, p) for phi in stab} for p in reps]
                 # each orbit holds one representative, so no two share one
                 assert all(len(o & set(reps)) == 1 for o in orbits)
@@ -348,10 +392,10 @@ class TestDiagonalConstraint:
         # must hold every relabeling that keeps 0, T and row 0 in place, and
         # only those
         for n in range(1, 6):
-            cells = _cell_index(n)
+            cells = _degree_tables(n)[0]
             perms = list(permutations(range(n)))
             for diag in _normal_forms(n):
-                first = _orbit_representatives(cells[0][diag[0]], _slice_group(diag, cells))
+                first = _orbit_representatives(cells[0][diag[0]], _slice_group(diag))
                 for p, group in first.items():
                     want = {
                         phi

@@ -1,7 +1,11 @@
-"""Every name a module of the package imports is used in that module, and
-the census engine reads no private name of the canonical labeling."""
+"""Every name a module of the package imports is used in that module, the
+census engine reads no private name of the canonical labeling, and each
+type alias is assigned in one module."""
 
 import ast
+import builtins
+import typing
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -74,3 +78,56 @@ def test_private_reads_are_found():
 def test_enumeration_reads_no_private_name_of_canon():
     source = (Path(cycleset.__file__).parent / "enumeration.py").read_text(encoding="utf-8")
     assert private_reads(source, "canon") == []
+
+
+# the generic types an alias subscripts: builtin classes and typing's names
+GENERICS = {n for n in dir(builtins) if isinstance(getattr(builtins, n), type)}
+GENERICS |= set(typing.__all__)
+
+
+def type_aliases(source: str) -> list[str]:
+    """The type aliases that ``source`` assigns at module level: a name
+    bound to a subscripted generic type such as ``tuple[int, ...]``, a name
+    annotated ``TypeAlias``, or a ``type`` statement."""
+    names = []
+    for node in ast.parse(source).body:
+        if (
+            isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Subscript)
+            and isinstance(node.value.value, ast.Name)
+            and node.value.value.id in GENERICS
+            and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+        ):
+            names.append(node.targets[0].id)
+        elif (
+            isinstance(node, ast.AnnAssign)
+            and isinstance(node.target, ast.Name)
+            and "TypeAlias" in ast.unparse(node.annotation)
+        ):
+            names.append(node.target.id)
+        elif type(node).__name__ == "TypeAlias":  # ``type X = ...``, Python 3.12+
+            names.append(node.name.id)
+    return names
+
+
+def test_type_aliases_are_found():
+    source = (
+        "from typing import TypeAlias\n"
+        "A = tuple[int, ...]\n"
+        "B: TypeAlias = list[int]\n"
+        "C = 3\n"
+        "D = x[0]\n"
+        "E = Callable[[int], int]\n"
+        "def f():\n"
+        "    F = dict[int, int]\n"
+    )
+    assert type_aliases(source) == ["A", "B", "E"]
+
+
+def test_each_type_alias_is_assigned_once():
+    counts = Counter(
+        name for path in MODULES for name in type_aliases(path.read_text(encoding="utf-8"))
+    )
+    assert "Table" in counts
+    assert [name for name, k in counts.items() if k > 1] == []
