@@ -8,8 +8,15 @@ best table found, and skips branches that a known automorphism of the table
 maps onto earlier ones (the branch-and-bound with automorphism pruning of
 McKay's *Practical graph isomorphism*, 1981).  It returns the same table and
 the same relabeling as a scan of all n! relabelings in lex order, without
-visiting them all: over the 3,456 classes of size 7 it visits 141 nodes per
-class on average, against 5,040 relabelings.
+visiting them all.  Each cell is compared once on a path: the rows a node
+finds determined and tied to the best table keep their values below it, so
+its children's comparisons resume after them.  With a single cell of
+permutation rows, label 0 goes only to the points whose rooted row (the
+least conjugate of their row that sends them to 0, ``_rooted_key``) is
+least, since row 0 of the winner is that row.  Over the 3,456 classes of
+size 7, ``canonical_form`` of each representative visits 110 nodes on
+average (130 without the rooted rule and 5,040 for the scan), and of a
+seeded relabeling of each 176 (259).
 
 A census deduplicates in two stages, kept together in ``Classes``, so that
 the canonical form is computed once per isomorphism class rather than once
@@ -63,14 +70,31 @@ class RowFacts(dict):
     """row -> (the length of the cycle through each point, ``_orbit_sizes``;
     those lengths in descending order, its cycle type spelt out point by
     point, which orders the cycle types of one degree as ``cycle_type``
-    does; the mask of its fixed points), computed on first use and kept."""
+    does; the mask of its fixed points; whether the row is a permutation),
+    computed on first use and kept."""
 
-    def __missing__(self, row: Perm) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    def __missing__(self, row: Perm) -> tuple[tuple[int, ...], tuple[int, ...], int, bool]:
         sizes = _orbit_sizes(row)
         # only a fixed point walks a path of one point
         fixed = sum(1 << x for x, s in enumerate(sizes) if s == 1)
-        facts = self[row] = (tuple(sizes), tuple(sorted(sizes, reverse=True)), fixed)
+        perm = len(set(row)) == len(row)
+        facts = self[row] = (tuple(sizes), tuple(sorted(sizes, reverse=True)), fixed, perm)
         return facts
+
+
+def _rooted_key(facts: tuple, x: int) -> tuple:
+    """The rooted row of point x for a permutation p, the least conjugate
+    of p that sends x to 0, is x's cycle laid out on 0, 1, ... and then the
+    other cycles by increasing length.  Rooted rows are ordered as their
+    keys: the length of x's cycle, then p's cycle lengths ascending, spelt
+    out point by point, both read from ``facts``, p's ``RowFacts`` entry.
+    The layout leaves x's cycle out of the other lengths, but between keys
+    with the same first part that changes no comparison.
+
+    >>> _rooted_key(RowFacts()[(1, 0, 2)], 2)
+    (1, (1, 2, 2))
+    """
+    return facts[0][x], facts[1][::-1]
 
 
 def relabel_table(table: Sequence[Sequence[int]], rho: Sequence[int]) -> Table:
@@ -100,10 +124,17 @@ def _lex_min(
     the winner is never cut.  With labels 0..k-1 placed, cell (i, j) for
     i, j < k is exact when its image is labelled and at least k when it is
     not, and the rest of row i is k, k+1, ... when that row fixes every
-    unlabelled point.  A leaf that ties the incumbent gives an automorphism
-    g of the table; a point c is skipped at label k when some such g fixes
-    pre[0..k-1] and maps a smaller candidate c' to c, since g carries the
-    subtree of c' onto that of c, leaf for leaf and table for table.
+    unlabelled point.  Rows that a node finds determined and equal to the
+    incumbent's keep their values in its subtree, and so does every
+    incumbent found there, so the comparisons below it start after them.
+    With one cell and permutation rows only the points of least
+    ``_rooted_key`` may take label 0: row 0 of a relabeled table is a
+    conjugate of the row of the point labelled 0 that sends that point to
+    0, and the least of those is the point's rooted row.  A leaf that ties
+    the incumbent gives an automorphism g of the table; a point c is
+    skipped at label k when some such g fixes pre[0..k-1] and maps a
+    smaller candidate c' to c, since g carries the subtree of c' onto that
+    of c, leaf for leaf and table for table.
 
     ``autos`` holds automorphisms of ``rows`` known in advance, each mapping
     every cell onto itself, as every automorphism does with one cell or
@@ -111,9 +142,11 @@ def _lex_min(
     from its first node and appends the ones it finds.  Pruning by a real
     automorphism cuts only pre-orders that a lex-earlier one matches table
     for table, so the result does not depend on which are known.  The
-    fixed points of the rows are read from ``facts``, a fresh table when
-    it is None."""
+    rows' fixed points, cycle lengths and whether they are permutations
+    are read from ``facts``, a fresh table when it is None."""
     n = len(rows)
+    if not n:
+        return (), ()
     # the points that may take label k, as a bit mask
     masks: list[int] = []
     for cell in cells:
@@ -122,9 +155,19 @@ def _lex_min(
     best = [n] * (n * n)
     if facts is None:
         facts = RowFacts()
-    fixes = [facts[r][2] for r in rows]
+    row_facts = [facts[r] for r in rows]
+    fixes = [f[2] for f in row_facts]
+    if len(cells) == 1 and all(f[3] for f in row_facts):
+        # row 0 of the winner is the least rooted row, so label 0 goes only
+        # to the points with the least rooted key
+        keys = [_rooted_key(f, x) for x, f in enumerate(row_facts)]
+        least = min(keys)
+        masks[0] = sum(1 << x for x, key in enumerate(keys) if key == least)
     pre = [0] * n
     label = [n] * n  # n marks an unlabelled point
+    # tied[k]: how many leading rows are determined and equal to the
+    # incumbent's at the node with labels 0..k-1 placed
+    tied = [0] * (n + 1)
     best_rho: Perm | None = None
     best_pre: list[int] = []
     if autos is None:
@@ -134,9 +177,12 @@ def _lex_min(
     def compare(k: int, free: int) -> int:
         """1 when the determined prefix of the partial relabeling is above
         the incumbent, 0 when it ties it, -1 when it is below or stops at an
-        undetermined cell that the incumbent does not exceed."""
-        pos = 0
-        for i in range(k):
+        undetermined cell that the incumbent does not exceed.  It starts
+        after the rows tied at the parent node and records tied[k]."""
+        start = tied[k - 1]
+        pos = start * n
+        for i in range(start, k):
+            tied[k] = i
             row = rows[pre[i]]
             for j in range(k):
                 v = label[row[pre[j]]]
@@ -153,6 +199,7 @@ def _lex_min(
                 if j != b:
                     return 1 if j > b else -1
                 pos += 1
+        tied[k] = k
         return 0
 
     full = free = (1 << n) - 1
@@ -185,7 +232,9 @@ def _lex_min(
         free ^= bit
         if free:
             # a forced label is checked with the next one, which cuts the
-            # same; nothing is cut before the first incumbent
+            # same; nothing is cut before the first incumbent.  A node that
+            # is not compared keeps its parent's tied rows
+            tied[k + 1] = tied[k]
             if forced or best[0] == n or compare(k + 1, free) <= 0:
                 k += 1
                 avail[k] = masks[k] & free
@@ -257,10 +306,13 @@ def colours(rows: Sequence[Perm], facts: RowFacts | None = None) -> list[tuple]:
     return [(t_len[x], facts[r][1], fixing[x]) for x, r in enumerate(rows)]
 
 
-def _colour_cells(rows: Table, facts: RowFacts | None = None) -> list[tuple[int, ...]]:
-    """The points grouped by ``colours``, cells in increasing colour."""
+def _colour_cells(
+    rows: Table, facts: RowFacts | None = None, colour: list[tuple] | None = None
+) -> list[tuple[int, ...]]:
+    """The points grouped by ``colours``, cells in increasing colour;
+    ``colour`` is the colours of ``rows`` when the caller has them."""
     cells: dict[tuple, list[int]] = {}
-    for x, c in enumerate(colours(rows, facts)):
+    for x, c in enumerate(colours(rows, facts) if colour is None else colour):
         cells.setdefault(c, []).append(x)
     return [tuple(cells[c]) for c in sorted(cells)]
 
@@ -295,10 +347,13 @@ class Classes:
         self.facts = RowFacts() if facts is None else facts
         self.keys: dict[Table, Autos] = {}
 
-    def add(self, table: Sequence[Sequence[int]]) -> None:
+    def add(self, table: Sequence[Sequence[int]], colour: list[tuple] | None = None) -> None:
+        """Keep the class of ``table``; ``colour`` is its ``colours`` when
+        the caller has them."""
         rows = tuple(map(tuple, table))
         autos: Autos = []
-        rho, key = _lex_min(rows, _colour_cells(rows, self.facts), self.cancel, autos, self.facts)
+        cells = _colour_cells(rows, self.facts, colour)
+        rho, key = _lex_min(rows, cells, self.cancel, autos, self.facts)
         if key not in self.keys:
             self.keys[key] = _carry_autos(autos, rho)
 

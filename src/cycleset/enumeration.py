@@ -44,19 +44,22 @@ degree reads the same two tables, and nothing writes to the index.
 
 The search branches on the unknown row with the fewest candidates, the
 lowest index on ties (row 0 at the root, where all tie), so the visit order
-is not lexicographic.  With symmetry breaking, the cycle-type rule then
+is not lexicographic.  Those counts come from the pins alone: m pins at
+distinct values leave (n - m)! rows, and two at one value leave none, so
+only the chosen row's candidates are listed.  With symmetry breaking, the cycle-type rule then
 filters the candidates of a peer of 0, dropping those of greater cycle type
 than row 0 before any is placed.  The filter runs after the
 choice of row, so it changes neither that choice nor the visit order; rows
 forced by propagation are checked as they are forced.  The orbit pruning,
 after the filter, and the tie-break of fixing counts, checked at the
 leaves, only drop tables and keep the order of the rest.
-Every emitted table goes to a ``canon.Classes``, which reduces it to its
-class key, a complete isomorphism invariant that is cheap to compute; once
-the search is done the full canonical form is computed once per distinct
-key, starting from the automorphisms found by the key search, so the
-output is one canonical representative per isomorphism class, sorted,
-independent of the number of jobs and of scheduling.
+Every emitted table goes to a ``canon.Classes``, with the colours its leaf
+computed, which reduces it to its class key, a complete isomorphism
+invariant that is cheap to compute; once the search is done the full
+canonical form is computed once per distinct key, starting from the
+automorphisms found by the key search, so the output is one canonical
+representative per isomorphism class, sorted, independent of the number of
+jobs and of scheduling.
 """
 
 from __future__ import annotations
@@ -70,6 +73,7 @@ import os
 import time
 from dataclasses import dataclass, field, fields
 from itertools import permutations, product
+from math import factorial
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import canon
@@ -273,7 +277,7 @@ def _slice_group(diagonal: Perm) -> list[Perm]:
 
 def _search(
     diagonal: Perm,
-    emit: Callable[[Table], None],
+    emit: Callable[[Table, list[tuple] | None], None],
     symmetry_breaking: bool = True,
     cancel=None,
 ) -> None:
@@ -284,13 +288,17 @@ def _search(
     forced.  Every branching, row 0's at the root included, tries one
     candidate per orbit of the residual group, ``_slice_group`` at the root,
     and a leaf is rejected when a peer has a greater ``canon.colours`` than
-    0.  ``cancel`` is polled at the first node and then every 512 nodes.
-    Candidates come from the cell index, and cycle types and T's cycle
-    lengths from the row facts, of ``_degree_tables``."""
+    0.  Each table goes to ``emit`` with those colours, or None when there
+    are no peers and they were not computed.  ``cancel`` is polled at the
+    first node and then every 512 nodes.  The row branched on is the one
+    with the fewest candidates, counted from its pins before any list is
+    built.  Candidates come from the cell index, and cycle types and T's
+    cycle lengths from the row facts, of ``_degree_tables``."""
     n = len(diagonal)
     cells, facts = _degree_tables(n)
     rows: list[Perm | None] = [None] * n
     t_inv = inverse(diagonal)
+    factorials = [factorial(m) for m in range(n)]
     pending: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     nodes = 0
     # the peers of 0: the centralizer of T moves any of them to 0, so with
@@ -366,19 +374,24 @@ def _search(
             else:
                 pending[v].pop()
 
-    def candidates(d: int) -> Sequence[Perm]:
-        """The rows that agree with every cell of row d that T pins: the
+    def pins(d: int) -> list[tuple[int, int]] | None:
+        """The cells of row d that T pins, as (position, value): the
         diagonal cell, and cell x wherever row x and row c = x.d are known,
-        since T(d.x) = c.T(x)."""
-        cands: Sequence[Perm] = cells[d][diagonal[d]]
+        since T(d.x) = c.T(x); None when two pins share a value, as then
+        no row fits them."""
+        out = [(d, diagonal[d])]
+        values = 1 << diagonal[d]
         for x in range(n):
             rx = rows[x]
             if rx is not None:
                 rc = rows[rx[d]]
                 if rc is not None:
                     a = t_inv[rc[rx[x]]]
-                    cands = [p for p in cands if p[x] == a]
-        return cands
+                    if values >> a & 1:
+                        return None
+                    values |= 1 << a
+                    out.append((x, a))
+        return out
 
     def extend(group: Sequence[Perm]) -> None:
         """Branch below the current rows; ``group`` is the residual group,
@@ -391,20 +404,26 @@ def _search(
             raise SearchCancelled
         unknown = [x for x in range(n) if rows[x] is None]
         if not unknown:
+            colour = None
             if peers:
                 colour = canon.colours(rows, facts)  # type: ignore[arg-type]
                 if any(colour[x] > colour[0] for x in peers):
                     return
-            emit(tuple(rows))  # type: ignore[arg-type]
+            emit(tuple(rows), colour)  # type: ignore[arg-type]
             return
-        # the most constrained row, lowest index on ties: row 0 at the root
-        d, cands = -1, None
+        # the most constrained row, lowest index on ties: row 0 at the root;
+        # a row with m pins, its diagonal cell's among them, has (n - m)!
+        # candidates, and only the chosen row's are listed
+        d, size, pinned = -1, 0, []
         for x in unknown:
-            c = candidates(x)
-            if cands is None or len(c) < len(cands):
-                d, cands = x, c
-                if not c:
-                    return
+            pin = pins(x)
+            if pin is None:
+                return
+            if d < 0 or factorials[n - len(pin)] < size:
+                d, size, pinned = x, factorials[n - len(pin)], pin
+        cands: Sequence[Perm] = cells[d][diagonal[d]]
+        for x, a in pinned[1:]:
+            cands = [p for p in cands if p[x] == a]
         if d in peers:
             # the rows that force would reject, dropped before they are
             # placed; the order of the rest is kept
@@ -602,7 +621,7 @@ def scan_cycle_sets(
     diagonals = _diagonals(n, symmetry_breaking, diagonal)
     count = 0
 
-    def emit(t: Table) -> None:
+    def emit(t: Table, _colour) -> None:
         nonlocal count
         count += 1
         visit(t)

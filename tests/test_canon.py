@@ -11,6 +11,7 @@ from cycleset.canon import (
     SearchCancelled,
     _colour_cells,
     _lex_min,
+    _rooted_key,
     canonical_form,
     canonical_relabeling,
     class_key,
@@ -131,6 +132,45 @@ def test_single_point():
     assert class_relabeling(((0,),)) == ((0,), ((0,),))
 
 
+def test_empty_table():
+    # the one relabeling of the empty table
+    assert canonical_relabeling(()) == ((), ())
+    assert class_relabeling(()) == ((), ())
+
+
+def test_rooted_keys_order_points_as_their_least_conjugates():
+    # the one-cell search gives label 0 only to points of least key, so the
+    # keys must order every (permutation, point) pair, ties included, as
+    # the least conjugate sending the point to 0 does
+    facts = RowFacts()
+    for n in range(1, 7):
+        # each relabeling rho with its inverse, by the point it sends to 0
+        rooting = {x: [] for x in range(n)}
+        for rho in itertools.permutations(range(n)):
+            rooting[rho.index(0)].append((rho, inverse(rho)))
+        least = {}
+        for p in itertools.permutations(range(n)):
+            for x in range(n):
+                row = min(
+                    tuple(rho[p[inv[i]]] for i in range(n)) for rho, inv in rooting[x]
+                )
+                least.setdefault(_rooted_key(facts[p], x), set()).add(row)
+        assert all(len(rows) == 1 for rows in least.values())
+        ordered = [least[key].pop() for key in sorted(least)]
+        assert ordered == sorted(set(ordered))
+
+
+def test_canonical_labeling_matches_the_scan_on_scanned_tables():
+    # the identity slice of 6 repeats identity rows, so many rows tie the
+    # incumbent early and the comparison resumes after them
+    tables = []
+    for n in range(1, 6):
+        scan_cycle_sets(n, tables.append)
+    assert scan_cycle_sets(6, tables.append, diagonal=tuple(range(6))) == 113
+    for t in tables:
+        assert canonical_relabeling(t) == scan_relabeling(t)
+
+
 def test_distinct_classes_stay_distinct():
     a = ((1, 0), (1, 0))  # both rows swap
     b = ((0, 1), (0, 1))  # both rows identity
@@ -221,7 +261,8 @@ def reference_colour_cells(rows):
 
 def test_row_facts_spell_out_the_cycle_type():
     # the cycle-type key is the cycle type with each part written once per
-    # point of its cycles, beside the per-point lengths and the fixed points
+    # point of its cycles, beside the per-point lengths, the fixed points
+    # and whether the row is a permutation
     facts = RowFacts()
     for n in range(7):
         for p in itertools.permutations(range(n)):
@@ -230,7 +271,11 @@ def test_row_facts_spell_out_the_cycle_type():
                 tuple(length[x] for x in range(n)),
                 tuple(k for k in cycle_type(p) for _ in range(k)),
                 sum(1 << x for x in fixed_points(p)),
+                True,
             )
+    for n in range(5):
+        for m in itertools.product(range(n), repeat=n):
+            assert facts[m][3] == (sorted(m) == list(range(n)))
 
 
 @pytest.mark.parametrize("n", range(1, 9))

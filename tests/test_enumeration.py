@@ -529,6 +529,26 @@ class TestScan:
                 assert all(rank(t, x) <= rank(t, 0) for x in peers)
             assert len({canonical_table(t) for t in seen}) == classes
 
+    def test_census_computes_the_colours_of_a_table_once(self, monkeypatch):
+        # the leaf's tie-break for point 0 hands its colours to the class
+        # key, so a census of a slice with peers of 0 computes no more
+        # colours than the scan of that slice, whose leaves compute them
+        calls = []
+        colours = canon.colours
+
+        def counted(rows, facts=None):
+            calls.append(1)
+            return colours(rows, facts)
+
+        monkeypatch.setattr(canon, "colours", counted)
+        identity = tuple(range(5))
+        scanned = scan_cycle_sets(5, lambda t: None, diagonal=identity)
+        leaves = len(calls)
+        assert leaves >= scanned > 0
+        calls.clear()
+        enumerate_cycle_sets(5, diagonal=identity)
+        assert len(calls) == leaves
+
     def test_unbroken_scan_visits_each_valid_table_once(self):
         # the element-form oracle over every table of rows, per diagonal slice
         for n in (1, 2, 3):

@@ -3,13 +3,14 @@
 The suite builds the full size-7 census once, checks the published count of
 3,456 classes (Akgün–Mereb–Vendramin 2022) and the sha256 of its canonical
 bytes, counts the tables the search emits, builds the census again on a
-pool of two workers for the same bytes, and sweeps the checker battery over
-it.  The census searches one slice per partition of 7 (15 slices, the
+pool of two workers for the same bytes, brings every class back from a
+seeded relabeling by ``canonical_form``, and sweeps the checker battery
+over it.  The census searches one slice per partition of 7 (15 slices, the
 squaring map in normal form) and canonicalizes each class once.  On a
 shared, loaded 2-core x86-64 machine under Python 3.11.7 the serial census
 took 7-8 s (7,655 tables searched; 1.7-2.9 s of CPU time went to class keys
-and canonical forms), the search alone 5-8 s, the pool about 4.5 s and the
-whole file 18-19 s.
+and canonical forms), the search alone 5-8 s, the pool about 4.5 s, the
+3,456 relabeled canonical forms about 2 s and the whole file 19-20 s.
 
 No test enumerates sizes 8 and 9, whose census has not been timed with
 this search; products and constant-row constructions in the default suite
@@ -18,11 +19,12 @@ cover sizes 8 through 16 instead.
 
 import hashlib
 import os
+import random
 
 import pytest
 
 from cycleset import enumerate_cycle_sets, from_cycles, run_all, scan_cycle_sets
-from cycleset.canon import canonical_form
+from cycleset.canon import canonical_form, relabel_table
 from cycleset.verify import _is_pcycle
 
 pytestmark = [
@@ -49,6 +51,16 @@ def census7():
 
 def test_seven_point_bytes(census7):
     assert _sha256(census7) == CENSUS7_SHA256
+
+
+def test_seven_point_canonical_forms_survive_relabeling(census7):
+    # the canonical labeling, tied rows resumed and label 0 given only to
+    # points of least rooted row, brings every class back from a relabeling
+    rng = random.Random(7)
+    for t in census7.representatives:
+        rho = list(range(7))
+        rng.shuffle(rho)
+        assert canonical_form(relabel_table(t, rho)) == t
 
 
 def test_seven_point_emitted_tables():
