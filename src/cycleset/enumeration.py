@@ -46,13 +46,13 @@ The search branches on the unknown row with the fewest candidates, the
 lowest index on ties (row 0 at the root, where all tie), so the visit order
 is not lexicographic.  Those counts come from the pins alone: m pins at
 distinct values leave (n - m)! rows, and two at one value leave none, so
-only the chosen row's candidates are listed.  With symmetry breaking, the cycle-type rule then
-filters the candidates of a peer of 0, dropping those of greater cycle type
-than row 0 before any is placed.  The filter runs after the
-choice of row, so it changes neither that choice nor the visit order; rows
-forced by propagation are checked as they are forced.  The orbit pruning,
-after the filter, and the tie-break of fixing counts, checked at the
-leaves, only drop tables and keep the order of the rest.
+only the chosen row's candidates are listed.  With symmetry breaking, the
+cycle-type rule then filters the candidates of a peer of 0, dropping those
+of greater cycle type than row 0 before any is placed.  The filter runs
+after the choice of row, so it changes neither that choice nor the visit
+order; rows forced by propagation are checked as they are forced.  The
+orbit pruning, after the filter, and the tie-break of fixing counts,
+checked at the leaves, only drop tables and keep the order of the rest.
 Every emitted table goes to a ``canon.Classes``, with the colours its leaf
 computed, which reduces it to its class key, a complete isomorphism
 invariant that is cheap to compute; once the search is done the full
