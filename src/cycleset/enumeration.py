@@ -36,11 +36,15 @@ Candidate rows are generated, not scanned.  One index lists for every cell
 (x, v) the permutations p with p[x] = v, and row d starts from the pin
 (d, T(d)).  Putting y = d and z = x in the cycloid law gives
 T(d.x) = (x.d).T(x), so once row x and row x.d are known, cell (d, x) is
-the point T^-1((x.d).T(x)).  These pins are intersected before any row is
-tried, so only trials that would fail anyway are skipped.  The index and
-the row facts depend only on n, so ``_degree_tables`` keeps them for the
-last degree searched: every slice, census, scan and pool task of that
-degree reads the same two tables, and nothing writes to the index.
+the point T^-1((x.d).T(x)).  Putting y = z = d instead gives
+T(x.d) = (d.x).T(d), so while row x.d is unknown a candidate p for row d
+needs row p[x], if known, to send T(d) to T(x.d).  These pins and that
+rule are applied before any row is tried, so only trials that would fail
+anyway are skipped.  The index and the row facts depend only on n, so
+``_degree_tables`` keeps them for the last degree searched: every slice,
+census, scan and pool task of that degree reads the same two tables, and
+nothing writes to the index.  The pool path builds them before its first
+fork, so forked workers inherit them.
 
 The search branches on the unknown row with the fewest candidates, the
 lowest index on ties (row 0 at the root, where all tie), so the visit order
@@ -59,7 +63,8 @@ invariant that is cheap to compute; once the search is done the full
 canonical form is computed once per distinct key, starting from the
 automorphisms found by the key search, so the output is one canonical
 representative per isomorphism class, sorted, independent of the number of
-jobs and of scheduling.
+jobs and of scheduling.  With more than one job each slice is one task, run
+by the caller or by one of the workers it forks (``_pool_results``).
 """
 
 from __future__ import annotations
@@ -424,6 +429,18 @@ def _search(
         cands: Sequence[Perm] = cells[d][diagonal[d]]
         for x, a in pinned[1:]:
             cands = [p for p in cands if p[x] == a]
+        # with row x known and row b = x.d not, a candidate p with p[x] = a,
+        # row a known, forces row b to sigma_a p sigma_x^-1, whose diagonal
+        # cell is sigma_a(T(d)): the candidates for which that is not T(b)
+        # are the trials force would reject
+        td = diagonal[d]
+        sends = [(a, ra[td]) for a, ra in enumerate(rows) if ra is not None]
+        for x, rx in enumerate(rows):
+            if rx is not None and rows[rx[d]] is None:
+                tb = diagonal[rx[d]]
+                bad = {a for a, v in sends if v != tb}
+                if bad:
+                    cands = [p for p in cands if p[x] not in bad]
         if d in peers:
             # the rows that force would reject, dropped before they are
             # placed; the order of the rest is kept
@@ -502,50 +519,71 @@ def _worker(conn) -> None:
 
 
 def _pool_results(tasks: Sequence[tuple], processes: int, cancel) -> Iterator[set[Table]]:
-    """Yield the results of ``tasks`` as ``processes`` worker processes
-    finish them.  Tasks are handed out in order, each to the next free
-    worker, and ``cancel`` is polled every 0.1 s while no result arrives.
-    Every worker talks to the caller over its own pipe and shares no lock,
-    so killing one mid-reply cannot block the caller, as it can with a
-    ``multiprocessing.Pool``, whose workers share one result queue and its
-    lock; a worker that exits without a reply raises.  Closing the
-    generator kills and joins the workers, whether the tasks are done,
+    """Yield the results of ``tasks``, run by the caller and by
+    ``processes - 1`` worker processes, so ``processes == 1`` forks none.
+    Tasks are handed out in order.  Each worker holds two tasks, one running
+    and one waiting in its pipe (the last task is never queued behind a
+    running one), and is refilled as it replies; the caller runs the next
+    task itself once every worker that replied is refilled, so no worker
+    idles while the caller is busy.  The caller's own tasks poll ``cancel``
+    as the serial census does, and it is polled every 0.1 s while the caller
+    only waits.  Every worker talks to the caller over its own pipe and
+    shares no lock, so killing one mid-reply cannot block the caller, as it
+    can with a ``multiprocessing.Pool``, whose workers share one result
+    queue and its lock; a worker that exits without a reply raises.  Closing
+    the generator kills and joins the workers, whether the tasks are done,
     cancelled or interrupted, or one raised."""
-    pending = iter(tasks)
+    todo = list(reversed(tasks))  # todo.pop() is the next task
     workers = {}
+    held = {}  # tasks sent to each worker and not yet answered
+
+    def exited(conn) -> RuntimeError:
+        proc = workers[conn]
+        proc.join(1)  # the pipe closes just before the exit code is set
+        return RuntimeError(f"a census worker exited with code {proc.exitcode}")
+
+    def feed(conn, depth: int) -> None:
+        # the last task goes to a worker only if it is idle: queued behind
+        # a running one, it would leave the caller nothing to run
+        while todo and held[conn] < depth and (not held[conn] or len(todo) > 1):
+            try:
+                conn.send(todo.pop())
+            except ConnectionError:
+                raise exited(conn) from None
+            held[conn] += 1
+
     try:
-        for _ in range(processes):
+        for _ in range(processes - 1):
             conn, child = multiprocessing.Pipe()
             proc = multiprocessing.Process(target=_worker, args=(child,), daemon=True)
             proc.start()
             child.close()
             workers[conn] = proc
-        busy = 0
-        for conn in workers:
-            task = next(pending, None)
-            if task is not None:
-                conn.send(task)
-                busy += 1
-        while busy:
+            held[conn] = 0
+        # one task to each worker, then a second, so the first tasks, the
+        # costliest, start at once on different workers
+        for depth in (1, 2):
+            for conn in workers:
+                feed(conn, depth)
+        while todo or any(held.values()):
             if cancel is not None and cancel.is_set():
                 raise SearchCancelled
-            for conn in multiprocessing.connection.wait(list(workers), timeout=0.1):
+            busy = [conn for conn in workers if held[conn]]
+            # only look while the caller has a task to run, else wait
+            for conn in multiprocessing.connection.wait(busy, timeout=0 if todo else 0.1):
                 try:
                     ok, result = conn.recv()
-                except EOFError:
-                    proc = workers[conn]
-                    proc.join(1)  # the pipe closes just before the exit code is set
-                    raise RuntimeError(
-                        f"a census worker exited with code {proc.exitcode}"
-                    ) from None
+                # a worker that exits with a task unread resets its pipe
+                except (EOFError, ConnectionError):
+                    raise exited(conn) from None
                 if not ok:
                     raise result
-                busy -= 1
-                task = next(pending, None)
-                if task is not None:
-                    conn.send(task)
-                    busy += 1
+                held[conn] -= 1
+                feed(conn, 2)
                 yield result
+            if todo:
+                n, diagonal, symmetry_breaking = todo.pop()
+                yield _census_classes(n, (diagonal,), symmetry_breaking, cancel)
     finally:
         for conn, proc in workers.items():
             proc.kill()
@@ -564,14 +602,17 @@ def enumerate_cycle_sets(
     progress: Callable[[str], None] | None = None,
 ) -> Census:
     """Census of all cycle sets of size n up to isomorphism, filtered.
-    With jobs > 1 and more than one slice, each slice is one task and the
-    tasks run in a process pool of min(jobs, tasks, CPUs) workers, so a
-    large ``jobs`` starts no more processes than there is work or hardware
-    for.  Every task passes ``symmetry_breaking`` through, so without it the
+    With jobs > 1 and more than one slice, each slice is one task, and the
+    tasks run in the caller and min(jobs, tasks, usable CPUs) - 1 forked
+    workers, so ``jobs=2`` forks one process, and a large ``jobs`` starts
+    no more processes than there is work or hardware for; the usable CPUs
+    are those of the process's affinity mask where the platform has one.
+    Every task passes ``symmetry_breaking`` through, so without it the
     pool path is the unbroken search too.  Setting ``cancel`` raises
     ``SearchCancelled`` at the next poll of the search, or within about
-    0.1 s on the pool path.  The pool's workers are killed when it returns
-    or raises, so no worker outlives the call (see ``_pool_results``)."""
+    0.1 s while the pool path waits for a worker.  The pool's workers are
+    killed when it returns or raises, so no worker outlives the call (see
+    ``_pool_results``)."""
     start = time.monotonic()
     diagonals = _diagonals(n, symmetry_breaking, diagonal)
     if jobs <= 1 or len(diagonals) == 1:
@@ -582,7 +623,14 @@ def enumerate_cycle_sets(
         # costliest, so they go first and the small slices fill in beside
         # them
         tasks = [(n, d, symmetry_breaking) for d in reversed(diagonals)]
-        processes = min(jobs, len(tasks), os.cpu_count() or 1)
+        if hasattr(os, "sched_getaffinity"):
+            cpus = len(os.sched_getaffinity(0))
+        else:
+            cpus = os.cpu_count() or 1
+        processes = min(jobs, len(tasks), cpus)
+        # built before the first fork, so forked workers inherit the cell
+        # index and the row facts
+        _degree_tables(n)
         # leaving the with block kills the workers, whether the census is
         # done, cancelled or interrupted, or a task raised
         with contextlib.closing(_pool_results(tasks, processes, cancel)) as results:

@@ -123,8 +123,8 @@ class TestFirstRowRepresentatives:
 
 
 class TestWorkSplitting:
-    # each pool worker runs _census_classes on one slice, the diagonals of
-    # _diagonals
+    # each pool task, run by the caller or by a worker, is _census_classes
+    # on one slice, the diagonals of _diagonals
 
     def test_zero_depth_is_one_task_per_slice(self):
         diag = from_cycles(4, [(0, 1)])
@@ -171,6 +171,56 @@ class TestWorkSplitting:
         assert len(asked) == 1 and 1 <= asked[0] <= 7
         assert _sha256(census) == CENSUS5_SHA256
 
+    @staticmethod
+    def _pooled_census(monkeypatch, n, cpus):
+        """enumerate_cycle_sets(n, jobs=2) on ``cpus`` usable CPUs: the
+        census, the number of processes started, the pids that ran
+        _census_classes in this process and the progress messages."""
+        starts, ran, messages = [], [], []
+        start = multiprocessing.Process.start
+        census_classes = enumeration._census_classes
+
+        def spy_start(proc):
+            starts.append(proc)
+            start(proc)
+
+        def spy_classes(*args):
+            # a forked worker appends to its own copy of ran
+            ran.append(os.getpid())
+            return census_classes(*args)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(multiprocessing.Process, "start", spy_start)
+        monkeypatch.setattr(enumeration, "_census_classes", spy_classes)
+        census = enumerate_cycle_sets(n, jobs=2, progress=messages.append)
+        return census, len(starts), ran, messages
+
+    def test_jobs_two_forks_one_worker(self, monkeypatch):
+        # the caller is one of the two jobs
+        census, started, ran, messages = self._pooled_census(monkeypatch, 5, 2)
+        assert started == 1
+        assert os.getpid() in ran
+        assert messages == [f"task {k}/7 merged" for k in range(1, 8)]
+        assert _sha256(census) == CENSUS5_SHA256
+        assert multiprocessing.active_children() == []
+
+    def test_last_task_is_left_to_the_caller(self, monkeypatch):
+        # two slices: the worker runs one and the caller the other, rather
+        # than the worker queueing both while the caller waits
+        census, started, ran, messages = self._pooled_census(monkeypatch, 2, 2)
+        assert started == 1
+        assert ran == [os.getpid()]
+        assert census.count == 2 and len(messages) == 2
+        assert multiprocessing.active_children() == []
+
+    def test_one_usable_cpu_forks_nothing(self, monkeypatch):
+        # as under `taskset -c 0`: the caller runs every slice itself
+        census, started, ran, messages = self._pooled_census(monkeypatch, 5, 1)
+        assert started == 0
+        assert ran == [os.getpid()] * 7
+        assert messages == [f"task {k}/7 merged" for k in range(1, 8)]
+        assert _sha256(census) == CENSUS5_SHA256
+
     def test_identity_slice_is_submitted_first(self, monkeypatch):
         # the slices of many fixed points, the identity's among them, are
         # the costliest, so they must not wait behind the small slices for
@@ -213,10 +263,11 @@ class TestWorkSplitting:
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
-        reason="the patched task reaches the workers only when they are forked",
+        reason="the patched worker reaches the children only when they are forked",
     )
     def test_worker_exit_raises_instead_of_waiting(self, monkeypatch):
-        monkeypatch.setattr(enumeration, "_census_classes", lambda *args: os._exit(3))
+        # the worker loop, not the task, exits: the caller runs tasks too
+        monkeypatch.setattr(enumeration, "_worker", lambda conn: os._exit(3))
         with pytest.raises(RuntimeError, match="exited with code 3"):
             enumerate_cycle_sets(5, jobs=2)
         assert multiprocessing.active_children() == []

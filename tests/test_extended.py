@@ -2,15 +2,14 @@
 
 The suite builds the full size-7 census once, checks the published count of
 3,456 classes (Akgün–Mereb–Vendramin 2022) and the sha256 of its canonical
-bytes, counts the tables the search emits, builds the census again on a
-pool of two workers for the same bytes, brings every class back from a
-seeded relabeling by ``canonical_form``, and sweeps the checker battery
-over it.  The census searches one slice per partition of 7 (15 slices, the
-squaring map in normal form) and canonicalizes each class once.  On a
-shared, loaded 2-core x86-64 machine under Python 3.11.7 the serial census
-took 7-8 s (7,655 tables searched; 1.7-2.9 s of CPU time went to class keys
-and canonical forms), the search alone 5-8 s, the pool about 4.5 s, the
-3,456 relabeled canonical forms about 2 s and the whole file 19-20 s.
+bytes, counts the tables the search emits, builds the census again with
+jobs=2 (the caller and one forked worker) for the same bytes, brings every
+class back from a seeded relabeling by ``canonical_form``, and sweeps the
+checker battery over it.  The census searches one slice per partition of 7
+(15 slices, the squaring map in normal form) and canonicalizes each class
+once.  On a shared 2-core x86-64 machine under Python 3.11.7 the serial
+census took 4.3-4.4 s (7,655 tables searched), the search alone 3.3-4.2 s,
+jobs=2 2.3-3.4 s and the whole file about 12 s.
 
 No test enumerates sizes 8 and 9, whose census has not been timed with
 this search; products and constant-row constructions in the default suite
