@@ -43,7 +43,7 @@ rule are applied before any row is tried, so only trials that would fail
 anyway are skipped.  The index and the row facts depend only on n, so
 ``_degree_tables`` keeps them for the last degree searched: every slice,
 census, scan and pool task of that degree reads the same two tables, and
-nothing writes to the index.  The pool path builds them before its first
+nothing writes to the index.  The census builds them before its first
 fork, so forked workers inherit them.
 
 The search branches on the unknown row with the fewest candidates, the
@@ -63,8 +63,9 @@ invariant that is cheap to compute; once the search is done the full
 canonical form is computed once per distinct key, starting from the
 automorphisms found by the key search, so the output is one canonical
 representative per isomorphism class, sorted, independent of the number of
-jobs and of scheduling.  With more than one job each slice is one task, run
-by the caller or by one of the workers it forks (``_pool_results``).
+jobs and of scheduling.  Every census runs one task per slice, each by the
+caller or by one of the workers it forks, none with one job
+(``_pool_results``).
 """
 
 from __future__ import annotations
@@ -486,52 +487,50 @@ def _diagonals(
     return tuple(permutations(range(n)))
 
 
-def _census_classes(
-    n: int, diagonals: Sequence[Perm], symmetry_breaking: bool, cancel
-) -> set[Table]:
-    """Search the slices of ``diagonals``, of degree n, and return the
-    canonical forms of the classes of the tables they emit, by one
+def _census_classes(diagonal: Perm, symmetry_breaking: bool, cancel) -> set[Table]:
+    """Search the slice of ``diagonal``, of degree len(diagonal), and return
+    the canonical forms of the classes of the tables it emits, by one
     ``canon.Classes`` that reads the row facts of ``_degree_tables``."""
-    facts = _degree_tables(n)[1]
+    facts = _degree_tables(len(diagonal))[1]
     # canon takes a plain callable, not an Event
     classes = canon.Classes(cancel.is_set if cancel is not None else None, facts)
-    for d in diagonals:
-        _search(d, classes.add, symmetry_breaking, cancel)
+    _search(diagonal, classes.add, symmetry_breaking, cancel)
     return classes.forms()
 
 
 def _worker(conn) -> None:
     """Run the tasks that arrive on ``conn`` until the pool kills the
     worker or closes the pipe, answering each with (True, its classes) or
-    (False, the exception it raised).  A task (n, diagonal,
-    symmetry_breaking) is one slice; it takes no cancel event, as the pool
-    kills its workers."""
+    (False, the exception it raised).  A task (diagonal, symmetry_breaking)
+    is one slice; it takes no cancel event, as the pool kills its workers."""
     while True:
         try:
-            n, diagonal, symmetry_breaking = conn.recv()
+            task = conn.recv()
         except EOFError:
             return
         try:
-            reply = True, _census_classes(n, (diagonal,), symmetry_breaking, None)
+            reply = True, _census_classes(*task, None)
         except Exception as exc:
             reply = False, exc
         conn.send(reply)
 
 
 def _pool_results(tasks: Sequence[tuple], processes: int, cancel) -> Iterator[set[Table]]:
-    """Yield the results of ``tasks``, run by the caller and by
-    ``processes - 1`` worker processes, so ``processes == 1`` forks none.
+    """Yield ``_census_classes(*task, ...)`` for each of ``tasks``, run by
+    the caller and by ``processes - 1`` worker processes, so
+    ``processes == 1`` forks none and the caller runs every task.
     Tasks are handed out in order.  Each worker holds two tasks, one running
     and one waiting in its pipe (the last task is never queued behind a
     running one), and is refilled as it replies; the caller runs the next
     task itself once every worker that replied is refilled, so no worker
     idles while the caller is busy.  The caller's own tasks poll ``cancel``
-    as the serial census does, and it is polled every 0.1 s while the caller
-    only waits.  Every worker talks to the caller over its own pipe and
-    shares no lock, so killing one mid-reply cannot block the caller, as it
-    can with a ``multiprocessing.Pool``, whose workers share one result
-    queue and its lock; a worker that exits without a reply raises.  Closing
-    the generator kills and joins the workers, whether the tasks are done,
+    through the search, and it is polled every 0.1 s while the caller only
+    waits; with no worker busy the caller waits for none.  Every worker
+    talks to the caller over its own pipe and shares no lock, so killing one
+    mid-reply cannot block the caller, as it can with a
+    ``multiprocessing.Pool``, whose workers share one result queue and its
+    lock; a worker that exits without a reply raises.  Closing the
+    generator kills and joins the workers, whether the tasks are done,
     cancelled or interrupted, or one raised."""
     todo = list(reversed(tasks))  # todo.pop() is the next task
     workers = {}
@@ -569,8 +568,10 @@ def _pool_results(tasks: Sequence[tuple], processes: int, cancel) -> Iterator[se
             if cancel is not None and cancel.is_set():
                 raise SearchCancelled
             busy = [conn for conn in workers if held[conn]]
-            # only look while the caller has a task to run, else wait
-            for conn in multiprocessing.connection.wait(busy, timeout=0 if todo else 0.1):
+            # only look while the caller has a task to run, else wait; with
+            # no worker busy there is nothing to look at
+            ready = busy and multiprocessing.connection.wait(busy, timeout=0 if todo else 0.1)
+            for conn in ready:
                 try:
                     ok, result = conn.recv()
                 # a worker that exits with a task unread resets its pipe
@@ -582,8 +583,7 @@ def _pool_results(tasks: Sequence[tuple], processes: int, cancel) -> Iterator[se
                 feed(conn, 2)
                 yield result
             if todo:
-                n, diagonal, symmetry_breaking = todo.pop()
-                yield _census_classes(n, (diagonal,), symmetry_breaking, cancel)
+                yield _census_classes(*todo.pop(), cancel)
     finally:
         for conn, proc in workers.items():
             proc.kill()
@@ -602,42 +602,37 @@ def enumerate_cycle_sets(
     progress: Callable[[str], None] | None = None,
 ) -> Census:
     """Census of all cycle sets of size n up to isomorphism, filtered.
-    With jobs > 1 and more than one slice, each slice is one task, and the
-    tasks run in the caller and min(jobs, tasks, usable CPUs) - 1 forked
-    workers, so ``jobs=2`` forks one process, and a large ``jobs`` starts
-    no more processes than there is work or hardware for; the usable CPUs
-    are those of the process's affinity mask where the platform has one.
-    Every task passes ``symmetry_breaking`` through, so without it the
-    pool path is the unbroken search too.  Setting ``cancel`` raises
-    ``SearchCancelled`` at the next poll of the search, or within about
-    0.1 s while the pool path waits for a worker.  The pool's workers are
-    killed when it returns or raises, so no worker outlives the call (see
-    ``_pool_results``)."""
+    Each slice is one task, and the tasks run in the caller and
+    min(jobs, tasks, usable CPUs) - 1 forked workers, so ``jobs=1``, a given
+    ``diagonal`` and n = 1 fork nothing, ``jobs=2`` forks one process, and a
+    large ``jobs`` starts no more processes than there is work or hardware
+    for; the usable CPUs are those of the process's affinity mask where the
+    platform has one.  Every task passes ``symmetry_breaking`` through.
+    ``progress``, if given, receives "task k/N merged" as each of the N
+    tasks is merged.  Setting ``cancel`` raises ``SearchCancelled`` at the
+    next poll of the search, or within about 0.1 s while the caller waits
+    for a worker.  The workers are killed when the census returns or
+    raises, so no worker outlives the call (see ``_pool_results``)."""
     start = time.monotonic()
-    diagonals = _diagonals(n, symmetry_breaking, diagonal)
-    if jobs <= 1 or len(diagonals) == 1:
-        canon_set = _census_classes(n, diagonals, symmetry_breaking, cancel)
+    # normal forms end with the slices of many fixed points, the costliest,
+    # so they go first and the small slices fill in beside them
+    tasks = [(d, symmetry_breaking) for d in reversed(_diagonals(n, symmetry_breaking, diagonal))]
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
     else:
-        canon_set = set()
-        # normal forms end with the slices of many fixed points, the
-        # costliest, so they go first and the small slices fill in beside
-        # them
-        tasks = [(n, d, symmetry_breaking) for d in reversed(diagonals)]
-        if hasattr(os, "sched_getaffinity"):
-            cpus = len(os.sched_getaffinity(0))
-        else:
-            cpus = os.cpu_count() or 1
-        processes = min(jobs, len(tasks), cpus)
-        # built before the first fork, so forked workers inherit the cell
-        # index and the row facts
-        _degree_tables(n)
-        # leaving the with block kills the workers, whether the census is
-        # done, cancelled or interrupted, or a task raised
-        with contextlib.closing(_pool_results(tasks, processes, cancel)) as results:
-            for merged, classes in enumerate(results, 1):
-                canon_set.update(classes)
-                if progress is not None:
-                    progress(f"task {merged}/{len(tasks)} merged")
+        cpus = os.cpu_count() or 1
+    processes = min(jobs, len(tasks), cpus)
+    # built before the first fork, so forked workers inherit the cell index
+    # and the row facts
+    _degree_tables(n)
+    canon_set = set()
+    # leaving the with block kills the workers, whether the census is done,
+    # cancelled or interrupted, or a task raised
+    with contextlib.closing(_pool_results(tasks, processes, cancel)) as results:
+        for merged, classes in enumerate(results, 1):
+            canon_set.update(classes)
+            if progress is not None:
+                progress(f"task {merged}/{len(tasks)} merged")
 
     return _census(n, filt, map(cycle_set, sorted(canon_set)), ENGINE_VERSION, start)
 

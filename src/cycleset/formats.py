@@ -217,6 +217,8 @@ def parse_census_jsonl(text: str) -> Census:
                 ("n", "count"),
                 "census summary must give integers 'n' and 'count'",
             )
+            if summary["n"] < 1:
+                raise ValueError(f"census summary 'n' must be at least 1, got {summary['n']}")
             continue
         table = tuple(tuple(row) for row in _rows(obj, "table", "census record"))
         tables.append(table)

@@ -476,6 +476,15 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert "integers 'n' and 'count'" in err
 
+    @pytest.mark.parametrize("n", [0, -4])
+    def test_census_file_size_below_one_is_a_parse_error(self, run, tmp_path, n):
+        # an empty census of no size would pass every suite vacuously
+        path = tmp_path / "empty.jsonl"
+        path.write_text(json.dumps({"summary": {"n": n, "count": 0}}) + "\n")
+        code, out, err = run("verify", "--census", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "'n' must be at least 1" in err
+
     @pytest.mark.parametrize(
         "field, value, message",
         [

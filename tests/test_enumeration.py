@@ -137,15 +137,13 @@ class TestWorkSplitting:
             assert len(diagonals) == (5 if broken else 24)
             merged = set()
             for diag in diagonals:
-                merged.update(_census_classes(4, (diag,), broken, None))
+                merged.update(_census_classes(diag, broken, None))
             assert tuple(sorted(merged)) == censuses_small[4].representatives
 
     def test_parallel_census_canonicalizes_each_class_once(self, censuses_small):
         # slices hold disjoint classes, so the task results add up to the
         # class count: no class is canonicalized twice
-        results = [
-            _census_classes(5, (d,), True, None) for d in _diagonals(5, True, None)
-        ]
+        results = [_census_classes(d, True, None) for d in _diagonals(5, True, None)]
         assert sum(len(r) for r in results) == 88
         assert set().union(*results) == set(censuses_small[5].representatives)
 
@@ -172,9 +170,10 @@ class TestWorkSplitting:
         assert _sha256(census) == CENSUS5_SHA256
 
     @staticmethod
-    def _pooled_census(monkeypatch, n, cpus):
-        """enumerate_cycle_sets(n, jobs=2) on ``cpus`` usable CPUs: the
-        census, the number of processes started, the pids that ran
+    def _pooled_census(monkeypatch, n, cpus, jobs=2):
+        """enumerate_cycle_sets(n, jobs=jobs) on ``cpus`` usable CPUs (None
+        for a platform without an affinity mask whose CPU count is unknown):
+        the census, the number of processes started, the pids that ran
         _census_classes in this process and the progress messages."""
         starts, ran, messages = [], [], []
         start = multiprocessing.Process.start
@@ -189,10 +188,16 @@ class TestWorkSplitting:
             ran.append(os.getpid())
             return census_classes(*args)
 
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        if cpus is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: None)
+        else:
+            monkeypatch.setattr(
+                os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
+            )
         monkeypatch.setattr(multiprocessing.Process, "start", spy_start)
         monkeypatch.setattr(enumeration, "_census_classes", spy_classes)
-        census = enumerate_cycle_sets(n, jobs=2, progress=messages.append)
+        census = enumerate_cycle_sets(n, jobs=jobs, progress=messages.append)
         return census, len(starts), ran, messages
 
     def test_jobs_two_forks_one_worker(self, monkeypatch):
@@ -221,6 +226,21 @@ class TestWorkSplitting:
         assert messages == [f"task {k}/7 merged" for k in range(1, 8)]
         assert _sha256(census) == CENSUS5_SHA256
 
+    @pytest.mark.parametrize(
+        "cpus, jobs",
+        # the serial census is the pool with one process: same tasks, same
+        # progress; and with no affinity mask and os.cpu_count() None, one
+        # usable CPU is assumed
+        [(2, 1), (None, 2)],
+        ids=["one-job", "unknown-cpu-count"],
+    )
+    def test_one_process_runs_every_slice_in_the_caller(self, monkeypatch, cpus, jobs):
+        census, started, ran, messages = self._pooled_census(monkeypatch, 5, cpus, jobs)
+        assert started == 0
+        assert ran == [os.getpid()] * 7
+        assert messages == [f"task {k}/7 merged" for k in range(1, 8)]
+        assert _sha256(census) == CENSUS5_SHA256
+
     def test_identity_slice_is_submitted_first(self, monkeypatch):
         # the slices of many fixed points, the identity's among them, are
         # the costliest, so they must not wait behind the small slices for
@@ -234,7 +254,7 @@ class TestWorkSplitting:
 
         monkeypatch.setattr(enumeration, "_pool_results", spy)
         census = enumerate_cycle_sets(4, jobs=2)
-        assert tasks[0] == (4, (0, 1, 2, 3), True)
+        assert tasks[0] == ((0, 1, 2, 3), True)
         assert len(tasks) == 5 and census.count == 23
 
     @pytest.mark.skipif(
@@ -302,7 +322,7 @@ class TestWorkSplitting:
         second = enumerate_cycle_sets(4)
         scanned = scan_cycle_sets(4, lambda t: None)
         diagonals = _diagonals(4, True, None)[-2:]
-        conn = Conn((4, d, True) for d in diagonals)
+        conn = Conn((d, True) for d in diagonals)
         enumeration._worker(conn)
         assert built == ["facts"]
         assert _degree_tables.cache_info().misses == 1
@@ -311,7 +331,7 @@ class TestWorkSplitting:
         # leave no spy in the memo for later tests
         monkeypatch.undo()
         _degree_tables.cache_clear()
-        want = [(True, _census_classes(4, (d,), True, None)) for d in diagonals]
+        want = [(True, _census_classes(d, True, None)) for d in diagonals]
         assert conn.sent == want
 
     def test_degree_tables_keep_the_last_degree_only(self):
