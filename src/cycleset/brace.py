@@ -273,7 +273,7 @@ class LeftBrace:
         return tuple(c for c in partition(labels) if c != (self.zero,))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CycleBase:
     """Union of lambda-orbits generating (B, +); transitive when one orbit."""
 
@@ -305,25 +305,40 @@ def cycle_bases(B: LeftBrace) -> tuple[CycleBase, ...]:
 
     The unions are walked depth first, adding orbits in index order, and
     each span extends its parent's by one orbit, memoised by (span, orbit).
+    Once a span is all of B, every union that adds later orbits spans B
+    too, so those are listed without extending spans.
     """
     orbits = B.lambda_orbits
     if len(orbits) > MAX_LAMBDA_ORBITS:
         raise ValueError(f"{len(orbits)} lambda-orbits exceed the union scan limit")
-    out = []
+    n, k = B.n, len(orbits)
+    # (size, sorted elements, transitive): distinct unions of disjoint
+    # orbits have distinct elements, so the tuples sort by the first two
+    bases = []
     memo: dict[tuple[frozenset[int], int], frozenset[int]] = {}
 
-    def walk(start: int, union: tuple[int, ...], span: frozenset[int]) -> None:
-        for i in range(start, len(orbits)):
-            key = (span, i)
-            if key not in memo:
-                memo[key] = _extend_span(B, span, orbits[i])
+    def spanning(start: int, union: tuple[int, ...]) -> None:
+        for i in range(start, k):
             grown = union + orbits[i]
-            if len(memo[key]) == B.n:
-                out.append(CycleBase(frozenset(grown), transitive=not union))
-            walk(i + 1, grown, memo[key])
+            bases.append((len(grown), sorted(grown), False))
+            spanning(i + 1, grown)
+
+    def walk(start: int, union: tuple[int, ...], span: frozenset[int]) -> None:
+        for i in range(start, k):
+            key = (span, i)
+            wider = memo.get(key)
+            if wider is None:
+                wider = memo[key] = _extend_span(B, span, orbits[i])
+            grown = union + orbits[i]
+            if len(wider) == n:
+                bases.append((len(grown), sorted(grown), not union))
+                spanning(i + 1, grown)
+            else:
+                walk(i + 1, grown, wider)
 
     walk(0, (), frozenset({B.zero}))
-    return tuple(sorted(out, key=lambda cb: (len(cb.elements), sorted(cb.elements))))
+    bases.sort()
+    return tuple(CycleBase(frozenset(elems), transitive) for _, elems, transitive in bases)
 
 
 def coset_construction(

@@ -50,6 +50,12 @@ def _check_size(n: int) -> None:
         raise ValueError(f"a table of {n} points exceeds the size cap {TABLE_MAX_N}")
 
 
+def _check_jobs(jobs: int) -> None:
+    """Refuse ``--jobs`` below 1, before any census is built."""
+    if jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {jobs}")
+
+
 def _read(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -124,6 +130,7 @@ def _cmd_trivial(ns: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(ns: argparse.Namespace) -> int:
+    _check_jobs(ns.jobs)
     filt = _parse_filter(ns)
     if ns.oracle:
         census = brute_force_census(ns.n, filt)
@@ -151,6 +158,7 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
             f"--max-size must be in 1..{size_cap()}, got {ns.max_size} "
             f"(set {MAX_N_ENV} to raise the cap)"
         )
+    _check_jobs(ns.jobs)
     ks = cabling_indices(int(tok) for tok in ns.ks.replace(",", " ").split())
     if ns.suite:
         wanted = []

@@ -520,10 +520,10 @@ def _pool_results(tasks: Sequence[tuple], processes: int, cancel) -> Iterator[se
     the caller and by ``processes - 1`` worker processes, so
     ``processes == 1`` forks none and the caller runs every task.
     Tasks are handed out in order.  Each worker holds two tasks, one running
-    and one waiting in its pipe (the last task is never queued behind a
-    running one), and is refilled as it replies; the caller runs the next
-    task itself once every worker that replied is refilled, so no worker
-    idles while the caller is busy.  The caller's own tasks poll ``cancel``
+    and one waiting in its pipe, and is refilled as it replies; the caller
+    runs the next task itself once every worker that replied is refilled,
+    so no worker idles while the caller is busy, and the last task is
+    always run by the caller.  The caller's own tasks poll ``cancel``
     through the search, and it is polled every 0.1 s while the caller only
     waits; with no worker busy the caller waits for none.  Every worker
     talks to the caller over its own pipe and shares no lock, so killing one
@@ -542,9 +542,9 @@ def _pool_results(tasks: Sequence[tuple], processes: int, cancel) -> Iterator[se
         return RuntimeError(f"a census worker exited with code {proc.exitcode}")
 
     def feed(conn, depth: int) -> None:
-        # the last task goes to a worker only if it is idle: queued behind
-        # a running one, it would leave the caller nothing to run
-        while todo and held[conn] < depth and (not held[conn] or len(todo) > 1):
+        # the last task is left to the caller, which reads replies only
+        # between its own tasks and so is always free to run it
+        while len(todo) > 1 and held[conn] < depth:
             try:
                 conn.send(todo.pop())
             except ConnectionError:
@@ -612,7 +612,10 @@ def enumerate_cycle_sets(
     tasks is merged.  Setting ``cancel`` raises ``SearchCancelled`` at the
     next poll of the search, or within about 0.1 s while the caller waits
     for a worker.  The workers are killed when the census returns or
-    raises, so no worker outlives the call (see ``_pool_results``)."""
+    raises, so no worker outlives the call (see ``_pool_results``).
+    ``jobs`` below 1 raises ``ValueError``."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     start = time.monotonic()
     # normal forms end with the slices of many fixed points, the costliest,
     # so they go first and the small slices fill in beside them

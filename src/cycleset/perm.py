@@ -54,13 +54,18 @@ def identity(n: int) -> Perm:
 
 
 def compose(a: Sequence[int], b: Sequence[int]) -> Perm:
-    """Compose two permutations, applying the right factor first.
+    """Compose two permutations, applying the right factor first, by
+    ``operator.itemgetter`` as in :func:`_compose_right` from degree 2 on.
 
     >>> compose((1, 2, 0), (1, 0, 2))
     (2, 1, 0)
+    >>> compose((0,), (0,)), compose((), ())
+    ((0,), ())
     """
     if len(a) != len(b):
         raise ValueError(f"degree mismatch: {len(a)} != {len(b)}")
+    if len(b) > 1:
+        return operator.itemgetter(*b)(a)
     return tuple(a[x] for x in b)
 
 

@@ -325,9 +325,10 @@ def _census_latin_fixed_points(tables: Sequence[CycleSet], ctx: dict):
 def _chk_cabling_laws(X: CycleSet, ctx: dict):
     ks = ctx["ks"]
     # the tower of cablings returns to X after the Dehornoy class d, so k
-    # and (k - 1) mod d + 1 name the same cabling
+    # and (k - 1) mod d + 1 name the same cabling; X_1 is X itself, whose
+    # group and indecomposability are already cached
     d = X.dehornoy_class()
-    cabled: dict[int, CycleSet] = {}
+    cabled: dict[int, CycleSet] = {1: X}
 
     def cabling(k: int) -> CycleSet:
         r = (k - 1) % d + 1

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import itertools
+import pickle
 import random
 import sys
 
@@ -427,17 +430,34 @@ def all_unions_bases(B):
 
 
 class TestCycleBases:
-    def test_agrees_with_all_unions_scan(self, censuses_small):
+    def test_agrees_with_all_unions_scan(self, censuses_small, census6):
         braces = [cyclic_brace(9), direct_product_brace(pp_brace(2), cyclic_brace(3))]
         braces += [
             brace_of_cycle_set(X).brace
             for census in censuses_small.values()
             for X in census.cycle_sets()
         ]
+        # the size-6 braces of many orbits, where most bases are listed
+        # past a union whose span is already all of B
+        many = [
+            B
+            for B in (brace_of_cycle_set(X).brace for X in census6.cycle_sets())
+            if len(B.lambda_orbits) >= 8
+        ]
+        assert (len(many), max(len(B.lambda_orbits) for B in many)) == (20, 11)
+        braces += many
         assert len(cyclic_brace(9).lambda_orbits) == 8
         for B in braces:
             got = [(sorted(cb.elements), cb.transitive) for cb in cycle_bases(B)]
             assert got == all_unions_bases(B)
+
+    def test_cycle_base_is_a_frozen_value(self):
+        base = cycle_bases(cyclic_brace(3))[0]
+        for twin in (pickle.loads(pickle.dumps(base)), copy.copy(base), copy.deepcopy(base)):
+            assert twin == base and twin.elements == frozenset({1})
+            assert twin.transitive is True
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            base.transitive = False
 
     def test_trivial_z3(self):
         B = cyclic_brace(3)

@@ -359,6 +359,14 @@ class TestEnumerate:
         par, n_par = records("enumerate", "-n", "4", "--jobs", "2")
         assert seq == par and n_seq == n_par
 
+    @pytest.mark.parametrize("jobs", ["0", "-5"])
+    def test_jobs_below_one_is_a_usage_error(self, run, monkeypatch, jobs):
+        built = []
+        monkeypatch.setattr(cli, "enumerate_cycle_sets", lambda *a, **k: built.append(a))
+        code, out, err = run("enumerate", "-n", "3", "--jobs", jobs, "--count-only")
+        assert (code, out, built) == (2, "", [])
+        assert err == f"error: --jobs must be at least 1, got {jobs}\n"
+
     def test_cap_is_a_usage_error(self, run):
         code, _, err = run("enumerate", "-n", "9")
         assert code == 2
@@ -432,6 +440,23 @@ class TestVerify:
         path = tmp_path / "one.jsonl"
         path.write_text("\n".join(lines) + "\n")
         return str(path)
+
+    @pytest.mark.parametrize("jobs", ["0", "-5"])
+    @pytest.mark.parametrize("source", ["max-size", "census"])
+    def test_jobs_below_one_is_a_usage_error(
+        self, run, tmp_path, monkeypatch, cyclic3, source, jobs
+    ):
+        # refused before any census is built, and with --census too, where
+        # no census is built at all
+        built = []
+        monkeypatch.setattr(cli, "enumerate_cycle_sets", lambda *a, **k: built.append(a))
+        if source == "census":
+            argv = ["--census", self._census_file(tmp_path, cyclic3.table)]
+        else:
+            argv = ["--max-size", "2"]
+        code, out, err = run("verify", *argv, "--jobs", jobs)
+        assert (code, out, built) == (2, "", [])
+        assert err == f"error: --jobs must be at least 1, got {jobs}\n"
 
     def test_census_file_counterexample_exits_one(
         self, run, tmp_path, cyclic3, monkeypatch

@@ -378,6 +378,11 @@ class TestWorkSplitting:
         with pytest.raises(ValueError, match="wrong degree"):
             enumerate_cycle_sets(3, jobs=2, diagonal=(1, 0))
 
+    @pytest.mark.parametrize("jobs", [0, -5])
+    def test_jobs_below_one_is_refused(self, jobs):
+        with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+            enumerate_cycle_sets(3, jobs=jobs)
+
 
 class TestDiagonalConstraint:
     def test_wrong_degree_rejected(self):
