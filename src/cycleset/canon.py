@@ -11,12 +11,14 @@ the same relabeling as a scan of all n! relabelings in lex order, without
 visiting them all.  Each cell is compared once on a path: the rows a node
 finds determined and tied to the best table keep their values below it, so
 its children's comparisons resume after them.  With a single cell of
-permutation rows, label 0 goes only to the points whose rooted row (the
-least conjugate of their row that sends them to 0, ``_rooted_key``) is
-least, since row 0 of the winner is that row.  Over the 3,456 classes of
-size 7, ``canonical_form`` of each representative visits 110 nodes on
-average (130 without the rooted rule and 5,040 for the scan), and of a
-seeded relabeling of each 176 (259).
+permutation rows, row 0 of the winner is the least rooted row (the least
+conjugate of a point's row that sends the point to 0, ``_rooted_key``):
+label 0 goes only to the points whose rooted row is least, and the labels
+after it only where they keep row 0 that rooted row.  Over the 3,456
+classes of size 7, ``canonical_form`` of each representative visits 59
+nodes on average (110 with the rule on label 0 alone, 130 without it and
+5,040 for the scan), and of a seeded relabeling of each about 93 (176
+and 259).
 
 A census deduplicates in two stages, kept together in ``Classes``, so that
 the canonical form is computed once per isomorphism class rather than once
@@ -97,6 +99,29 @@ def _rooted_key(facts: tuple, x: int) -> tuple:
     return facts[0][x], facts[1][::-1]
 
 
+def _rooted_starts(key: tuple) -> list[int]:
+    """The rooted row of key ``key`` (``_rooted_key``) label by label: the
+    length of the cycle that begins at each label, 0 for a label inside a
+    cycle.  The root's cycle comes first, then the others by increasing
+    length.
+
+    >>> _rooted_starts((2, (1, 2, 2, 3, 3, 3)))
+    [2, 0, 1, 3, 0, 0]
+    """
+    length, spelt = key
+    # spelt lists each cycle length once per point, ascending, so dropping
+    # one run of the root's length drops its cycle
+    first = spelt.index(length)
+    rest = spelt[:first] + spelt[first + length :]
+    starts = [length] + [0] * (length - 1)
+    i = 0
+    while i < len(rest):
+        m = rest[i]
+        starts += [m] + [0] * (m - 1)
+        i += m
+    return starts
+
+
 def relabel_table(table: Sequence[Sequence[int]], rho: Sequence[int]) -> Table:
     """Relabel points of a table: entry (i, j) becomes rho[t[inv(i)][inv(j)]]."""
     inv = inverse(rho)
@@ -126,15 +151,26 @@ def _lex_min(
     not, and the rest of row i is k, k+1, ... when that row fixes every
     unlabelled point.  Rows that a node finds determined and equal to the
     incumbent's keep their values in its subtree, and so does every
-    incumbent found there, so the comparisons below it start after them.
-    With one cell and permutation rows only the points of least
-    ``_rooted_key`` may take label 0: row 0 of a relabeled table is a
-    conjugate of the row of the point labelled 0 that sends that point to
-    0, and the least of those is the point's rooted row.  A leaf that ties
-    the incumbent gives an automorphism g of the table; a point c is
-    skipped at label k when some such g fixes pre[0..k-1] and maps a
-    smaller candidate c' to c, since g carries the subtree of c' onto that
-    of c, leaf for leaf and table for table.
+    incumbent found there, so the comparisons below it start after them.  A
+    new incumbent is rebuilt from its first row that differs from the old
+    one.  With one cell and permutation rows the search keeps row 0 at the
+    least rooted row R: row 0 of a relabeled table is a conjugate of the row
+    sigma of the point labelled 0 that sends that point to 0, and the least
+    of those is the point's rooted row, so only the points of least
+    ``_rooted_key`` may take label 0.  Row 0 is then R exactly when each
+    label inside a cycle of R goes to sigma of the point labelled just
+    before it, and each label that starts a cycle of R to an unlabelled
+    point on a cycle of sigma as long (``_rooted_starts`` reads the cycles
+    of R off the key; the points of sigma are listed by cycle length once
+    per choice of label 0).  Every pre-order with another row 0 is above the
+    winner, so leaving them out changes neither the result nor the order of
+    the rest.  Row 0 of every leaf, and so of every incumbent, is then R, so
+    the incumbent's row 0 is set before the first leaf and every comparison
+    starts at row 1.  A leaf that ties the incumbent gives an automorphism g
+    of the table; a point c is skipped at label k when some such g fixes
+    pre[0..k-1] and maps a smaller candidate c' to c, since g carries the
+    subtree of c' onto that of c, leaf for leaf and table for table (fixing
+    pre[0], g commutes with sigma, so it keeps row 0 too).
 
     ``autos`` holds automorphisms of ``rows`` known in advance, each mapping
     every cell onto itself, as every automorphism does with one cell or
@@ -147,32 +183,48 @@ def _lex_min(
     n = len(rows)
     if not n:
         return (), ()
-    # the points that may take label k, as a bit mask
+    # the points that may take label k, as a bit mask; under the rooted
+    # rule, masks[k] for k >= 1 is set as label k - 1 is placed
     masks: list[int] = []
     for cell in cells:
         masks += [sum(1 << x for x in cell)] * len(cell)
-    # every real table is lex-less than this, so the first leaf wins it
+    # the incumbent, row-major; n fills what no leaf has set yet
     best = [n] * (n * n)
+    # tied[k]: how many leading rows are the incumbent's in every leaf below
+    # the node with labels 0..k-1 placed: rows determined there and equal
+    # to it, and row 0 under the rooted rule
+    tied = [0] * (n + 1)
     if facts is None:
         facts = RowFacts()
     row_facts = [facts[r] for r in rows]
     fixes = [f[2] for f in row_facts]
+    # starts[k]: the length of the cycle of R that begins at label k, 0 for
+    # a label inside a cycle; empty when the rooted rule does not apply
+    starts: list[int] = []
     if len(cells) == 1 and all(f[3] for f in row_facts):
-        # row 0 of the winner is the least rooted row, so label 0 goes only
-        # to the points with the least rooted key
+        # row 0 of the winner is the least rooted row R, so label 0 goes
+        # only to the points with the least rooted key
         keys = [_rooted_key(f, x) for x, f in enumerate(row_facts)]
         least = min(keys)
         masks[0] = sum(1 << x for x, key in enumerate(keys) if key == least)
+        starts = _rooted_starts(least)
+        # every leaf, so every incumbent, has row 0 R: it is set now and
+        # ties at every node
+        for s, m in enumerate(starts):
+            if m:
+                best[s : s + m] = [*range(s + 1, s + m), s]
+        tied = [1] * (n + 1)
     pre = [0] * n
     label = [n] * n  # n marks an unlabelled point
-    # tied[k]: how many leading rows are determined and equal to the
-    # incumbent's at the node with labels 0..k-1 placed
-    tied = [0] * (n + 1)
     best_rho: Perm | None = None
     best_pre: list[int] = []
     if autos is None:
         autos = []
     nodes = 0
+    # the row of the point labelled 0 and, for each m, its points on
+    # cycles of length m, once starts is set
+    sigma: Perm = ()
+    on: list[int] = []
 
     def compare(k: int, free: int) -> int:
         """1 when the determined prefix of the partial relabeling is above
@@ -221,7 +273,12 @@ def _lex_min(
         # candidate onto c; the least candidate has none
         if autos and masks[k] & free & (bit - 1):
             placed = full ^ free
-            if any(g[c] < c for g, fixed in autos if not placed & ~fixed):
+            skip = False
+            for g, fixed in autos:
+                if g[c] < c and not placed & ~fixed:
+                    skip = True
+                    break
+            if skip:
                 continue
         if cancel is not None and nodes % 1024 == 0 and cancel():
             raise SearchCancelled("canonical labeling cancelled")
@@ -235,16 +292,30 @@ def _lex_min(
             # same; nothing is cut before the first incumbent.  A node that
             # is not compared keeps its parent's tied rows
             tied[k + 1] = tied[k]
-            if forced or best[0] == n or compare(k + 1, free) <= 0:
+            if forced or best_rho is None or compare(k + 1, free) <= 0:
                 k += 1
+                if starts:
+                    # keep row 0 at R: inside a cycle of R, label k goes to
+                    # sigma of the point just labelled; a cycle of R that
+                    # starts at k starts on a cycle of sigma as long
+                    if k == 1:
+                        sigma = rows[c]
+                        on = [0] * (n + 1)
+                        for x, m in enumerate(row_facts[c][0]):
+                            on[m] |= 1 << x
+                    masks[k] = on[starts[k]] if starts[k] else 1 << sigma[c]
                 avail[k] = masks[k] & free
                 continue
         else:
-            verdict = compare(n, 0)
+            # the first leaf is the first incumbent; until then tied[n]
+            # counts the rows set in advance
+            verdict = compare(n, 0) if best_rho is not None else -1
             if verdict < 0:
                 best_rho = tuple(label)
                 best_pre = pre[:]
-                best = [label[rows[x][y]] for x in pre for y in pre]
+                # the rows before tied[n] are the incumbent's already
+                t = tied[n]
+                best[t * n :] = [label[rows[x][y]] for x in pre[t:] for y in pre]
             elif verdict == 0:
                 g = [0] * n
                 fixed = 0

@@ -79,6 +79,12 @@ def _parse_filter(ns: argparse.Namespace) -> EnumerationFilter:
     squaring = None
     if ns.squaring:
         squaring = tuple(int(tok) for tok in ns.squaring.replace(",", " ").split())
+        # the library reads a cycle type of another size as matching no
+        # class; on the command line it is a usage error
+        if sum(squaring) != ns.n or min(squaring, default=0) < 1:
+            raise ValueError(
+                f"--squaring must be a partition of {ns.n}, got {','.join(map(str, squaring))}"
+            )
     return EnumerationFilter(
         indecomposable=True if ns.indecomposable else None,
         latin=True if ns.latin else None,

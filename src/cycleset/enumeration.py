@@ -218,18 +218,31 @@ def _partitions(n: int, largest: int | None = None) -> Iterable[tuple[int, ...]]
             yield (part,) + rest
 
 
+def _normal_form(parts: Sequence[int]) -> Perm:
+    """The squaring map of cycle type ``parts``, a partition listed largest
+    part first, in normal form: its cycles laid out on consecutive points."""
+    cycs, start = [], 0
+    for length in parts:
+        cycs.append(range(start, start + length))
+        start += length
+    return from_cycles(start, cycs)
+
+
 def _normal_forms(n: int) -> tuple[Perm, ...]:
-    """One squaring map per conjugacy class of S_n: for each partition of n,
-    largest part first, the permutation whose cycles are those parts laid
-    out on consecutive points."""
-    out = []
-    for parts in _partitions(n):
-        cycs, start = [], 0
-        for length in parts:
-            cycs.append(range(start, start + length))
-            start += length
-        out.append(from_cycles(n, cycs))
-    return tuple(out)
+    """One squaring map per conjugacy class of S_n: the normal form of each
+    partition of n, largest part first."""
+    return tuple(map(_normal_form, _partitions(n)))
+
+
+def _squaring_parts(squaring: Sequence[int] | None) -> tuple[int, ...] | None:
+    """The cycle type ``squaring``, given in any order, largest part first;
+    ``ValueError`` when a part is below 1, as then it is no cycle type."""
+    if squaring is None:
+        return None
+    parts = tuple(sorted(squaring, reverse=True))
+    if parts and parts[-1] < 1:
+        raise ValueError(f"squaring cycle type {list(squaring)} has a part below 1")
+    return parts
 
 
 @functools.lru_cache(maxsize=1)
@@ -463,12 +476,18 @@ def _search(
 
 
 def _diagonals(
-    n: int, symmetry_breaking: bool, diagonal: Perm | None
+    n: int,
+    symmetry_breaking: bool,
+    diagonal: Perm | None,
+    squaring: Sequence[int] | None = None,
 ) -> tuple[Perm, ...]:
     """Entry check shared by every census call (size, size cap, degree of
-    the diagonal and that it is a permutation), then the diagonals whose
+    the diagonal and that it is a permutation, and that ``squaring``, a
+    cycle type in any order, has no part below 1), then the diagonals whose
     slices make up the search: the given one, else one normal form per
-    partition of n, or every permutation without symmetry breaking."""
+    partition of n, or every permutation without symmetry breaking, of the
+    cycle type ``squaring`` alone when it is given, and none when that is a
+    partition of another size."""
     if n < 1:
         raise ValueError("size must be >= 1")
     cap = size_cap()
@@ -476,12 +495,19 @@ def _diagonals(
         raise ValueError(
             f"size {n} exceeds the enumeration cap {cap} (set {MAX_N_ENV} to raise it)"
         )
+    parts = _squaring_parts(squaring)
     if diagonal is not None:
         if len(diagonal) != n:
             raise ValueError("diagonal constraint has wrong degree")
         if not is_permutation(diagonal):
             raise ValueError("diagonal constraint is not a permutation")
         return (tuple(diagonal),)
+    if parts is not None:
+        if sum(parts) != n:
+            return ()
+        if symmetry_breaking:
+            return (_normal_form(parts),)
+        return tuple(p for p in permutations(range(n)) if cycle_type(p) == parts)
     if symmetry_breaking:
         return _normal_forms(n)
     return tuple(permutations(range(n)))
@@ -608,8 +634,12 @@ def enumerate_cycle_sets(
     large ``jobs`` starts no more processes than there is work or hardware
     for; the usable CPUs are those of the process's affinity mask where the
     platform has one.  Every task passes ``symmetry_breaking`` through.
-    ``progress``, if given, receives "task k/N merged" as each of the N
-    tasks is merged.  Setting ``cancel`` raises ``SearchCancelled`` at the
+    A filter's ``squaring_cycle_type`` chooses the slices: without a
+    ``diagonal`` only those whose squaring map has that cycle type are
+    searched, none when it is a partition of another size, and the filter,
+    which still runs on every class, keeps them all; a part below 1 raises
+    ``ValueError``.  ``progress``, if given, receives "task k/N merged" as
+    each of the N tasks is merged.  Setting ``cancel`` raises ``SearchCancelled`` at the
     next poll of the search, or within about 0.1 s while the caller waits
     for a worker.  The workers are killed when the census returns or
     raises, so no worker outlives the call (see ``_pool_results``).
@@ -617,9 +647,11 @@ def enumerate_cycle_sets(
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     start = time.monotonic()
+    squaring = filt.squaring_cycle_type if filt is not None else None
+    diagonals = _diagonals(n, symmetry_breaking, diagonal, squaring)
     # normal forms end with the slices of many fixed points, the costliest,
     # so they go first and the small slices fill in beside them
-    tasks = [(d, symmetry_breaking) for d in reversed(_diagonals(n, symmetry_breaking, diagonal))]
+    tasks = [(d, symmetry_breaking) for d in reversed(diagonals)]
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
@@ -715,6 +747,8 @@ def brute_force_census(n: int, filt: EnumerationFilter | None = None) -> Census:
         raise ValueError("size must be >= 1")
     if n > 4:
         raise ValueError("brute-force oracle is limited to n <= 4")
+    if filt is not None:
+        _squaring_parts(filt.squaring_cycle_type)
     start = time.monotonic()
     perms = tuple(permutations(range(n)))
     canon_reps = sorted({

@@ -12,6 +12,7 @@ from cycleset.canon import (
     _colour_cells,
     _lex_min,
     _rooted_key,
+    _rooted_starts,
     canonical_form,
     canonical_relabeling,
     class_key,
@@ -158,6 +159,63 @@ def test_rooted_keys_order_points_as_their_least_conjugates():
         assert all(len(rows) == 1 for rows in least.values())
         ordered = [least[key].pop() for key in sorted(least)]
         assert ordered == sorted(set(ordered))
+        # and _rooted_starts lays out the least row of each key
+        assert [spell_starts(_rooted_starts(key)) for key in sorted(least)] == ordered
+
+
+def spell_starts(starts):
+    """The row that ``_rooted_starts`` describes: each cycle on consecutive
+    labels from the label where it starts."""
+    row = []
+    for s, m in enumerate(starts):
+        if m:
+            row += range(s + 1, s + m)
+            row.append(s)
+    return tuple(row)
+
+
+def least_row_zero(t):
+    """Row 0 of the lex-least relabeled table, by brute force: the least
+    row 0 over every relabeling."""
+    n = len(t)
+    least = None
+    for rho in itertools.permutations(range(n)):
+        inv = inverse(rho)
+        row = tuple(rho[t[inv[0]][inv[j]]] for j in range(n))
+        if least is None or row < least:
+            least = row
+    return least
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.one_of(tables_from_few_rows(n), random_tables(n))))
+def test_one_cell_search_keeps_row_zero_at_the_least_rooted_row(t):
+    # every row is a permutation, so the search walks only the pre-orders
+    # whose row 0 is the least rooted row, and the winner is among them
+    rho, table = _lex_min(t, [range(len(t))], None)
+    assert table[0] == least_row_zero(t)
+    assert (rho, table) == scan_relabeling(t)
+
+
+def test_one_cell_search_keeps_row_zero_at_the_least_rooted_row_on_census_members(
+    censuses_small,
+):
+    rng = random.Random(13)
+    for t in censuses_small[5].representatives:
+        rho = list(range(5))
+        rng.shuffle(rho)
+        u = relabel_table(t, rho)
+        assert _lex_min(u, [range(5)], None)[1][0] == least_row_zero(u) == t[0]
+
+
+def test_seeded_relabelings_of_size_six_members_come_back(census6):
+    rng = random.Random(17)
+    for t in census6.representatives:
+        rho = list(range(6))
+        rng.shuffle(rho)
+        u = relabel_table(t, rho)
+        assert canonical_form(u) == t
+        assert class_key(u) == class_key(t)
 
 
 def test_canonical_labeling_matches_the_scan_on_scanned_tables():

@@ -367,6 +367,30 @@ class TestEnumerate:
         assert (code, out, built) == (2, "", [])
         assert err == f"error: --jobs must be at least 1, got {jobs}\n"
 
+    @pytest.mark.parametrize("oracle", [[], ["--oracle"]])
+    @pytest.mark.parametrize(
+        "n, squaring", [("4", "2,1,1,1"), ("3", "0,3"), ("4", "5,-1"), ("3", ",")]
+    )
+    def test_squaring_that_is_no_partition_is_a_usage_error(
+        self, run, monkeypatch, n, squaring, oracle
+    ):
+        built = []
+        monkeypatch.setattr(cli, "enumerate_cycle_sets", lambda *a, **k: built.append(a))
+        monkeypatch.setattr(cli, "brute_force_census", lambda *a, **k: built.append(a))
+        code, out, err = run("enumerate", "-n", n, "--squaring", squaring, *oracle)
+        assert (code, out, built) == (2, "", [])
+        got = squaring.strip(",")
+        assert err == f"error: --squaring must be a partition of {n}, got {got}\n"
+
+    def test_squaring_searches_its_slice_alone(self, run):
+        # one task, the slice of (0 1 2)(3 4), where a full census of size
+        # 5 has 7
+        code, out, err = run("enumerate", "-n", "5", "--squaring", "2,3", "--count-only")
+        assert code == 0
+        assert "task 1/1 merged\n" in err
+        summary = json.loads(out.strip().splitlines()[-1])["summary"]
+        assert summary["filter"] == {"squaring_cycle_type": [2, 3]}
+
     def test_cap_is_a_usage_error(self, run):
         code, _, err = run("enumerate", "-n", "9")
         assert code == 2

@@ -30,12 +30,14 @@ from cycleset import canon, enumeration
 from cycleset.canon import canonical_form as canonical_table
 from cycleset.enumeration import (
     ENGINE_VERSION,
+    _census,
     _census_classes,
     _degree_tables,
     _diagonals,
     _naive_valid,
     _normal_forms,
     _orbit_representatives,
+    _partitions,
     _slice_group,
 )
 
@@ -689,6 +691,57 @@ class TestFilters:
                 t for t in full.representatives if filt.matches(CycleSet(t))
             )
             assert got.representatives == want
+
+    def test_squaring_chooses_the_slices(self):
+        # the size-8 census has 22 slices; --squaring 7,1 searches one
+        assert len(_diagonals(8, True, None)) == 22
+        assert _diagonals(8, True, None, (1, 7)) == (from_cycles(8, [range(7)]),)
+        # without symmetry breaking, every squaring map of the type
+        unbroken = _diagonals(4, False, None, (1, 2, 1))
+        assert len(unbroken) == 6
+        assert {cycle_type(d) for d in unbroken} == {(2, 1, 1)}
+        # a given diagonal is the slice, whatever the filter says
+        diag = from_cycles(4, [(0, 1, 2)])
+        assert _diagonals(4, True, diag, (2, 1, 1)) == (diag,)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_squaring_slices_give_the_post_filtered_census(
+        self, n, censuses_small, census6
+    ):
+        full = census6 if n == 6 else censuses_small[n]
+        for parts in _partitions(n):
+            # the filter takes the cycle type in any order
+            for squaring in (parts, parts[::-1]):
+                filt = EnumerationFilter(squaring_cycle_type=squaring)
+                want = _census(n, filt, full.cycle_sets(), ENGINE_VERSION, 0.0)
+                got = enumerate_cycle_sets(n, filt)
+                assert got.canonical_bytes() == want.canonical_bytes()
+                if n <= 4:
+                    got = enumerate_cycle_sets(n, filt, symmetry_breaking=False)
+                    assert got.canonical_bytes() == want.canonical_bytes()
+
+    @pytest.mark.parametrize("n, squaring", [(3, (0, 3)), (4, (5, -1)), (2, (2, 0))])
+    def test_squaring_with_a_part_below_one_is_refused(self, n, squaring):
+        filt = EnumerationFilter(squaring_cycle_type=squaring)
+        match = r"squaring cycle type \[.*\] has a part below 1"
+        with pytest.raises(ValueError, match=match):
+            enumerate_cycle_sets(n, filt)
+        with pytest.raises(ValueError, match=match):
+            enumerate_cycle_sets(n, filt, diagonal=tuple(range(n)))
+        with pytest.raises(ValueError, match=match):
+            brute_force_census(n, filt)
+
+    @pytest.mark.parametrize("n, squaring", [(4, (2, 1, 1, 1)), (3, (2, 1, 1)), (2, ())])
+    def test_squaring_of_another_size_searches_nothing(self, n, squaring):
+        # a cycle type of another size matches no class (acceptance
+        # criterion 1 runs the (2, 1, 1) filter at sizes 1 to 3), so no
+        # slice is searched
+        assert _diagonals(n, True, None, squaring) == ()
+        assert _diagonals(n, False, None, squaring) == ()
+        filt = EnumerationFilter(squaring_cycle_type=squaring)
+        for census in (enumerate_cycle_sets(n, filt), brute_force_census(n, filt)):
+            assert census.representatives == ()
+            assert dict(census.filter_desc) == {"squaring_cycle_type": list(squaring)}
 
     def test_group_order_predicate(self, censuses_small):
         full = censuses_small[4]

@@ -4,12 +4,14 @@ The suite builds the full size-7 census once, checks the published count of
 3,456 classes (Akgün–Mereb–Vendramin 2022) and the sha256 of its canonical
 bytes, counts the tables the search emits, builds the census again with
 jobs=2 (the caller and one forked worker) for the same bytes, brings every
-class back from a seeded relabeling by ``canonical_form``, and sweeps the
-checker battery over it.  The census searches one slice per partition of 7
+class back from a seeded relabeling by ``canonical_form``, builds the census
+of each squaring cycle type from its slice alone, and sweeps the checker
+battery over it.  The census searches one slice per partition of 7
 (15 slices, the squaring map in normal form) and canonicalizes each class
 once.  On a shared 2-core x86-64 machine under Python 3.11.7 the serial
 census took 4.3-4.4 s (7,655 tables searched), the search alone 3.3-4.2 s,
-jobs=2 2.3-3.4 s and the whole file about 12 s.
+jobs=2 2.3-3.4 s and the whole file about 12 s, 19 s with the squaring
+slices.
 
 No test enumerates sizes 8 and 9, whose census has not been timed with
 this search; products and constant-row constructions in the default suite
@@ -22,8 +24,15 @@ import random
 
 import pytest
 
-from cycleset import enumerate_cycle_sets, from_cycles, run_all, scan_cycle_sets
+from cycleset import (
+    EnumerationFilter,
+    enumerate_cycle_sets,
+    from_cycles,
+    run_all,
+    scan_cycle_sets,
+)
 from cycleset.canon import canonical_form, relabel_table
+from cycleset.enumeration import ENGINE_VERSION, _census, _partitions
 from cycleset.verify import _is_pcycle
 
 pytestmark = [
@@ -71,6 +80,15 @@ def test_seven_point_emitted_tables():
 def test_seven_point_pool_gives_the_same_bytes():
     # the one census size where the pool of slice tasks saves time
     assert _sha256(enumerate_cycle_sets(7, jobs=2)) == CENSUS7_SHA256
+
+
+def test_seven_point_squaring_slices_give_the_post_filtered_census(census7):
+    # a squaring filter searches its one slice; the bytes are those of the
+    # full census filtered after the fact, for each of the 15 partitions
+    for parts in _partitions(7):
+        filt = EnumerationFilter(squaring_cycle_type=parts)
+        want = _census(7, filt, census7.cycle_sets(), ENGINE_VERSION, 0.0)
+        assert enumerate_cycle_sets(7, filt).canonical_bytes() == want.canonical_bytes()
 
 
 def test_seven_point_checker_suite(census7):
