@@ -20,8 +20,14 @@ nodes on average (110 with the rule on label 0 alone, 130 without it and
 5,040 for the scan), and of a seeded relabeling of each about 93 (176
 and 259).
 
-A census deduplicates in two stages, kept together in ``Classes``, so that
-the canonical form is computed once per isomorphism class rather than once
+A census deduplicates in ``Classes``, which takes each table one of two
+ways, by whether it has an identity row (a point x with x.y = y for all
+y).  That is an isomorphism invariant, so the two ways hold disjoint
+classes.  A table without one gets its canonical form at once, by the
+one-cell search, where the rooted rule pins row 0 to a row other than the
+identity.  A table with one has the identity as its least rooted row, so
+the rule pins no label, and it goes through two stages, so that the
+canonical form is computed once per isomorphism class rather than once
 per emitted table.
 
 1. ``class_key`` colours the points by invariants (``colours``: the length
@@ -44,13 +50,20 @@ per emitted table.
    carried to the key's labels (``_carry_autos``), so it does not find them
    again.
 
-Both stages run the same search, which polls ``cancel`` at its first node
-and then every 1,024 nodes.  What depends only on a permutation, the
+The identity row decides the route by cost: sending every table through
+the one-cell search slowed the census of the size-6 identity slice, where
+74 of the 113 emitted tables have an identity row, by about 10%.
+
+Every route runs the same search, which polls ``cancel`` at its first
+node and then every 1,024 nodes.  What depends only on a permutation, the
 length of the cycle through each point, its cycle type and its fixed
-points, is kept in a ``RowFacts`` table.  The census engine keeps one per
-degree, for its search and both stages, since the same permutations recur
-as rows and as squaring maps in every census of that degree.  Each
-standalone call makes a fresh one, as it takes tables of any degree.
+points, is kept in a ``RowFacts`` table, and beside it what the rooted
+rule derives from a cycle type: the ascending spelling of each, and the
+cycle starts and row 0 of each least rooted key.  The census engine keeps
+one per degree, for its search and every route, since the same
+permutations recur as rows and as squaring maps in every census of that
+degree.  Each standalone call makes a fresh one, as it takes tables of any
+degree.
 """
 
 from __future__ import annotations
@@ -68,12 +81,32 @@ class SearchCancelled(RuntimeError):
     """Raised when a cooperative cancellation callback fires."""
 
 
+class _Memo(dict):
+    """A dict that computes a missing value by ``make`` and keeps it."""
+
+    def __init__(self, make: Callable):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
 class RowFacts(dict):
     """row -> (the length of the cycle through each point, ``_orbit_sizes``;
     those lengths in descending order, its cycle type spelt out point by
     point, which orders the cycle types of one degree as ``cycle_type``
     does; the mask of its fixed points; whether the row is a permutation),
-    computed on first use and kept."""
+    computed on first use and kept.  Beside it, the setup of the rooted
+    rule, keyed by cycle type, so a few entries per degree: ``ascending``
+    maps each cycle-type key to its reverse, and ``rooted`` each least
+    rooted key to ``_rooted_row``."""
+
+    def __init__(self):
+        super().__init__()
+        self.ascending = _Memo(lambda spelt: spelt[::-1])
+        self.rooted = _Memo(_rooted_row)
 
     def __missing__(self, row: Perm) -> tuple[tuple[int, ...], tuple[int, ...], int, bool]:
         sizes = _orbit_sizes(row)
@@ -84,29 +117,32 @@ class RowFacts(dict):
         return facts
 
 
-def _rooted_key(facts: tuple, x: int) -> tuple:
+def _rooted_key(facts: RowFacts, entry: tuple, x: int) -> tuple:
     """The rooted row of point x for a permutation p, the least conjugate
     of p that sends x to 0, is x's cycle laid out on 0, 1, ... and then the
     other cycles by increasing length.  Rooted rows are ordered as their
     keys: the length of x's cycle, then p's cycle lengths ascending, spelt
-    out point by point, both read from ``facts``, p's ``RowFacts`` entry.
-    The layout leaves x's cycle out of the other lengths, but between keys
-    with the same first part that changes no comparison.
+    out point by point, both read from ``entry``, p's entry in ``facts``,
+    the second through its ``ascending`` memo.  The layout leaves x's cycle
+    out of the other lengths, but between keys with the same first part
+    that changes no comparison.
 
-    >>> _rooted_key(RowFacts()[(1, 0, 2)], 2)
+    >>> facts = RowFacts()
+    >>> _rooted_key(facts, facts[(1, 0, 2)], 2)
     (1, (1, 2, 2))
     """
-    return facts[0][x], facts[1][::-1]
+    return entry[0][x], facts.ascending[entry[1]]
 
 
-def _rooted_starts(key: tuple) -> list[int]:
-    """The rooted row of key ``key`` (``_rooted_key``) label by label: the
-    length of the cycle that begins at each label, 0 for a label inside a
-    cycle.  The root's cycle comes first, then the others by increasing
-    length.
+def _rooted_row(key: tuple) -> tuple[list[int], list[int]]:
+    """The rooted row of key ``key`` (``_rooted_key``) label by label, as
+    (starts, row): starts gives the length of the cycle that begins at each
+    label, 0 for a label inside a cycle, and row is the row itself, each
+    cycle on consecutive labels from its start.  The root's cycle comes
+    first, then the others by increasing length.
 
-    >>> _rooted_starts((2, (1, 2, 2, 3, 3, 3)))
-    [2, 0, 1, 3, 0, 0]
+    >>> _rooted_row((2, (1, 2, 2, 3, 3, 3)))
+    ([2, 0, 1, 3, 0, 0], [1, 0, 2, 4, 5, 3])
     """
     length, spelt = key
     # spelt lists each cycle length once per point, ascending, so dropping
@@ -119,7 +155,11 @@ def _rooted_starts(key: tuple) -> list[int]:
         m = rest[i]
         starts += [m] + [0] * (m - 1)
         i += m
-    return starts
+    row: list[int] = []
+    for s, m in enumerate(starts):
+        if m:
+            row += [*range(s + 1, s + m), s]
+    return starts, row
 
 
 def relabel_table(table: Sequence[Sequence[int]], rho: Sequence[int]) -> Table:
@@ -160,7 +200,7 @@ def _lex_min(
     ``_rooted_key`` may take label 0.  Row 0 is then R exactly when each
     label inside a cycle of R goes to sigma of the point labelled just
     before it, and each label that starts a cycle of R to an unlabelled
-    point on a cycle of sigma as long (``_rooted_starts`` reads the cycles
+    point on a cycle of sigma as long (``_rooted_row`` reads the cycles
     of R off the key; the points of sigma are listed by cycle length once
     per choice of label 0).  Every pre-order with another row 0 is above the
     winner, so leaving them out changes neither the result nor the order of
@@ -204,15 +244,12 @@ def _lex_min(
     if len(cells) == 1 and all(f[3] for f in row_facts):
         # row 0 of the winner is the least rooted row R, so label 0 goes
         # only to the points with the least rooted key
-        keys = [_rooted_key(f, x) for x, f in enumerate(row_facts)]
+        keys = [_rooted_key(facts, f, x) for x, f in enumerate(row_facts)]
         least = min(keys)
         masks[0] = sum(1 << x for x, key in enumerate(keys) if key == least)
-        starts = _rooted_starts(least)
         # every leaf, so every incumbent, has row 0 R: it is set now and
         # ties at every node
-        for s, m in enumerate(starts):
-            if m:
-                best[s : s + m] = [*range(s + 1, s + m), s]
+        starts, best[:n] = facts.rooted[least]
         tied = [1] * (n + 1)
     pre = [0] * n
     label = [n] * n  # n marks an unlabelled point
@@ -407,21 +444,32 @@ def class_key(
 
 
 class Classes:
-    """The isomorphism classes of the tables added, by the two stages above:
-    ``add`` keeps each new class key with the automorphisms its search
-    found, carried to the key's labels, and ``forms`` returns the canonical
-    form of each key, its search seeded with them.  Every search polls
-    ``cancel`` and reads ``facts``, a fresh ``RowFacts`` when None."""
+    """The isomorphism classes of the tables added.  Having an identity row
+    is an isomorphism invariant, so it splits the classes in two, each
+    taken its own way.  ``add`` gives a table without one its canonical form
+    at once, by the one-cell search, which the rooted rule keeps cheap; a
+    table with one, whose least rooted row is the identity and pins no
+    label, goes through the two stages above: ``add`` keeps each new class
+    key with the automorphisms its search found, carried to the key's
+    labels, and ``forms`` computes the canonical form of each key, its
+    search seeded with them.  ``forms`` returns the classes of both.  Every
+    search polls ``cancel`` and reads ``facts``, a fresh ``RowFacts`` when
+    None."""
 
     def __init__(self, cancel: Callable[[], bool] | None = None, facts: RowFacts | None = None):
         self.cancel = cancel
         self.facts = RowFacts() if facts is None else facts
+        self.found: set[Table] = set()
         self.keys: dict[Table, Autos] = {}
 
     def add(self, table: Sequence[Sequence[int]], colour: list[tuple] | None = None) -> None:
         """Keep the class of ``table``; ``colour`` is its ``colours`` when
         the caller has them."""
         rows = tuple(map(tuple, table))
+        n = len(rows)
+        if tuple(range(n)) not in rows:
+            self.found.add(_lex_min(rows, [range(n)], self.cancel, None, self.facts)[1])
+            return
         autos: Autos = []
         cells = _colour_cells(rows, self.facts, colour)
         rho, key = _lex_min(rows, cells, self.cancel, autos, self.facts)
@@ -429,7 +477,7 @@ class Classes:
             self.keys[key] = _carry_autos(autos, rho)
 
     def forms(self) -> set[Table]:
-        return {
+        return self.found | {
             _lex_min(key, [range(len(key))], self.cancel, autos, self.facts)[1]
             for key, autos in self.keys.items()
         }

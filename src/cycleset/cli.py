@@ -85,6 +85,10 @@ def _parse_filter(ns: argparse.Namespace) -> EnumerationFilter:
             raise ValueError(
                 f"--squaring must be a partition of {ns.n}, got {','.join(map(str, squaring))}"
             )
+    # the library reads an order below 1 as matching no class; on the
+    # command line it is a usage error
+    if ns.group_order is not None and ns.group_order < 1:
+        raise ValueError(f"--group-order must be at least 1, got {ns.group_order}")
     return EnumerationFilter(
         indecomposable=True if ns.indecomposable else None,
         latin=True if ns.latin else None,

@@ -58,14 +58,16 @@ order; rows forced by propagation are checked as they are forced.  The
 orbit pruning, after the filter, and the tie-break of fixing counts,
 checked at the leaves, only drop tables and keep the order of the rest.
 Every emitted table goes to a ``canon.Classes``, with the colours its leaf
-computed, which reduces it to its class key, a complete isomorphism
-invariant that is cheap to compute; once the search is done the full
-canonical form is computed once per distinct key, starting from the
-automorphisms found by the key search, so the output is one canonical
-representative per isomorphism class, sorted, independent of the number of
-jobs and of scheduling.  Every census runs one task per slice, each by the
-caller or by one of the workers it forks, none with one job
-(``_pool_results``).
+computed.  A table without an identity row gets its canonical form there
+at once, by one search; a table with one is reduced to its class key, a
+complete isomorphism invariant that is cheap to compute, and once the
+search is done the full canonical form is computed once per distinct key,
+starting from the automorphisms found by the key search.  Having an
+identity row is an isomorphism invariant, so no class is split between
+the two, and the output is one canonical representative per isomorphism
+class, sorted, independent of the number of jobs and of scheduling.  Every
+census runs one task per slice, each by the caller or by one of the
+workers it forks, none with one job (``_pool_results``).
 """
 
 from __future__ import annotations

@@ -223,9 +223,19 @@ def _chk_pcycle_classification(X: CycleSet, ctx: dict):
 
 def _census_pcycle_classification(tables: Sequence[CycleSet], ctx: dict):
     buckets: dict[int, list[CycleSet]] = {}
+    # the evidence as counts: members by p, and the sizes of the
+    # indecomposable ones
+    by_p: dict[int, int] = {}
+    sizes: list[int] = []
     for X in tables:
         p = _is_pcycle(X.squaring_map)
-        if p is None or X.is_decomposable or len(prime_support(X.n)) != 1:
+        if p is None:
+            continue
+        by_p[p] = by_p.get(p, 0) + 1
+        if X.is_decomposable:
+            continue
+        sizes.append(X.n)
+        if len(prime_support(X.n)) != 1:
             continue
         if _admissible_pcycle_size(p, X.n) and X.n in (2, 3, 4):
             buckets.setdefault(X.n, []).append(X)
@@ -238,9 +248,33 @@ def _census_pcycle_classification(tables: Sequence[CycleSet], ctx: dict):
                 )
     notes = [
         "uniqueness checked census-wide; existence of the admissible classes "
-        "is asserted by the acceptance suite on complete censuses"
+        "is asserted by the acceptance suite on complete censuses",
+        _pcycle_evidence(by_p, sizes),
     ]
     return failures, notes
+
+
+def _pcycle_evidence(by_p: dict[int, int], sizes: list[int]) -> str:
+    """The note that counts what the p-cycle checkers saw: members whose
+    squaring map is a p-cycle, by p, and the indecomposable ones by size.
+
+    >>> _pcycle_evidence({3: 4, 2: 1}, [3])
+    'squaring map a p-cycle: 5 members (p = 2: 1, p = 3: 4), 1 of them indecomposable, at size 3'
+    >>> _pcycle_evidence({2: 2, 3: 1}, [3, 2, 2])[-35:]
+    'indecomposable, at sizes 2, 2 and 3'
+    >>> _pcycle_evidence({}, [])
+    'squaring map a p-cycle: 0 members'
+    """
+    note = f"squaring map a p-cycle: {sum(by_p.values())} members"
+    if by_p:
+        note += " (" + ", ".join(f"p = {p}: {by_p[p]}" for p in sorted(by_p)) + ")"
+        if sizes:
+            *most, last = map(str, sorted(sizes))
+            at = f"sizes {', '.join(most)} and {last}" if most else f"size {last}"
+            note += f", {len(sizes)} of them indecomposable, at {at}"
+        else:
+            note += ", none of them indecomposable"
+    return note
 
 
 def _chk_block_bound(X: CycleSet, ctx: dict):

@@ -12,7 +12,7 @@ from cycleset.canon import (
     _colour_cells,
     _lex_min,
     _rooted_key,
-    _rooted_starts,
+    _rooted_row,
     canonical_form,
     canonical_relabeling,
     class_key,
@@ -155,16 +155,21 @@ def test_rooted_keys_order_points_as_their_least_conjugates():
                 row = min(
                     tuple(rho[p[inv[i]]] for i in range(n)) for rho, inv in rooting[x]
                 )
-                least.setdefault(_rooted_key(facts[p], x), set()).add(row)
+                least.setdefault(_rooted_key(facts, facts[p], x), set()).add(row)
         assert all(len(rows) == 1 for rows in least.values())
         ordered = [least[key].pop() for key in sorted(least)]
         assert ordered == sorted(set(ordered))
-        # and _rooted_starts lays out the least row of each key
-        assert [spell_starts(_rooted_starts(key)) for key in sorted(least)] == ordered
+        # and _rooted_row lays out the least row of each key, both from
+        # its cycle starts and as the row itself
+        layouts = [_rooted_row(key) for key in sorted(least)]
+        assert [spell_starts(starts) for starts, _ in layouts] == ordered
+        assert [tuple(row) for _, row in layouts] == ordered
+    # the memo of ascending keys has one entry per cycle type
+    assert len(facts.ascending) == sum(len(_normal_forms(n)) for n in range(1, 7))
 
 
 def spell_starts(starts):
-    """The row that ``_rooted_starts`` describes: each cycle on consecutive
+    """The row that the starts of ``_rooted_row`` describe: each cycle on consecutive
     labels from the label where it starts."""
     row = []
     for s, m in enumerate(starts):
@@ -430,7 +435,18 @@ def test_shared_row_facts_match_the_standalone_path_on_scanned_tables():
         scan_cycle_sets(n, tables.append)
     for cycs in ([(0, 1), (2, 3), (4, 5)], []):
         scan_cycle_sets(6, tables.append, diagonal=from_cycles(6, cycs))
-    assert_shared_facts_match(tables, RowFacts())
+    facts = RowFacts()
+    assert_shared_facts_match(tables, facts)
+    # the rooted rule's memos hold one entry per cycle type, or per cycle
+    # type and a length of its cycles, not one per row or table
+    rooted = {
+        (length, facts.ascending[facts[p][1]])
+        for n in range(1, 7)
+        for p in _normal_forms(n)
+        for length in facts[p][0]
+    }
+    assert 0 < len(facts.rooted) and facts.rooted.keys() <= rooted
+    assert len(facts.ascending) <= sum(len(_normal_forms(n)) for n in range(1, 7))
 
 
 @settings(max_examples=60, deadline=None)

@@ -382,6 +382,25 @@ class TestEnumerate:
         got = squaring.strip(",")
         assert err == f"error: --squaring must be a partition of {n}, got {got}\n"
 
+    @pytest.mark.parametrize("oracle", [[], ["--oracle"]])
+    @pytest.mark.parametrize("order", ["0", "-3"])
+    def test_group_order_below_one_is_a_usage_error(self, run, monkeypatch, order, oracle):
+        # refused before any census is built, where it used to give the
+        # empty census with exit 0
+        built = []
+        monkeypatch.setattr(cli, "enumerate_cycle_sets", lambda *a, **k: built.append(a))
+        monkeypatch.setattr(cli, "brute_force_census", lambda *a, **k: built.append(a))
+        code, out, err = run("enumerate", "-n", "3", "--group-order", order, *oracle)
+        assert (code, out, built) == (2, "", [])
+        assert err == f"error: --group-order must be at least 1, got {order}\n"
+
+    def test_group_order_one_keeps_the_trivial_classes(self, run):
+        # the least order allowed: G(X) is trivial only for the trivial
+        # cycle set of the identity, one class per size
+        code, out, _ = run("enumerate", "-n", "3", "--group-order", "1", "--count-only")
+        assert code == 0
+        assert json.loads(out.strip().splitlines()[-1])["summary"]["count"] == 1
+
     def test_squaring_searches_its_slice_alone(self, run):
         # one task, the slice of (0 1 2)(3 4), where a full census of size
         # 5 has 7

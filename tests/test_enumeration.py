@@ -103,6 +103,87 @@ class TestOracle:
             brute_force_census(5)
 
 
+def centralizer_order(t):
+    """How many permutations commute with t, by a loop over all of them."""
+    n = len(t)
+    return sum(
+        all(g[t[x]] == t[g[x]] for x in range(n)) for g in permutations(range(n))
+    )
+
+
+def automorphism_count(t):
+    """How many permutations g keep the table t, g(x.y) = g(x).g(y), by a
+    backtracking that assigns g(0), g(1), ... and, at each g(k), checks
+    every product of assigned points whose value is assigned too."""
+    n = len(t)
+    g = [n] * n
+    used = [False] * n
+
+    def extend(k):
+        if k == n:
+            return 1
+        found = 0
+        for v in range(n):
+            if used[v]:
+                continue
+            g[k] = v
+            if all(
+                g[t[x][y]] == t[g[x]][g[y]]
+                for x in range(k + 1)
+                for y in range(k + 1)
+                if t[x][y] <= k
+            ):
+                used[v] = True
+                found += extend(k + 1)
+                used[v] = False
+        g[k] = n
+        return found
+
+    return extend(0)
+
+
+def assert_orbit_count(n, diagonal):
+    """The unbroken search of a slice visits each labeled table whose
+    squaring map is T once.  The centralizer C(T) acts on them, with one
+    orbit per class of the slice and stabilizer Aut X, so their number is
+    the sum of |C(T)| / |Aut X| over the classes (Burnside's orbit
+    counting, with no canonical labeling).  A class's representative has a
+    conjugate of T as squaring map, whose centralizer is as large."""
+    order = centralizer_order(diagonal)
+    labeled = 0
+    for t in enumerate_cycle_sets(n, diagonal=diagonal).representatives:
+        auts = automorphism_count(t)
+        assert order % auts == 0
+        labeled += order // auts
+    unbroken = scan_cycle_sets(n, lambda t: None, symmetry_breaking=False, diagonal=diagonal)
+    assert unbroken == labeled
+
+
+class TestOrbitCount:
+    # a second ground truth past the brute-force oracle (n <= 3): the
+    # symmetry breaking loses no class and keeps no two of one class on
+    # any slice whose unbroken search is affordable
+
+    def test_counts_match_a_scan_of_all_relabelings(self, censuses_small):
+        def scanned(t):
+            n = len(t)
+            return sum(
+                all(g[t[x][y]] == t[g[x]][g[y]] for x in range(n) for y in range(n))
+                for g in permutations(range(n))
+            )
+
+        for n in (1, 2, 3, 4):
+            for t in censuses_small[n].representatives:
+                assert automorphism_count(t) == scanned(t)
+        # C(T) of three transpositions: 2^3 * 3!
+        assert centralizer_order(from_cycles(6, [(0, 1), (2, 3), (4, 5)])) == 48
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_unbroken_scans_count_the_labeled_tables(self, n):
+        for diagonal in _diagonals(n, True, None):
+            assert_orbit_count(n, diagonal)
+
+
 class TestFirstRowRepresentatives:
     def test_one_normal_form_slice_per_partition(self):
         # the full census is one slice per partition of n (11 at n = 6),
@@ -554,6 +635,43 @@ class TestScan:
         assert h.hexdigest() == (
             "d2f1a6826f72182f59b6bcc9d6f865a6681cbaf52271b8ea4e6d49add9aea822"
         )
+
+    def test_only_tables_with_an_identity_row_take_a_class_key(self, monkeypatch):
+        # a table without an identity row gets its canonical form from one
+        # one-cell search; a table with one takes the colour-cell class key,
+        # and each distinct key one seeded search more
+        keyed, searched = [], []
+        colour_cells, lex_min = canon._colour_cells, canon._lex_min
+
+        def spy_cells(rows, *args):
+            keyed.append(rows)
+            return colour_cells(rows, *args)
+
+        def spy_lex_min(rows, *args):
+            searched.append(rows)
+            return lex_min(rows, *args)
+
+        monkeypatch.setattr(canon, "_colour_cells", spy_cells)
+        monkeypatch.setattr(canon, "_lex_min", spy_lex_min)
+        identity = tuple(range(6))
+        # T of type (2,2,2) fixes no point, so no row is the identity
+        involution = from_cycles(6, [(0, 1), (2, 3), (4, 5)])
+        emitted = []
+        scan_cycle_sets(6, emitted.append, diagonal=involution)
+        assert len(emitted) == 109 and not any(identity in t for t in emitted)
+        assert enumerate_cycle_sets(6, diagonal=involution).count == 77
+        assert keyed == [] and sorted(searched) == sorted(emitted)
+        # the identity slice: 74 of its 113 tables have an identity row
+        keyed.clear()
+        searched.clear()
+        emitted.clear()
+        scan_cycle_sets(6, emitted.append, diagonal=identity)
+        with_identity = [t for t in emitted if identity in t]
+        assert (len(emitted), len(with_identity)) == (113, 74)
+        assert enumerate_cycle_sets(6, diagonal=identity).count == 68
+        assert sorted(keyed) == sorted(with_identity)
+        keys = {lex_min(t, colour_cells(t), None)[1] for t in with_identity}
+        assert len(searched) == len(emitted) + len(keys)
 
     def test_carried_automorphisms_are_automorphisms_of_the_key(self):
         # the census seeds the canonical search of each key with the

@@ -11,7 +11,10 @@ battery over it.  The census searches one slice per partition of 7
 once.  On a shared 2-core x86-64 machine under Python 3.11.7 the serial
 census took 4.3-4.4 s (7,655 tables searched), the search alone 3.3-4.2 s,
 jobs=2 2.3-3.4 s and the whole file about 12 s, 19 s with the squaring
-slices.
+slices.  It also counts the labeled tables of each slice's unbroken scan
+by Burnside's orbit counting over the slice's classes, as tier-1 does for
+n <= 6; on the same machine those checks took 140 s, 111 s of it in the
+identity slice, and the whole file 153 s.
 
 No test enumerates sizes 8 and 9, whose census has not been timed with
 this search; products and constant-row constructions in the default suite
@@ -32,8 +35,9 @@ from cycleset import (
     scan_cycle_sets,
 )
 from cycleset.canon import canonical_form, relabel_table
-from cycleset.enumeration import ENGINE_VERSION, _census, _partitions
+from cycleset.enumeration import ENGINE_VERSION, _census, _normal_form, _partitions
 from cycleset.verify import _is_pcycle
+from test_enumeration import assert_orbit_count
 
 pytestmark = [
     pytest.mark.slow,
@@ -89,6 +93,15 @@ def test_seven_point_squaring_slices_give_the_post_filtered_census(census7):
         filt = EnumerationFilter(squaring_cycle_type=parts)
         want = _census(7, filt, census7.cycle_sets(), ENGINE_VERSION, 0.0)
         assert enumerate_cycle_sets(7, filt).canonical_bytes() == want.canonical_bytes()
+
+
+@pytest.mark.parametrize(
+    "parts", _partitions(7), ids=lambda parts: ",".join(map(str, parts))
+)
+def test_seven_point_unbroken_scans_count_the_labeled_tables(parts):
+    # the orbit count of the tier-1 suite on every slice of size 7; the
+    # unbroken scans take minutes, most of it in the identity slice
+    assert_orbit_count(7, _normal_form(parts))
 
 
 def test_seven_point_checker_suite(census7):

@@ -4,6 +4,7 @@ own law.  The doctored tables are not valid cycle sets; each satisfies the
 hypothesis shape of one checker while breaking its conclusion, so a checker
 that never fires on them is vacuous."""
 
+import collections
 import json
 
 import pytest
@@ -22,7 +23,7 @@ from cycleset import (
 )
 import cycleset.brace as brace_mod
 import cycleset.verify as verify_mod
-from cycleset.perm import perm_order, power, prime_part, prime_support
+from cycleset.perm import cycle_type, perm_order, power, prime_part, prime_support
 from cycleset.verify import CheckerDef, hash_tables
 
 ID8 = tuple(range(8))
@@ -324,6 +325,28 @@ class TestHarness:
         verdict = run_checker("fixed_point_bound", [])
         assert verdict.notes
         assert verdict.passed and verdict.instances == 0
+
+    def test_pcycle_classification_counts_its_evidence(self, censuses_small, census6):
+        # the census hook states what the p-cycle checkers saw as counts,
+        # beside a verdict that is otherwise unchanged
+        tables = [X for c in (*censuses_small.values(), census6) for X in c.cycle_sets()]
+        verdict = run_checker("pcycle_classification", tables)
+        assert verdict.passed and (verdict.instances, verdict.skipped) == (4, 710)
+        assert verdict.notes[-1] == (
+            "squaring map a p-cycle: 221 members (p = 2: 161, p = 3: 54, p = 5: 6), "
+            "4 of them indecomposable, at sizes 2, 3, 4 and 5"
+        )
+        # the size-6 census alone has p-cycle members, none indecomposable;
+        # counted here from the cycle types
+        moved = [
+            [k for k in cycle_type(X.squaring_map) if k > 1] for X in census6.cycle_sets()
+        ]
+        by_p = collections.Counter(m[0] for m in moved if m in ([2], [3], [5]))
+        assert sorted(by_p.items()) == [(2, 127), (3, 41), (5, 5)]
+        assert run_checker("pcycle_classification", census6.cycle_sets()).notes[-1] == (
+            "squaring map a p-cycle: 173 members (p = 2: 127, p = 3: 41, p = 5: 5), "
+            "none of them indecomposable"
+        )
 
     def test_run_all_selects_checkers(self, size2_indec):
         verdicts = run_all([size2_indec], checker_ids=["pair_map_bijective"])
