@@ -86,7 +86,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from . import canon
 from .canon import SearchCancelled
-from .core import CycleSet, Table, cycle_set
+from .core import CycleSet, Table, validate_table
 from .perm import Perm, cycle_type, from_cycles, inverse, is_permutation
 
 ENGINE_VERSION = "cycleset-enum/1"
@@ -557,12 +557,25 @@ def _pool_results(tasks: Sequence[tuple], processes: int, cancel) -> Iterator[se
     talks to the caller over its own pipe and shares no lock, so killing one
     mid-reply cannot block the caller, as it can with a
     ``multiprocessing.Pool``, whose workers share one result queue and its
-    lock; a worker that exits without a reply raises.  Closing the
-    generator kills and joins the workers, whether the tasks are done,
-    cancelled or interrupted, or one raised."""
+    lock; a worker that exits without a reply raises.  While two or more
+    processes run, the caller is pinned to the lowest CPU of its affinity
+    mask and each worker, right after it starts, to the rest, so no worker
+    shares a CPU with the caller; placement is skipped without
+    ``os.sched_setaffinity`` or with a mask of one CPU, and a placement
+    the system refuses is ignored.  Closing the generator kills and joins
+    the workers and gives the caller back its mask, whether the tasks are
+    done, cancelled or interrupted, or one raised."""
     todo = list(reversed(tasks))  # todo.pop() is the next task
     workers = {}
     held = {}  # tasks sent to each worker and not yet answered
+    cpus = []  # the caller's mask, sorted, while the pool places processes
+    if processes > 1 and hasattr(os, "sched_setaffinity"):
+        cpus = sorted(os.sched_getaffinity(0))
+
+    def place(pid: int, mask: Sequence[int]) -> None:
+        if len(cpus) > 1:
+            with contextlib.suppress(OSError):
+                os.sched_setaffinity(pid, mask)
 
     def exited(conn) -> RuntimeError:
         proc = workers[conn]
@@ -580,10 +593,12 @@ def _pool_results(tasks: Sequence[tuple], processes: int, cancel) -> Iterator[se
             held[conn] += 1
 
     try:
+        place(0, cpus[:1])
         for _ in range(processes - 1):
             conn, child = multiprocessing.Pipe()
             proc = multiprocessing.Process(target=_worker, args=(child,), daemon=True)
             proc.start()
+            place(proc.pid, cpus[1:])
             child.close()
             workers[conn] = proc
             held[conn] = 0
@@ -613,6 +628,7 @@ def _pool_results(tasks: Sequence[tuple], processes: int, cancel) -> Iterator[se
             if todo:
                 yield _census_classes(*todo.pop(), cancel)
     finally:
+        place(0, cpus)
         for conn, proc in workers.items():
             proc.kill()
             proc.join()
@@ -635,7 +651,11 @@ def enumerate_cycle_sets(
     ``diagonal`` and n = 1 fork nothing, ``jobs=2`` forks one process, and a
     large ``jobs`` starts no more processes than there is work or hardware
     for; the usable CPUs are those of the process's affinity mask where the
-    platform has one.  Every task passes ``symmetry_breaking`` through.
+    platform has one.  While a pool of two or more processes runs, the
+    caller keeps the lowest CPU of that mask and the workers get the rest
+    (see ``_pool_results``).  Every task passes ``symmetry_breaking``
+    through, and each class a task returns is validated as it is merged,
+    while the workers run on, so the census wraps checked tables.
     A filter's ``squaring_cycle_type`` chooses the slices: without a
     ``diagonal`` only those whose squaring map has that cycle type are
     searched, none when it is a partition of another size, and the filter,
@@ -667,11 +687,14 @@ def enumerate_cycle_sets(
     # cancelled or interrupted, or a task raised
     with contextlib.closing(_pool_results(tasks, processes, cancel)) as results:
         for merged, classes in enumerate(results, 1):
+            # checked here, while the workers run their next tasks
+            for t in classes:
+                validate_table(t)
             canon_set.update(classes)
             if progress is not None:
                 progress(f"task {merged}/{len(tasks)} merged")
 
-    return _census(n, filt, map(cycle_set, sorted(canon_set)), ENGINE_VERSION, start)
+    return _census(n, filt, map(CycleSet, sorted(canon_set)), ENGINE_VERSION, start)
 
 
 def scan_cycle_sets(

@@ -1,3 +1,4 @@
+import os
 import re
 
 import pytest
@@ -6,6 +7,21 @@ from cycleset import cycle_set, enumerate_cycle_sets, trivial_cycle_set
 from cycleset.perm import from_cycles
 
 TABLE4 = ((0, 1, 3, 2), (2, 3, 1, 0), (1, 0, 2, 3), (3, 2, 0, 1))
+
+
+# read before any test can patch it
+_affinity = getattr(os, "sched_getaffinity", None)
+
+
+@pytest.fixture(autouse=True)
+def affinity_is_kept():
+    """Fail a test that leaves this process on another CPU mask: a census
+    pool pins the caller to one CPU while it runs, and a test that fakes
+    the mask the pool reads could have it restore the fake."""
+    before = _affinity(0) if _affinity is not None else None
+    yield
+    if before is not None:
+        assert _affinity(0) == before, "the test changed this process's CPU mask"
 
 
 @pytest.fixture

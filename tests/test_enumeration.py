@@ -1,6 +1,7 @@
 """Enumeration engine: oracle agreement, symmetry breaking, work splitting,
 filters, determinism, and the size cap."""
 
+import contextlib
 import hashlib
 import multiprocessing
 import os
@@ -17,6 +18,7 @@ from cycleset import (
     Census,
     CycleSet,
     EnumerationFilter,
+    InvalidCycleSet,
     SearchCancelled,
     brute_force_census,
     cycle_type,
@@ -57,6 +59,24 @@ def _sha256(census):
 
 def _failing_search(*args, **kwargs):
     raise RuntimeError("slice failed")
+
+
+def _fake_cpus(monkeypatch, cpus):
+    """Make ``cpus`` CPUs usable, whatever the machine's mask.  The faked
+    mask names CPUs no machine has, so the system refuses the pool's
+    placement and this process keeps its real mask."""
+    mask = set(range(1 << 16, (1 << 16) + cpus))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: mask, raising=False)
+
+
+needs_fork = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patched names reach the workers only when they are forked",
+)
+needs_two_cpus = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="placement needs an affinity mask of two or more CPUs",
+)
 
 
 class TestCounts:
@@ -275,16 +295,15 @@ class TestWorkSplitting:
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
             monkeypatch.setattr(os, "cpu_count", lambda: None)
         else:
-            monkeypatch.setattr(
-                os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
-            )
+            _fake_cpus(monkeypatch, cpus)
         monkeypatch.setattr(multiprocessing.Process, "start", spy_start)
         monkeypatch.setattr(enumeration, "_census_classes", spy_classes)
         census = enumerate_cycle_sets(n, jobs=jobs, progress=messages.append)
         return census, len(starts), ran, messages
 
     def test_jobs_two_forks_one_worker(self, monkeypatch):
-        # the caller is one of the two jobs
+        # the caller is one of the two jobs; the placement on the faked
+        # CPUs is refused, and the census is unchanged
         census, started, ran, messages = self._pooled_census(monkeypatch, 5, 2)
         assert started == 1
         assert os.getpid() in ran
@@ -324,6 +343,115 @@ class TestWorkSplitting:
         assert messages == [f"task {k}/7 merged" for k in range(1, 8)]
         assert _sha256(census) == CENSUS5_SHA256
 
+    def test_no_affinity_call_places_nothing(self, monkeypatch):
+        # as on a platform without an affinity mask: the pool forks by the
+        # CPU count and leaves every process where the system puts it
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert _sha256(enumerate_cycle_sets(5, jobs=2)) == CENSUS5_SHA256
+        assert multiprocessing.active_children() == []
+
+    @needs_two_cpus
+    def test_workers_run_off_the_callers_cpu(self, monkeypatch):
+        # the caller keeps the lowest CPU of its mask and each worker gets
+        # the rest, for as long as the pool runs
+        before = os.sched_getaffinity(0)
+        seen = []
+        census_classes = enumeration._census_classes
+
+        def spy_classes(*args):
+            # run by the caller while its worker is alive; a forked worker
+            # appends to its own copy of seen
+            workers = multiprocessing.active_children()
+            masks = [os.sched_getaffinity(proc.pid) for proc in workers]
+            seen.append((os.sched_getaffinity(0), masks))
+            return census_classes(*args)
+
+        monkeypatch.setattr(enumeration, "_census_classes", spy_classes)
+        census = enumerate_cycle_sets(5, jobs=2)
+        assert _sha256(census) == CENSUS5_SHA256
+        assert seen
+        lowest = min(before)
+        for own, masks in seen:
+            assert own == {lowest}
+            assert masks == [before - {lowest}]
+            assert all(own.isdisjoint(mask) for mask in masks)
+        assert os.sched_getaffinity(0) == before
+
+    @needs_two_cpus
+    @pytest.mark.parametrize(
+        "ending",
+        [
+            "done",
+            pytest.param("task-error", marks=needs_fork),
+            pytest.param("worker-exit", marks=needs_fork),
+            "cancel",
+            "interrupt",
+        ],
+    )
+    def test_caller_mask_is_restored_on_every_exit(self, monkeypatch, ending):
+        before = os.sched_getaffinity(0)
+        pinned = []
+        set_affinity = os.sched_setaffinity
+
+        def spy_set(pid, mask):
+            if pid == 0:
+                pinned.append(set(mask))
+            set_affinity(pid, mask)
+
+        def interrupt(message):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "sched_setaffinity", spy_set)
+        kwargs, raised = {}, contextlib.nullcontext()
+        if ending == "task-error":
+            monkeypatch.setattr(enumeration, "_search", _failing_search)
+            raised = pytest.raises(RuntimeError, match="slice failed")
+        elif ending == "worker-exit":
+            monkeypatch.setattr(enumeration, "_worker", lambda conn: os._exit(3))
+            raised = pytest.raises(RuntimeError, match="exited with code 3")
+        elif ending == "cancel":
+            kwargs["cancel"] = threading.Event()
+            kwargs["cancel"].set()
+            raised = pytest.raises(SearchCancelled)
+        elif ending == "interrupt":
+            kwargs["progress"] = interrupt
+            raised = pytest.raises(KeyboardInterrupt)
+        with raised:
+            enumerate_cycle_sets(5, jobs=2, **kwargs)
+        # pinned for the pool's life, then given back the whole mask
+        assert pinned == [{min(before)}, before]
+        assert os.sched_getaffinity(0) == before
+        assert multiprocessing.active_children() == []
+
+    def test_classes_are_validated_as_they_merge(self, monkeypatch):
+        # each task's classes are checked before its merge is reported,
+        # not all at once after the pool closes
+        events = []
+        validate_table = enumeration.validate_table
+
+        def spy_validate(t):
+            events.append("valid")
+            validate_table(t)
+
+        monkeypatch.setattr(enumeration, "validate_table", spy_validate)
+        census = enumerate_cycle_sets(5, jobs=2, progress=events.append)
+        assert _sha256(census) == CENSUS5_SHA256
+        assert events.count("valid") == 88
+        assert events[0] == "valid" and events[-1] == "task 7/7 merged"
+
+    def test_an_invalid_class_is_refused(self, monkeypatch):
+        # the census wraps only tables that pass validation
+        monkeypatch.setattr(enumeration, "_census_classes", lambda *args: {((0, 0), (1, 1))})
+        with pytest.raises(InvalidCycleSet):
+            enumerate_cycle_sets(2)
+
+    def test_pooled_census_bytes_pinned_at_size_6(self):
+        census = enumerate_cycle_sets(6, jobs=2)
+        assert _sha256(census) == CENSUS6_SHA256
+        assert multiprocessing.active_children() == []
+
     def test_identity_slice_is_submitted_first(self, monkeypatch):
         # the slices of many fixed points, the identity's among them, are
         # the costliest, so they must not wait behind the small slices for
@@ -340,35 +468,29 @@ class TestWorkSplitting:
         assert tasks[0] == ((0, 1, 2, 3), True)
         assert len(tasks) == 5 and census.count == 23
 
-    @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
-        reason="the patched search reaches the workers only when they are forked",
-    )
+    @needs_fork
     def test_task_error_propagates_and_leaves_no_workers(self, monkeypatch):
+        _fake_cpus(monkeypatch, 2)  # a worker whatever the machine's mask
         monkeypatch.setattr(enumeration, "_search", _failing_search)
         with pytest.raises(RuntimeError, match="slice failed"):
             enumerate_cycle_sets(5, jobs=2)
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
-        reason="the patched search reaches the workers only when they are forked",
-    )
+    @needs_fork
     def test_repeated_task_errors_never_hang(self, monkeypatch):
         # killing a worker mid-reply cannot leave a lock held: on a
         # multiprocessing.Pool, whose workers share one result queue, this
         # loop hung within a few hundred rounds
+        _fake_cpus(monkeypatch, 2)  # a worker whatever the machine's mask
         monkeypatch.setattr(enumeration, "_search", _failing_search)
         for _ in range(200):
             with pytest.raises(RuntimeError, match="slice failed"):
                 enumerate_cycle_sets(5, jobs=2)
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
-        reason="the patched worker reaches the children only when they are forked",
-    )
+    @needs_fork
     def test_worker_exit_raises_instead_of_waiting(self, monkeypatch):
+        _fake_cpus(monkeypatch, 2)  # a worker whatever the machine's mask
         # the worker loop, not the task, exits: the caller runs tasks too
         monkeypatch.setattr(enumeration, "_worker", lambda conn: os._exit(3))
         with pytest.raises(RuntimeError, match="exited with code 3"):
@@ -950,14 +1072,16 @@ class TestCancellation:
             with pytest.raises(SearchCancelled):
                 enumerate_cycle_sets(n, diagonal=diag, cancel=ev)
 
-    def test_set_event_aborts_parallel_search(self):
+    def test_set_event_aborts_parallel_search(self, monkeypatch):
+        _fake_cpus(monkeypatch, 2)  # a worker whatever the machine's mask
         ev = threading.Event()
         ev.set()
         with pytest.raises(SearchCancelled):
             enumerate_cycle_sets(5, jobs=2, cancel=ev)
         assert multiprocessing.active_children() == []
 
-    def test_event_set_mid_parallel_search_stops_running_tasks(self):
+    def test_event_set_mid_parallel_search_stops_running_tasks(self, monkeypatch):
+        _fake_cpus(monkeypatch, 2)  # a worker whatever the machine's mask
         ev = threading.Event()
         timer = threading.Timer(0.5, ev.set)
         start = time.monotonic()
@@ -973,10 +1097,11 @@ class TestCancellation:
         assert time.monotonic() - start < 2.5
         assert multiprocessing.active_children() == []
 
-    def test_keyboard_interrupt_leaves_no_orphan_workers(self):
+    def test_keyboard_interrupt_leaves_no_orphan_workers(self, monkeypatch):
         def interrupt(message):
             raise KeyboardInterrupt
 
+        _fake_cpus(monkeypatch, 2)  # a worker whatever the machine's mask
         with pytest.raises(KeyboardInterrupt):
             enumerate_cycle_sets(5, jobs=2, progress=interrupt)
         assert multiprocessing.active_children() == []
