@@ -20,50 +20,46 @@ nodes on average (110 with the rule on label 0 alone, 130 without it and
 5,040 for the scan), and of a seeded relabeling of each about 93 (176
 and 259).
 
-A census deduplicates in ``Classes``, which takes each table one of two
-ways, by whether it has an identity row (a point x with x.y = y for all
-y).  That is an isomorphism invariant, so the two ways hold disjoint
-classes.  A table without one gets its canonical form at once, by the
-one-cell search, where the rooted rule pins row 0 to a row other than the
-identity.  A table with one has the identity as its least rooted row, so
-the rule pins no label, and it goes through two stages, so that the
-canonical form is computed once per isomorphism class rather than once
-per emitted table.
+A census deduplicates in ``Classes``, in one pass over the tables it emits,
+taking each table one of two routes by whether it has an identity row (a
+point x with x.y = y for all y).  That is an isomorphism invariant, so the
+two routes hold disjoint classes.  A table without one gets its canonical
+form at once, by the one-cell search, where the rooted rule pins row 0 to a
+row other than the identity.  A table with one has the identity as its
+least rooted row, so the rule pins no label; it gets its class key first,
+and only a key not seen before gets a canonical form, so that form is
+computed once per isomorphism class rather than once per emitted table.
 
-1. ``class_key`` colours the points by invariants (``colours``: the length
-   of the cycle of the squaring map T(x) = x.x through x, the cycle type of
-   the row of x, and how many y have y.x = x; the census search picks its
-   point 0 by them too) and orders the colour cells by colour value, never
-   by point index.  The key is the lex-least relabeled table over the
-   relabelings that send each cell, in order, onto consecutive labels.  It
-   is a complete invariant by construction.  Relabeling a table carries its
-   colours, hence its admissible relabelings, along with it, so isomorphic
-   tables have the same set of images and get the same key; and the key is
-   itself a relabeling of its table, so tables with the same key are
-   isomorphic.  A coarser colouring only makes the key slower, never wrong;
-   refining the colours to a fixed point (the vertex-invariant step of
-   McKay) cost more than the search it saved at every census size.  With a
-   single cell the key is the canonical form.
-2. The public form, ``canonical_form``, is the lex-min over all relabelings;
-   the census computes it once per distinct key.  Its search starts from
-   the automorphisms that stage 1 found for the first table with that key,
-   carried to the key's labels (``_carry_autos``), so it does not find them
-   again.
+``class_key`` colours the points by invariants (``colours``: the length of
+the cycle of the squaring map T(x) = x.x through x, the cycle type of the
+row of x, and how many y have y.x = x; the census search picks its point 0
+by them too) and orders the colour cells by colour value, never by point
+index.  The key is the lex-least relabeled table over the relabelings that
+send each cell, in order, onto consecutive labels.  It is a complete
+invariant by construction.  Relabeling a table carries its colours, hence
+its admissible relabelings, along with it, so isomorphic tables have the
+same set of images and get the same key; and the key is itself a
+relabeling of its table, so tables with the same key are isomorphic.  A
+coarser colouring only makes the key slower, never wrong; refining the
+colours to a fixed point (the vertex-invariant step of McKay) cost more
+than the search it saved at every census size.  With a single cell the key
+is the canonical form.  The canonical form of a new key is the one-cell
+search of the key, started from the automorphisms that the key search
+found, carried to the key's labels (``_carry_autos``), so it does not find
+them again.
 
 The identity row decides the route by cost: sending every table through
 the one-cell search slowed the census of the size-6 identity slice, where
 74 of the 113 emitted tables have an identity row, by about 10%.
 
-Every route runs the same search, which polls ``cancel`` at its first
-node and then every 1,024 nodes.  What depends only on a permutation, the
-length of the cycle through each point, its cycle type and its fixed
-points, is kept in a ``RowFacts`` table, and beside it what the rooted
-rule derives from a cycle type: the ascending spelling of each, and the
-cycle starts and row 0 of each least rooted key.  The census engine keeps
-one per degree, for its search and every route, since the same
-permutations recur as rows and as squaring maps in every census of that
-degree.  Each standalone call makes a fresh one, as it takes tables of any
-degree.
+Every search polls ``cancel`` at its first node and then every 1,024
+nodes.  What depends only on a permutation, the length of the cycle
+through each point, its cycle type spelt descending and ascending, and its
+fixed points, is kept in a ``RowFacts`` table, and beside it the cycle
+starts and row 0 of each least rooted key.  The census engine keeps one
+per degree, for its search and every route, since the same permutations
+recur as rows and as squaring maps in every census of that degree.  Each
+standalone call makes a fresh one, as it takes tables of any degree.
 """
 
 from __future__ import annotations
@@ -81,57 +77,50 @@ class SearchCancelled(RuntimeError):
     """Raised when a cooperative cancellation callback fires."""
 
 
-class _Memo(dict):
-    """A dict that computes a missing value by ``make`` and keeps it."""
-
-    def __init__(self, make: Callable):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
-
-
 class RowFacts(dict):
     """row -> (the length of the cycle through each point, ``_orbit_sizes``;
     those lengths in descending order, its cycle type spelt out point by
     point, which orders the cycle types of one degree as ``cycle_type``
-    does; the mask of its fixed points; whether the row is a permutation),
-    computed on first use and kept.  Beside it, the setup of the rooted
-    rule, keyed by cycle type, so a few entries per degree: ``ascending``
-    maps each cycle-type key to its reverse, and ``rooted`` each least
-    rooted key to ``_rooted_row``."""
+    does; the same lengths ascending, which ``_rooted_key`` reads; the mask
+    of its fixed points; whether the row is a permutation), computed on
+    first use and kept.  ``spellings`` maps each descending spelling to the
+    pair of spellings, so the rows of one cycle type share both tuples.
+    ``rooted`` maps each least rooted key to its ``_rooted_row``, filled by
+    the one-cell search; both hold a few entries per cycle type."""
 
     def __init__(self):
         super().__init__()
-        self.ascending = _Memo(lambda spelt: spelt[::-1])
-        self.rooted = _Memo(_rooted_row)
+        self.spellings: dict[tuple[int, ...], tuple] = {}
+        self.rooted: dict[tuple, tuple[list[int], list[int]]] = {}
 
-    def __missing__(self, row: Perm) -> tuple[tuple[int, ...], tuple[int, ...], int, bool]:
+    def __missing__(
+        self, row: Perm
+    ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int, bool]:
         sizes = _orbit_sizes(row)
         # only a fixed point walks a path of one point
         fixed = sum(1 << x for x, s in enumerate(sizes) if s == 1)
         perm = len(set(row)) == len(row)
-        facts = self[row] = (tuple(sizes), tuple(sorted(sizes, reverse=True)), fixed, perm)
+        spelt = tuple(sorted(sizes, reverse=True))
+        pair = self.spellings.get(spelt)
+        if pair is None:
+            pair = self.spellings[spelt] = (spelt, spelt[::-1])
+        facts = self[row] = (tuple(sizes), *pair, fixed, perm)
         return facts
 
 
-def _rooted_key(facts: RowFacts, entry: tuple, x: int) -> tuple:
+def _rooted_key(entry: tuple, x: int) -> tuple:
     """The rooted row of point x for a permutation p, the least conjugate
     of p that sends x to 0, is x's cycle laid out on 0, 1, ... and then the
     other cycles by increasing length.  Rooted rows are ordered as their
     keys: the length of x's cycle, then p's cycle lengths ascending, spelt
-    out point by point, both read from ``entry``, p's entry in ``facts``,
-    the second through its ``ascending`` memo.  The layout leaves x's cycle
-    out of the other lengths, but between keys with the same first part
-    that changes no comparison.
+    out point by point, both read from ``entry``, p's ``RowFacts`` entry.
+    The layout leaves x's cycle out of the other lengths, but between keys
+    with the same first part that changes no comparison.
 
-    >>> facts = RowFacts()
-    >>> _rooted_key(facts, facts[(1, 0, 2)], 2)
+    >>> _rooted_key(RowFacts()[(1, 0, 2)], 2)
     (1, (1, 2, 2))
     """
-    return entry[0][x], facts.ascending[entry[1]]
+    return entry[0][x], entry[2]
 
 
 def _rooted_row(key: tuple) -> tuple[list[int], list[int]]:
@@ -175,8 +164,8 @@ def _lex_min(
     rows: Table,
     cells: Sequence[Sequence[int]],
     cancel: Callable[[], bool] | None,
-    autos: Autos | None = None,
-    facts: RowFacts | None = None,
+    autos: Autos | None,
+    facts: RowFacts,
 ) -> tuple[Perm, Table]:
     """The lex-least relabeled table over the pre-orders that give the
     points of each cell, cell after cell, consecutive labels, with its
@@ -219,7 +208,8 @@ def _lex_min(
     automorphism cuts only pre-orders that a lex-earlier one matches table
     for table, so the result does not depend on which are known.  The
     rows' fixed points, cycle lengths and whether they are permutations
-    are read from ``facts``, a fresh table when it is None."""
+    are read from ``facts``, and the rooted row of each least rooted key
+    is kept in it."""
     n = len(rows)
     if not n:
         return (), ()
@@ -234,22 +224,23 @@ def _lex_min(
     # the node with labels 0..k-1 placed: rows determined there and equal
     # to it, and row 0 under the rooted rule
     tied = [0] * (n + 1)
-    if facts is None:
-        facts = RowFacts()
     row_facts = [facts[r] for r in rows]
-    fixes = [f[2] for f in row_facts]
+    fixes = [f[3] for f in row_facts]
     # starts[k]: the length of the cycle of R that begins at label k, 0 for
     # a label inside a cycle; empty when the rooted rule does not apply
     starts: list[int] = []
-    if len(cells) == 1 and all(f[3] for f in row_facts):
+    if len(cells) == 1 and all(f[4] for f in row_facts):
         # row 0 of the winner is the least rooted row R, so label 0 goes
         # only to the points with the least rooted key
-        keys = [_rooted_key(facts, f, x) for x, f in enumerate(row_facts)]
+        keys = [_rooted_key(f, x) for x, f in enumerate(row_facts)]
         least = min(keys)
         masks[0] = sum(1 << x for x, key in enumerate(keys) if key == least)
         # every leaf, so every incumbent, has row 0 R: it is set now and
         # ties at every node
-        starts, best[:n] = facts.rooted[least]
+        rooted = facts.rooted.get(least)
+        if rooted is None:
+            rooted = facts.rooted[least] = _rooted_row(least)
+        starts, best[:n] = rooted
         tied = [1] * (n + 1)
     pre = [0] * n
     label = [n] * n  # n marks an unlabelled point
@@ -388,7 +379,7 @@ def canonical_relabeling(
 ) -> tuple[Perm, Table]:
     """Return (rho, canonical table) with the lex-least relabeled flattening."""
     rows = tuple(tuple(r) for r in table)
-    return _lex_min(rows, [range(len(rows))], cancel)
+    return _lex_min(rows, [range(len(rows))], cancel, None, RowFacts())
 
 
 def canonical_form(
@@ -434,7 +425,7 @@ def class_relabeling(
     Cheaper than ``canonical_relabeling`` but a different table in general."""
     rows = tuple(tuple(r) for r in table)
     facts = RowFacts()
-    return _lex_min(rows, _colour_cells(rows, facts), cancel, facts=facts)
+    return _lex_min(rows, _colour_cells(rows, facts), cancel, None, facts)
 
 
 def class_key(
@@ -444,23 +435,22 @@ def class_key(
 
 
 class Classes:
-    """The isomorphism classes of the tables added.  Having an identity row
-    is an isomorphism invariant, so it splits the classes in two, each
-    taken its own way.  ``add`` gives a table without one its canonical form
-    at once, by the one-cell search, which the rooted rule keeps cheap; a
-    table with one, whose least rooted row is the identity and pins no
-    label, goes through the two stages above: ``add`` keeps each new class
-    key with the automorphisms its search found, carried to the key's
-    labels, and ``forms`` computes the canonical form of each key, its
-    search seeded with them.  ``forms`` returns the classes of both.  Every
-    search polls ``cancel`` and reads ``facts``, a fresh ``RowFacts`` when
-    None."""
+    """The canonical forms of the isomorphism classes of the tables added,
+    kept in ``found`` as each table is added.  Having an identity row is an
+    isomorphism invariant, so it splits the classes in two, each taken its
+    own way by ``add``: a table without one gets its canonical form by the
+    one-cell search, which the rooted rule keeps cheap; a table with one,
+    whose least rooted row is the identity and pins no label, gets its class
+    key, and a key not in ``keys`` its canonical form, by the one-cell
+    search of the key seeded with the automorphisms the key search found.
+    Every search polls ``cancel`` and reads ``facts``, a fresh ``RowFacts``
+    when None."""
 
     def __init__(self, cancel: Callable[[], bool] | None = None, facts: RowFacts | None = None):
         self.cancel = cancel
         self.facts = RowFacts() if facts is None else facts
         self.found: set[Table] = set()
-        self.keys: dict[Table, Autos] = {}
+        self.keys: set[Table] = set()
 
     def add(self, table: Sequence[Sequence[int]], colour: list[tuple] | None = None) -> None:
         """Keep the class of ``table``; ``colour`` is its ``colours`` when
@@ -474,10 +464,6 @@ class Classes:
         cells = _colour_cells(rows, self.facts, colour)
         rho, key = _lex_min(rows, cells, self.cancel, autos, self.facts)
         if key not in self.keys:
-            self.keys[key] = _carry_autos(autos, rho)
-
-    def forms(self) -> set[Table]:
-        return self.found | {
-            _lex_min(key, [range(len(key))], self.cancel, autos, self.facts)[1]
-            for key, autos in self.keys.items()
-        }
+            self.keys.add(key)
+            seeds = _carry_autos(autos, rho)
+            self.found.add(_lex_min(key, [range(n)], self.cancel, seeds, self.facts)[1])

@@ -60,9 +60,9 @@ checked at the leaves, only drop tables and keep the order of the rest.
 Every emitted table goes to a ``canon.Classes``, with the colours its leaf
 computed.  A table without an identity row gets its canonical form there
 at once, by one search; a table with one is reduced to its class key, a
-complete isomorphism invariant that is cheap to compute, and once the
-search is done the full canonical form is computed once per distinct key,
-starting from the automorphisms found by the key search.  Having an
+complete isomorphism invariant that is cheap to compute, and the first
+table of each key also gets the full canonical form, by a search that
+starts from the automorphisms found by the key search.  Having an
 identity row is an isomorphism invariant, so no class is split between
 the two, and the output is one canonical representative per isomorphism
 class, sorted, independent of the number of jobs and of scheduling.  Every
@@ -253,7 +253,7 @@ def _degree_tables(n: int) -> tuple[Sequence[Sequence[Sequence[Perm]]], canon.Ro
     degree n with p[x] == v, in lexicographic order, and facts is a
     ``canon.RowFacts`` for the rows and squaring maps of that degree.  Only
     the last degree's pair is kept (at n = 8, about 7 MB of index and up to
-    16 MB of facts on Python 3.11); the index is built of tuples, as every
+    13 MB of facts on Python 3.11); the index is built of tuples, as every
     caller shares it."""
     cells: list[list[list[Perm]]] = [[[] for _ in range(n)] for _ in range(n)]
     for p in permutations(range(n)):
@@ -523,7 +523,7 @@ def _census_classes(diagonal: Perm, symmetry_breaking: bool, cancel) -> set[Tabl
     # canon takes a plain callable, not an Event
     classes = canon.Classes(cancel.is_set if cancel is not None else None, facts)
     _search(diagonal, classes.add, symmetry_breaking, cancel)
-    return classes.forms()
+    return classes.found
 
 
 def _worker(conn) -> None:

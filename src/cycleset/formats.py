@@ -239,6 +239,9 @@ def parse_census_jsonl(text: str) -> Census:
     elapsed = summary.get("elapsed", 0.0)
     if isinstance(elapsed, bool) or not isinstance(elapsed, (int, float)):
         raise ValueError("census summary 'elapsed' must be a number")
+    engine_version = summary.get("engine_version", "unknown")
+    if not isinstance(engine_version, str):
+        raise ValueError("census summary 'engine_version' must be a string")
     try:
         tables = sorted(tables)
     except TypeError:  # entries that are not points: cycle_set rejects them
@@ -247,7 +250,7 @@ def parse_census_jsonl(text: str) -> Census:
         n=summary["n"],
         filter_desc=tuple(sorted(filt.items())),
         representatives=tuple(tables),
-        engine_version=summary.get("engine_version", "unknown"),
+        engine_version=engine_version,
         elapsed=float(elapsed),
     )
 

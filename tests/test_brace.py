@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from cycleset import (
     BraceConstructionError,
     BraceOrderCapExceeded,
+    CycleBase,
     InvalidBrace,
     brace_is_isomorphic,
     brace_of_cycle_set,
@@ -51,6 +52,20 @@ class TestValidation:
     def test_one_element(self):
         B = left_brace([[0]], [[0]])
         assert (B.n, B.zero, B.neg, B.inv) == (1, 0, (0,), (0,))
+
+    @pytest.mark.parametrize(
+        "add, circ, where, message",
+        [
+            ([], [], None, "empty tables"),
+            ([[0, 1], [1]], [[0, 1], [1, 0]], "addition", "addition table is not 2 x 2"),
+            ([[0, 1], [1, 0]], [[0, 1]], "multiplication", "multiplication table is not 2 x 2"),
+        ],
+        ids=["empty", "ragged-addition", "short-multiplication"],
+    )
+    def test_rejects_tables_of_the_wrong_shape(self, add, circ, where, message):
+        with pytest.raises(InvalidBrace, match=message) as exc:
+            left_brace(add, circ)
+        assert (exc.value.kind, exc.value.witness) == ("shape", where)
 
     def test_rejects_boolean_entries(self):
         # bool is a subclass of int; Z/2 written with false and true
@@ -451,6 +466,16 @@ class TestCycleBases:
             got = [(sorted(cb.elements), cb.transitive) for cb in cycle_bases(B)]
             assert got == all_unions_bases(B)
 
+    def test_refuses_more_orbits_than_the_scan_limit(self, monkeypatch):
+        # the trivial brace on Z/n has one lambda-orbit per nonzero element
+        with pytest.raises(ValueError, match="17 lambda-orbits exceed the union scan limit"):
+            cycle_bases(cyclic_brace(18))
+        monkeypatch.setattr(brace_module, "MAX_LAMBDA_ORBITS", 8)
+        # every nonempty union of the 8 orbits but the 3 inside {3, 6}
+        assert len(cycle_bases(cyclic_brace(9))) == 2**8 - 1 - 3
+        with pytest.raises(ValueError, match="9 lambda-orbits exceed"):
+            cycle_bases(cyclic_brace(10))
+
     def test_cycle_base_is_a_frozen_value(self):
         base = cycle_bases(cyclic_brace(3))[0]
         for twin in (pickle.loads(pickle.dumps(base)), copy.copy(base), copy.deepcopy(base)):
@@ -535,14 +560,63 @@ class TestCosetConstruction:
     def test_rejects_non_subgroup(self):
         B = cyclic_brace(4)
         base = self._transitive_base_containing(B, 1)
-        with pytest.raises(BraceConstructionError):
+        with pytest.raises(BraceConstructionError) as exc:
             coset_construction(B, base, 1, [0, 1])
+        assert exc.value.kind == "subgroup"
 
     def test_rejects_base_element_outside(self):
         B = cyclic_brace(3)
         base = self._transitive_base_containing(B, 1)
-        with pytest.raises(BraceConstructionError):
+        with pytest.raises(BraceConstructionError) as exc:
             coset_construction(B, base, 2, [0])
+        assert exc.value.kind == "base"
+
+    @pytest.mark.parametrize(
+        "B, base, a, K, kind, message",
+        [
+            # the trivial brace on Z/3: the union of its orbits {1} and {2}
+            (
+                cyclic_brace(3),
+                CycleBase(frozenset({1, 2}), False),
+                1,
+                [0],
+                "base",
+                "not a single lambda-orbit",
+            ),
+            # the orbit {2} of the trivial brace on Z/4 spans {0, 2}
+            (
+                cyclic_brace(4),
+                CycleBase(frozenset({2}), True),
+                2,
+                [0],
+                "base",
+                "does not generate the additive group",
+            ),
+            # in Z/4 with x o y = x + y + 2xy, 1 o 1 = 0 and lambda_1(1) = 3
+            (
+                pp_brace(2),
+                CycleBase(frozenset({1, 3}), True),
+                1,
+                [0, 1],
+                "stabilizer",
+                "lambda-stabilizer of 1",
+            ),
+            # a trivial brace has trivial lambda maps and an abelian group
+            (
+                cyclic_brace(4),
+                CycleBase(frozenset({1}), True),
+                1,
+                [0, 2],
+                "core",
+                "not core-free",
+            ),
+        ],
+        ids=["base-two-orbits", "base-not-spanning", "stabilizer", "core"],
+    )
+    def test_refusals_name_their_kind(self, B, base, a, K, kind, message):
+        with pytest.raises(BraceConstructionError, match=message) as exc:
+            coset_construction(B, base, a, K)
+        assert exc.value.kind == kind
 
 
 class TestBraceIsomorphism:

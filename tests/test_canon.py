@@ -155,7 +155,7 @@ def test_rooted_keys_order_points_as_their_least_conjugates():
                 row = min(
                     tuple(rho[p[inv[i]]] for i in range(n)) for rho, inv in rooting[x]
                 )
-                least.setdefault(_rooted_key(facts, facts[p], x), set()).add(row)
+                least.setdefault(_rooted_key(facts[p], x), set()).add(row)
         assert all(len(rows) == 1 for rows in least.values())
         ordered = [least[key].pop() for key in sorted(least)]
         assert ordered == sorted(set(ordered))
@@ -164,8 +164,11 @@ def test_rooted_keys_order_points_as_their_least_conjugates():
         layouts = [_rooted_row(key) for key in sorted(least)]
         assert [spell_starts(starts) for starts, _ in layouts] == ordered
         assert [tuple(row) for _, row in layouts] == ordered
-    # the memo of ascending keys has one entry per cycle type
-    assert len(facts.ascending) == sum(len(_normal_forms(n)) for n in range(1, 7))
+    # the spellings are interned: one pair per cycle type, shared by its rows
+    assert len(facts.spellings) == sum(len(_normal_forms(n)) for n in range(1, 7))
+    for entry in facts.values():
+        assert entry[1:3] == facts.spellings[entry[1]]
+        assert all(a is b for a, b in zip(entry[1:3], facts.spellings[entry[1]]))
 
 
 def spell_starts(starts):
@@ -197,7 +200,7 @@ def least_row_zero(t):
 def test_one_cell_search_keeps_row_zero_at_the_least_rooted_row(t):
     # every row is a permutation, so the search walks only the pre-orders
     # whose row 0 is the least rooted row, and the winner is among them
-    rho, table = _lex_min(t, [range(len(t))], None)
+    rho, table = _lex_min(t, [range(len(t))], None, None, RowFacts())
     assert table[0] == least_row_zero(t)
     assert (rho, table) == scan_relabeling(t)
 
@@ -210,7 +213,7 @@ def test_one_cell_search_keeps_row_zero_at_the_least_rooted_row_on_census_member
         rho = list(range(5))
         rng.shuffle(rho)
         u = relabel_table(t, rho)
-        assert _lex_min(u, [range(5)], None)[1][0] == least_row_zero(u) == t[0]
+        assert _lex_min(u, [range(5)], None, None, RowFacts())[1][0] == least_row_zero(u) == t[0]
 
 
 def test_seeded_relabelings_of_size_six_members_come_back(census6):
@@ -324,21 +327,23 @@ def reference_colour_cells(rows):
 
 def test_row_facts_spell_out_the_cycle_type():
     # the cycle-type key is the cycle type with each part written once per
-    # point of its cycles, beside the per-point lengths, the fixed points
-    # and whether the row is a permutation
+    # point of its cycles, beside the per-point lengths, the same parts
+    # ascending, the fixed points and whether the row is a permutation
     facts = RowFacts()
     for n in range(7):
         for p in itertools.permutations(range(n)):
             length = {x: len(c) for c in cycles(p) for x in c}
+            spelt = tuple(k for k in cycle_type(p) for _ in range(k))
             assert facts[p] == (
                 tuple(length[x] for x in range(n)),
-                tuple(k for k in cycle_type(p) for _ in range(k)),
+                spelt,
+                spelt[::-1],
                 sum(1 << x for x in fixed_points(p)),
                 True,
             )
     for n in range(5):
         for m in itertools.product(range(n), repeat=n):
-            assert facts[m][3] == (sorted(m) == list(range(n)))
+            assert facts[m][4] == (sorted(m) == list(range(n)))
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -396,7 +401,7 @@ def assert_seeded_exact(t, rng):
         for chosen in (auts, [g for g in auts if rng.random() < 0.5], []):
             known = seeds(chosen)
             autos = list(known)
-            assert _lex_min(t, cells, None, autos) == scan_relabeling(t, cells)
+            assert _lex_min(t, cells, None, autos, RowFacts()) == scan_relabeling(t, cells)
             # the seeds are read, not replaced, and what is appended is real
             assert autos[: len(known)] == known
             assert all(tuple(inverse(g)) in auts for g, _ in autos)
@@ -425,7 +430,7 @@ def assert_shared_facts_match(tables, facts):
         assert cells == _colour_cells(t)
         for c in (cells, [range(n)]):
             shared, alone = [], []
-            assert _lex_min(t, c, None, shared, facts) == _lex_min(t, c, None, alone)
+            assert _lex_min(t, c, None, shared, facts) == _lex_min(t, c, None, alone, RowFacts())
             assert shared == alone
 
 
@@ -440,13 +445,13 @@ def test_shared_row_facts_match_the_standalone_path_on_scanned_tables():
     # the rooted rule's memos hold one entry per cycle type, or per cycle
     # type and a length of its cycles, not one per row or table
     rooted = {
-        (length, facts.ascending[facts[p][1]])
+        (length, facts[p][2])
         for n in range(1, 7)
         for p in _normal_forms(n)
         for length in facts[p][0]
     }
     assert 0 < len(facts.rooted) and facts.rooted.keys() <= rooted
-    assert len(facts.ascending) <= sum(len(_normal_forms(n)) for n in range(1, 7))
+    assert len(facts.spellings) <= sum(len(_normal_forms(n)) for n in range(1, 7))
 
 
 @settings(max_examples=60, deadline=None)
@@ -461,8 +466,8 @@ def test_shared_row_facts_match_the_standalone_path_on_repeated_rows(tables):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_classes_give_the_canonical_forms_in_any_order(n):
-    # stage 2 is seeded by the automorphisms of a key's first table, so the
-    # forms must not depend on which table of a key comes first
+    # a key's canonical search is seeded by the automorphisms of its first
+    # table, so the forms must not depend on which table of a key comes first
     tables = []
     scan_cycle_sets(n, tables.append)
     want = {canonical_form(t) for t in tables}
@@ -472,7 +477,7 @@ def test_classes_give_the_canonical_forms_in_any_order(n):
         classes = Classes()
         for t in order:
             classes.add(t)
-        assert classes.forms() == want
+        assert classes.found == want
 
 
 @given(st.integers(1, 5).flatmap(random_tables), st.randoms(use_true_random=False))

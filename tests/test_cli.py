@@ -359,6 +359,20 @@ class TestEnumerate:
         par, n_par = records("enumerate", "-n", "4", "--jobs", "2")
         assert seq == par and n_seq == n_par
 
+    def test_no_symmetry_breaking_gives_identical_records(self, run):
+        # the unbroken search visits every labeled table of all 24 slices,
+        # and still keeps one canonical record per class
+        def records(*argv):
+            code, out, _ = run("enumerate", "-n", "4", *argv)
+            assert code == 0
+            lines = out.strip().splitlines()
+            return lines[1:-1], json.loads(lines[-1])["summary"]["count"]
+
+        default = records()
+        assert default[1] == 23
+        assert records("--no-symmetry-breaking") == default
+        assert records("--no-symmetry-breaking", "--jobs", "2") == default
+
     @pytest.mark.parametrize("jobs", ["0", "-5"])
     def test_jobs_below_one_is_a_usage_error(self, run, monkeypatch, jobs):
         built = []
@@ -559,8 +573,9 @@ class TestVerify:
             ("filter", [1], "'filter' must be a JSON object"),
             ("elapsed", [1], "'elapsed' must be a number"),
             ("elapsed", True, "'elapsed' must be a number"),
+            ("engine_version", 5, "'engine_version' must be a string"),
         ],
-        ids=["filter-list", "elapsed-list", "elapsed-bool"],
+        ids=["filter-list", "elapsed-list", "elapsed-bool", "engine-version-int"],
     )
     def test_census_file_summary_field_types(self, run, tmp_path, field, value, message):
         path = tmp_path / "summary.jsonl"
@@ -725,6 +740,23 @@ class TestUsage:
         code, out, _ = run("--version")
         assert code == 0
         assert out.startswith("cycleset ")
+
+
+def test_module_entry_point_version_and_census():
+    def module(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cycleset", *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        return proc.returncode, proc.stdout
+
+    code, out = module("--version")
+    assert code == 0 and out.startswith("cycleset ")
+    code, out = module("enumerate", "-n", "3", "--count-only")
+    assert code == 0
+    assert json.loads(out.strip().splitlines()[-1])["summary"]["count"] == 5
 
 
 def test_module_invocation_smoke():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import sys
 import time
 from dataclasses import fields
@@ -11,6 +12,7 @@ from cycleset import (
     Congruence,
     InvalidCycleSet,
     canonical_form,
+    canonical_relabeling,
     cycle_set,
     direct_product,
     is_isomorphic,
@@ -575,6 +577,20 @@ class TestIsomorphism:
 
     def test_non_isomorphic(self, size2_indec, trivial2):
         assert is_isomorphic(size2_indec, trivial2) is None
+
+    @pytest.mark.parametrize("rho", [(0, 0, 1, 2), (1, 0, 2), (0, 1, 2, 4)])
+    def test_relabel_refuses_a_non_permutation(self, table4, rho):
+        with pytest.raises(ValueError, match="relabeling must be a permutation"):
+            relabel(table4, rho)
+
+    def test_canonical_relabeling_gives_the_canonical_form(self, censuses_small):
+        rng = random.Random(4)
+        for X in censuses_small[4].cycle_sets():
+            rho = list(range(4))
+            rng.shuffle(rho)
+            Y = relabel(X, rho)
+            sigma, Z = canonical_relabeling(Y)
+            assert relabel(Y, sigma).table == Z.table == canonical_form(X).table
 
     def test_canonical_form_identifies_classes(self, table4):
         Y = relabel(table4, (3, 1, 0, 2))

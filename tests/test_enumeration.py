@@ -792,7 +792,7 @@ class TestScan:
         assert (len(emitted), len(with_identity)) == (113, 74)
         assert enumerate_cycle_sets(6, diagonal=identity).count == 68
         assert sorted(keyed) == sorted(with_identity)
-        keys = {lex_min(t, colour_cells(t), None)[1] for t in with_identity}
+        keys = {lex_min(t, colour_cells(t), None, None, canon.RowFacts())[1] for t in with_identity}
         assert len(searched) == len(emitted) + len(keys)
 
     def test_carried_automorphisms_are_automorphisms_of_the_key(self):
@@ -806,7 +806,7 @@ class TestScan:
         carried = 0
         for t in tables:
             autos = []
-            rho, key = canon._lex_min(t, canon._colour_cells(t), None, autos)
+            rho, key = canon._lex_min(t, canon._colour_cells(t), None, autos, canon.RowFacts())
             for (g, fixed), (h, mask) in zip(autos, canon._carry_autos(autos, rho)):
                 assert all(
                     key[h[x]][h[y]] == h[key[x][y]] for x in range(6) for y in range(6)

@@ -46,6 +46,11 @@ def test_compose_applies_right_factor_first():
     assert compose(b, a) == (2, 0, 1)
 
 
+def test_compose_refuses_different_degrees():
+    with pytest.raises(ValueError, match="degree mismatch: 2 != 3"):
+        compose((1, 0), (0, 2, 1))
+
+
 @given(
     st.integers(0, 7).flatmap(
         lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))
@@ -155,6 +160,19 @@ class TestPermGroup:
     def test_degrees_0_and_1(self):
         assert generate([()]).elements == ((),)
         assert generate([(0,)]).elements == ((0,),)
+
+    @pytest.mark.parametrize(
+        "gens, message",
+        [
+            ([], "at least one generator required"),
+            ([(1, 0), (0, 2, 1)], "generators must share a degree"),
+            ([(1, 0, 2), (0, 0, 1)], r"not a permutation: \(0, 0, 1\)"),
+        ],
+        ids=["none", "degrees", "not-a-permutation"],
+    )
+    def test_generate_refusals(self, gens, message):
+        with pytest.raises(ValueError, match=message):
+            generate(gens)
 
     @settings(max_examples=200, deadline=None)
     @given(generator_lists)
