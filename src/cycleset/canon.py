@@ -11,24 +11,20 @@ the same relabeling as a scan of all n! relabelings in lex order, without
 visiting them all.  Each cell is compared once on a path: the rows a node
 finds determined and tied to the best table keep their values below it, so
 its children's comparisons resume after them.  With a single cell of
-permutation rows, row 0 of the winner is the least rooted row (the least
-conjugate of a point's row that sends the point to 0, ``_rooted_key``):
-label 0 goes only to the points whose rooted row is least, and the labels
-after it only where they keep row 0 that rooted row.  Over the 3,456
-classes of size 7, ``canonical_form`` of each representative visits 59
-nodes on average (110 with the rule on label 0 alone, 130 without it and
-5,040 for the scan), and of a seeded relabeling of each about 93 (176
-and 259).
+permutation rows, the points whose row is the identity, if any, take the
+first labels, as no conjugate of another row is the identity, the least
+permutation.  Otherwise row 0 of the winner is the least rooted row (the
+least conjugate of a point's row that sends the point to 0,
+``_rooted_key``): label 0 goes only to the points whose rooted row is
+least, and the labels after it only where they keep row 0 that rooted row.
+Over the 3,456 classes of size 7, ``canonical_form`` of each
+representative visits 50 nodes on average (59 without the identity-row
+rule, 110 with only the rule on label 0, 130 with neither and 5,040 for the
+scan), and of a seeded relabeling of each about 65 (93, 176 and 259).
 
-A census deduplicates in ``Classes``, in one pass over the tables it emits,
-taking each table one of two routes by whether it has an identity row (a
-point x with x.y = y for all y).  That is an isomorphism invariant, so the
-two routes hold disjoint classes.  A table without one gets its canonical
-form at once, by the one-cell search, where the rooted rule pins row 0 to a
-row other than the identity.  A table with one has the identity as its
-least rooted row, so the rule pins no label; it gets its class key first,
-and only a key not seen before gets a canonical form, so that form is
-computed once per isomorphism class rather than once per emitted table.
+A census deduplicates in ``Classes``, in one pass over the tables it emits:
+each gets its canonical form by one one-cell search, whether or not it has
+an identity row (a point x with x.y = y for all y).
 
 ``class_key`` colours the points by invariants (``colours``: the length of
 the cycle of the squaring map T(x) = x.x through x, the cycle type of the
@@ -43,23 +39,17 @@ relabeling of its table, so tables with the same key are isomorphic.  A
 coarser colouring only makes the key slower, never wrong; refining the
 colours to a fixed point (the vertex-invariant step of McKay) cost more
 than the search it saved at every census size.  With a single cell the key
-is the canonical form.  The canonical form of a new key is the one-cell
-search of the key, started from the automorphisms that the key search
-found, carried to the key's labels (``_carry_autos``), so it does not find
-them again.
-
-The identity row decides the route by cost: sending every table through
-the one-cell search slowed the census of the size-6 identity slice, where
-74 of the 113 emitted tables have an identity row, by about 10%.
+is the canonical form.
 
 Every search polls ``cancel`` at its first node and then every 1,024
 nodes.  What depends only on a permutation, the length of the cycle
 through each point, its cycle type spelt descending and ascending, and its
 fixed points, is kept in a ``RowFacts`` table, and beside it the cycle
 starts and row 0 of each least rooted key.  The census engine keeps one
-per degree, for its search and every route, since the same permutations
-recur as rows and as squaring maps in every census of that degree.  Each
-standalone call makes a fresh one, as it takes tables of any degree.
+per degree, for its search and its canonical labeling, since the same
+permutations recur as rows and as squaring maps in every census of that
+degree.  Each standalone call makes a fresh one, as it takes tables of any
+degree.
 """
 
 from __future__ import annotations
@@ -182,39 +172,52 @@ def _lex_min(
     incumbent's keep their values in its subtree, and so does every
     incumbent found there, so the comparisons below it start after them.  A
     new incumbent is rebuilt from its first row that differs from the old
-    one.  With one cell and permutation rows the search keeps row 0 at the
-    least rooted row R: row 0 of a relabeled table is a conjugate of the row
-    sigma of the point labelled 0 that sends that point to 0, and the least
-    of those is the point's rooted row, so only the points of least
-    ``_rooted_key`` may take label 0.  Row 0 is then R exactly when each
-    label inside a cycle of R goes to sigma of the point labelled just
-    before it, and each label that starts a cycle of R to an unlabelled
-    point on a cycle of sigma as long (``_rooted_row`` reads the cycles
-    of R off the key; the points of sigma are listed by cycle length once
-    per choice of label 0).  Every pre-order with another row 0 is above the
-    winner, so leaving them out changes neither the result nor the order of
-    the rest.  Row 0 of every leaf, and so of every incumbent, is then R, so
-    the incumbent's row 0 is set before the first leaf and every comparison
-    starts at row 1.  A leaf that ties the incumbent gives an automorphism g
-    of the table; a point c is skipped at label k when some such g fixes
-    pre[0..k-1] and maps a smaller candidate c' to c, since g carries the
-    subtree of c' onto that of c, leaf for leaf and table for table (fixing
-    pre[0], g commutes with sigma, so it keeps row 0 too).
+    one.  With one cell and permutation rows, row k of a relabeled table is
+    a conjugate of the row of the point labelled k.  When m >= 1 points have
+    the identity as their row, they take labels 0..m-1.  A permutation p
+    other than the identity is above it: at the first x with p[x] != x,
+    p[x] > x, as p keeps 0..x-1 in place.  The identity is the only conjugate of
+    itself and no conjugate of another row, so the tables whose rows 0..m-1
+    are the identity are exactly those of the pre-orders that list the
+    identity-row points first, and any other pre-order has a non-identity
+    row at its first label below m where they have the identity, so it is
+    above the winner.  Leaving those out changes neither the result nor the
+    order of the rest; rows 0..m-1 of every incumbent are the identity, so
+    they are set before the first leaf and tie at every node.  Otherwise the
+    search keeps row 0 at the least rooted row R: row 0 of a relabeled table
+    is a conjugate of the row sigma of the point labelled 0 that sends that
+    point to 0, and the least of those is the point's rooted row, so only
+    the points of least ``_rooted_key`` may take label 0.  Row 0 is then R
+    exactly when each label inside a cycle of R goes to sigma of the point
+    labelled just before it, and each label that starts a cycle of R to an
+    unlabelled point on a cycle of sigma as long (``_rooted_row`` reads the
+    cycles of R off the key; the points of sigma are listed by cycle length
+    once per choice of label 0).  Every pre-order with another row 0 is
+    above the winner, so leaving them out changes neither the result nor the
+    order of the rest.  Row 0 of every leaf, and so of every incumbent, is
+    then R, so the incumbent's row 0 is set before the first leaf and every
+    comparison starts at row 1.  A leaf that ties the incumbent gives an
+    automorphism g of the table; a point c is skipped at label k when some
+    such g fixes pre[0..k-1] and maps a smaller candidate c' to c, since g
+    carries the subtree of c' onto that of c, leaf for leaf and table for
+    table (g maps the identity-row points onto themselves, and fixing
+    pre[0], it commutes with sigma, so it keeps row 0 too).
 
     ``autos`` holds automorphisms of ``rows`` known in advance, each mapping
-    every cell onto itself, as every automorphism does with one cell or
-    with the colour cells, whose colours are invariants.  The search prunes by them
-    from its first node and appends the ones it finds.  Pruning by a real
-    automorphism cuts only pre-orders that a lex-earlier one matches table
-    for table, so the result does not depend on which are known.  The
-    rows' fixed points, cycle lengths and whether they are permutations
-    are read from ``facts``, and the rooted row of each least rooted key
-    is kept in it."""
+    every cell onto itself, as every automorphism does with one cell or with
+    the colour cells, whose colours are invariants.  The search prunes by
+    them from its first node and appends the ones it finds.  Pruning by a
+    real automorphism cuts only pre-orders that a lex-earlier one matches
+    table for table, so the result does not depend on which are known.  The
+    rows' fixed points, cycle lengths and whether they are permutations are
+    read from ``facts``, and the rooted row of each least rooted key is kept
+    in it."""
     n = len(rows)
     if not n:
         return (), ()
     # the points that may take label k, as a bit mask; under the rooted
-    # rule, masks[k] for k >= 1 is set as label k - 1 is placed
+    # rule with no identity row, masks[k] for k >= 1 is set as label k - 1
+    # is placed
     masks: list[int] = []
     for cell in cells:
         masks += [sum(1 << x for x in cell)] * len(cell)
@@ -222,14 +225,28 @@ def _lex_min(
     best = [n] * (n * n)
     # tied[k]: how many leading rows are the incumbent's in every leaf below
     # the node with labels 0..k-1 placed: rows determined there and equal
-    # to it, and row 0 under the rooted rule
+    # to it, and the rows the rooted rule sets in advance
     tied = [0] * (n + 1)
     row_facts = [facts[r] for r in rows]
     fixes = [f[3] for f in row_facts]
+    full = free = (1 << n) - 1
+    # the points whose row is the identity, the row that fixes every point
+    ones = sum(1 << x for x, f in enumerate(fixes) if f == full)
     # starts[k]: the length of the cycle of R that begins at label k, 0 for
     # a label inside a cycle; empty when the rooted rule does not apply
     starts: list[int] = []
-    if len(cells) == 1 and all(f[4] for f in row_facts):
+    # the rooted rule: one cell, and every row a permutation
+    rooted_rule = len(cells) == 1 and all(f[4] for f in row_facts)
+    if rooted_rule and ones:
+        # the identity is the least rooted row, and rows 0..m-1 of the
+        # winner are the identity: the m points with identity rows take
+        # labels 0..m-1, the others the rest, and those rows are set now
+        # and tie at every node
+        m = ones.bit_count()
+        masks = [ones] * m + [full ^ ones] * (n - m)
+        best[: m * n] = list(range(n)) * m
+        tied = [m] * (n + 1)
+    elif rooted_rule:
         # row 0 of the winner is the least rooted row R, so label 0 goes
         # only to the points with the least rooted key
         keys = [_rooted_key(f, x) for x, f in enumerate(row_facts)]
@@ -260,6 +277,9 @@ def _lex_min(
         undetermined cell that the incumbent does not exceed.  It starts
         after the rows tied at the parent node and records tied[k]."""
         start = tied[k - 1]
+        if start >= k:
+            tied[k] = start
+            return 0
         pos = start * n
         for i in range(start, k):
             tied[k] = i
@@ -282,7 +302,6 @@ def _lex_min(
         tied[k] = k
         return 0
 
-    full = free = (1 << n) - 1
     avail = [0] * n  # the candidates for label k not tried yet
     avail[0] = masks[0]
     k = 0
@@ -357,22 +376,6 @@ def _lex_min(
     return best_rho, tuple(tuple(best[i * n : (i + 1) * n]) for i in range(n))
 
 
-def _carry_autos(autos: Autos, rho: Perm) -> Autos:
-    """Automorphisms of a table carried to the table relabeled by rho: g
-    becomes h = rho g rho^-1, that is h[rho[x]] = rho[g[x]], and h fixes
-    rho[x] exactly when g fixes x."""
-    out = []
-    for g, _ in autos:
-        h = [0] * len(rho)
-        fixed = 0
-        for x, y in enumerate(g):
-            h[rho[x]] = rho[y]
-            if x == y:
-                fixed |= 1 << rho[x]
-        out.append((h, fixed))
-    return out
-
-
 def canonical_relabeling(
     table: Sequence[Sequence[int]],
     cancel: Callable[[], bool] | None = None,
@@ -405,13 +408,10 @@ def colours(rows: Sequence[Perm], facts: RowFacts | None = None) -> list[tuple]:
     return [(t_len[x], facts[r][1], fixing[x]) for x, r in enumerate(rows)]
 
 
-def _colour_cells(
-    rows: Table, facts: RowFacts | None = None, colour: list[tuple] | None = None
-) -> list[tuple[int, ...]]:
-    """The points grouped by ``colours``, cells in increasing colour;
-    ``colour`` is the colours of ``rows`` when the caller has them."""
+def _colour_cells(rows: Table, facts: RowFacts | None = None) -> list[tuple[int, ...]]:
+    """The points grouped by ``colours``, cells in increasing colour."""
     cells: dict[tuple, list[int]] = {}
-    for x, c in enumerate(colours(rows, facts) if colour is None else colour):
+    for x, c in enumerate(colours(rows, facts)):
         cells.setdefault(c, []).append(x)
     return [tuple(cells[c]) for c in sorted(cells)]
 
@@ -436,34 +436,17 @@ def class_key(
 
 class Classes:
     """The canonical forms of the isomorphism classes of the tables added,
-    kept in ``found`` as each table is added.  Having an identity row is an
-    isomorphism invariant, so it splits the classes in two, each taken its
-    own way by ``add``: a table without one gets its canonical form by the
-    one-cell search, which the rooted rule keeps cheap; a table with one,
-    whose least rooted row is the identity and pins no label, gets its class
-    key, and a key not in ``keys`` its canonical form, by the one-cell
-    search of the key seeded with the automorphisms the key search found.
-    Every search polls ``cancel`` and reads ``facts``, a fresh ``RowFacts``
-    when None."""
+    kept in ``found`` as each table is added, each by one one-cell search,
+    which the rooted rule keeps cheap whether or not the table has an
+    identity row.  Every search polls ``cancel`` and reads ``facts``, a
+    fresh ``RowFacts`` when None."""
 
     def __init__(self, cancel: Callable[[], bool] | None = None, facts: RowFacts | None = None):
         self.cancel = cancel
         self.facts = RowFacts() if facts is None else facts
         self.found: set[Table] = set()
-        self.keys: set[Table] = set()
 
-    def add(self, table: Sequence[Sequence[int]], colour: list[tuple] | None = None) -> None:
-        """Keep the class of ``table``; ``colour`` is its ``colours`` when
-        the caller has them."""
+    def add(self, table: Sequence[Sequence[int]]) -> None:
+        """Keep the class of ``table``."""
         rows = tuple(map(tuple, table))
-        n = len(rows)
-        if tuple(range(n)) not in rows:
-            self.found.add(_lex_min(rows, [range(n)], self.cancel, None, self.facts)[1])
-            return
-        autos: Autos = []
-        cells = _colour_cells(rows, self.facts, colour)
-        rho, key = _lex_min(rows, cells, self.cancel, autos, self.facts)
-        if key not in self.keys:
-            self.keys.add(key)
-            seeds = _carry_autos(autos, rho)
-            self.found.add(_lex_min(key, [range(n)], self.cancel, seeds, self.facts)[1])
+        self.found.add(_lex_min(rows, [range(len(rows))], self.cancel, None, self.facts)[1])

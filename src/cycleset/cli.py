@@ -78,13 +78,16 @@ def _meta(args_ns: argparse.Namespace) -> dict:
 def _parse_filter(ns: argparse.Namespace) -> EnumerationFilter:
     squaring = None
     if ns.squaring:
-        squaring = tuple(int(tok) for tok in ns.squaring.replace(",", " ").split())
         # the library reads a cycle type of another size as matching no
-        # class; on the command line it is a usage error
+        # class; on the command line it is a usage error, as is a part that
+        # is no integer
+        error = ValueError(f"--squaring must be a partition of {ns.n}, got {ns.squaring}")
+        try:
+            squaring = tuple(int(tok) for tok in ns.squaring.replace(",", " ").split())
+        except ValueError:
+            raise error from None
         if sum(squaring) != ns.n or min(squaring, default=0) < 1:
-            raise ValueError(
-                f"--squaring must be a partition of {ns.n}, got {','.join(map(str, squaring))}"
-            )
+            raise error
     # the library reads an order below 1 as matching no class; on the
     # command line it is a usage error
     if ns.group_order is not None and ns.group_order < 1:

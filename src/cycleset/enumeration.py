@@ -29,8 +29,8 @@ never the set of canonical forms, and is cross-checked against the
 unbroken search and the brute-force oracle.  Without symmetry breaking the
 search is the union of all n! slices with the identity as residual group,
 so it visits every valid table exactly once.  The cycle types and T's
-cycle lengths are read from a ``canon.RowFacts``, the table the class keys
-read too.
+cycle lengths are read from a ``canon.RowFacts``, the table the canonical
+labeling reads too.
 
 Candidate rows are generated, not scanned.  One index lists for every cell
 (x, v) the permutations p with p[x] = v, and row d starts from the pin
@@ -57,17 +57,12 @@ after the choice of row, so it changes neither that choice nor the visit
 order; rows forced by propagation are checked as they are forced.  The
 orbit pruning, after the filter, and the tie-break of fixing counts,
 checked at the leaves, only drop tables and keep the order of the rest.
-Every emitted table goes to a ``canon.Classes``, with the colours its leaf
-computed.  A table without an identity row gets its canonical form there
-at once, by one search; a table with one is reduced to its class key, a
-complete isomorphism invariant that is cheap to compute, and the first
-table of each key also gets the full canonical form, by a search that
-starts from the automorphisms found by the key search.  Having an
-identity row is an isomorphism invariant, so no class is split between
-the two, and the output is one canonical representative per isomorphism
-class, sorted, independent of the number of jobs and of scheduling.  Every
-census runs one task per slice, each by the caller or by one of the
-workers it forks, none with one job (``_pool_results``).
+Every emitted table goes to a ``canon.Classes``, which gives it its
+canonical form by one search, so the output is one canonical
+representative per isomorphism class, sorted, independent of the number of
+jobs and of scheduling.  Every census runs one task per slice, each by the
+caller or by one of the workers it forks, none with one job
+(``_pool_results``).
 """
 
 from __future__ import annotations
@@ -298,7 +293,7 @@ def _slice_group(diagonal: Perm) -> list[Perm]:
 
 def _search(
     diagonal: Perm,
-    emit: Callable[[Table, list[tuple] | None], None],
+    emit: Callable[[Table], None],
     symmetry_breaking: bool = True,
     cancel=None,
 ) -> None:
@@ -309,9 +304,8 @@ def _search(
     forced.  Every branching, row 0's at the root included, tries one
     candidate per orbit of the residual group, ``_slice_group`` at the root,
     and a leaf is rejected when a peer has a greater ``canon.colours`` than
-    0.  Each table goes to ``emit`` with those colours, or None when there
-    are no peers and they were not computed.  ``cancel`` is polled at the
-    first node and then every 512 nodes.  The row branched on is the one
+    0.  Each table that is kept goes to ``emit``.  ``cancel`` is polled at
+    the first node and then every 512 nodes.  The row branched on is the one
     with the fewest candidates, counted from its pins before any list is
     built.  Candidates come from the cell index, and cycle types and T's
     cycle lengths from the row facts, of ``_degree_tables``."""
@@ -425,12 +419,11 @@ def _search(
             raise SearchCancelled
         unknown = [x for x in range(n) if rows[x] is None]
         if not unknown:
-            colour = None
             if peers:
                 colour = canon.colours(rows, facts)  # type: ignore[arg-type]
                 if any(colour[x] > colour[0] for x in peers):
                     return
-            emit(tuple(rows), colour)  # type: ignore[arg-type]
+            emit(tuple(rows))  # type: ignore[arg-type]
             return
         # the most constrained row, lowest index on ties: row 0 at the root;
         # a row with m pins, its diagonal cell's among them, has (n - m)!
@@ -724,7 +717,7 @@ def scan_cycle_sets(
     diagonals = _diagonals(n, symmetry_breaking, diagonal)
     count = 0
 
-    def emit(t: Table, _colour) -> None:
+    def emit(t: Table) -> None:
         nonlocal count
         count += 1
         visit(t)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -237,6 +238,58 @@ def test_canonical_labeling_matches_the_scan_on_scanned_tables():
         assert canonical_relabeling(t) == scan_relabeling(t)
 
 
+def tables_with_identity_rows(n):
+    """Tables of permutation rows, 1..n of them the identity, at any
+    points.  The other rows need not map the identity-row points onto
+    themselves, as the rows of a cycle set do, so most are no cycle set."""
+    return st.integers(1, n).flatmap(
+        lambda m: st.lists(
+            st.permutations(range(n)).map(tuple), min_size=n - m, max_size=n - m
+        ).flatmap(lambda rows: st.permutations([tuple(range(n))] * m + rows).map(tuple))
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_labelings_match_the_scan_on_every_table_of_permutations(n):
+    # with and without identity rows, whether or not a cycle set
+    for t in itertools.product(itertools.permutations(range(n)), repeat=n):
+        assert canonical_relabeling(t) == scan_relabeling(t)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6).flatmap(tables_with_identity_rows))
+def test_identity_rows_take_the_first_labels(t):
+    # the identity is the least permutation and no conjugate of another
+    # row, so every relabeling that reaches the minimum gives the points
+    # with identity rows the first labels
+    identity = tuple(range(len(t)))
+    rho, table = canonical_relabeling(t)
+    first = sorted(rho[x] for x, row in enumerate(t) if row == identity)
+    assert first == list(range(len(first)))
+    assert table[: len(first)] == (identity,) * len(first)
+    assert (rho, table) == scan_relabeling(t)
+
+
+def test_labelings_of_scanned_tables_are_pinned():
+    # rho and table for every scanned table of sizes 1..6 and a seeded
+    # relabeling of each: a change to the search that moves any labeling,
+    # not only its canonical form, fails here
+    tables = []
+    for n in range(1, 7):
+        scan_cycle_sets(n, tables.append)
+    assert len(tables) == 1122
+    rng = random.Random(23)
+    h = hashlib.sha256()
+    for t in tables:
+        rho = list(range(len(t)))
+        rng.shuffle(rho)
+        for u in (t, relabel_table(t, rho)):
+            h.update(repr(canonical_relabeling(u)).encode())
+    assert h.hexdigest() == (
+        "8e7366a3978e1cdf2fa9daf5bf8974f1d2f75d9fa28089be35c10894f43e8bc2"
+    )
+
+
 def test_distinct_classes_stay_distinct():
     a = ((1, 0), (1, 0))  # both rows swap
     b = ((0, 1), (0, 1))  # both rows identity
@@ -278,10 +331,11 @@ def test_cancel_is_polled_at_the_first_relabeling(labeler):
 
 
 def test_cancel_fires_on_a_later_poll():
-    # six identity rows and a 5-cycle: the search visits over 1,024 nodes,
-    # so cancel is polled at the first node and again at node 1,024; a
-    # search over 7 points has at most 13,699 nodes, hence at most 14 polls
-    t = tuple(tuple(range(7)) for _ in range(6)) + ((1, 2, 3, 4, 0, 5, 6),)
+    # six identity rows and a row that is no permutation, so the rooted
+    # rule does not apply and the search visits over 1,024 nodes: cancel
+    # is polled at the first node and again at node 1,024; a search over 7
+    # points has at most 13,699 nodes, hence at most 14 polls
+    t = tuple(tuple(range(7)) for _ in range(6)) + ((1, 2, 3, 4, 0, 0, 0),)
     polls = []
 
     def count():
@@ -466,8 +520,8 @@ def test_shared_row_facts_match_the_standalone_path_on_repeated_rows(tables):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_classes_give_the_canonical_forms_in_any_order(n):
-    # a key's canonical search is seeded by the automorphisms of its first
-    # table, so the forms must not depend on which table of a key comes first
+    # each table gets its own search, so the forms do not depend on the
+    # order the tables come in
     tables = []
     scan_cycle_sets(n, tables.append)
     want = {canonical_form(t) for t in tables}

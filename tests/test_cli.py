@@ -383,7 +383,8 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("oracle", [[], ["--oracle"]])
     @pytest.mark.parametrize(
-        "n, squaring", [("4", "2,1,1,1"), ("3", "0,3"), ("4", "5,-1"), ("3", ",")]
+        "n, squaring",
+        [("4", "2,1,1,1"), ("3", "0,3"), ("4", "5,-1"), ("3", ","), ("3", ",,"), ("3", "3,x")],
     )
     def test_squaring_that_is_no_partition_is_a_usage_error(
         self, run, monkeypatch, n, squaring, oracle
@@ -392,9 +393,10 @@ class TestEnumerate:
         monkeypatch.setattr(cli, "enumerate_cycle_sets", lambda *a, **k: built.append(a))
         monkeypatch.setattr(cli, "brute_force_census", lambda *a, **k: built.append(a))
         code, out, err = run("enumerate", "-n", n, "--squaring", squaring, *oracle)
+        # a part that is no integer is refused as the others are, and the
+        # option is echoed as given, separators included
         assert (code, out, built) == (2, "", [])
-        got = squaring.strip(",")
-        assert err == f"error: --squaring must be a partition of {n}, got {got}\n"
+        assert err == f"error: --squaring must be a partition of {n}, got {squaring}\n"
 
     @pytest.mark.parametrize("oracle", [[], ["--oracle"]])
     @pytest.mark.parametrize("order", ["0", "-3"])

@@ -758,10 +758,9 @@ class TestScan:
             "d2f1a6826f72182f59b6bcc9d6f865a6681cbaf52271b8ea4e6d49add9aea822"
         )
 
-    def test_only_tables_with_an_identity_row_take_a_class_key(self, monkeypatch):
-        # a table without an identity row gets its canonical form from one
-        # one-cell search; a table with one takes the colour-cell class key,
-        # and each distinct key one seeded search more
+    def test_a_census_searches_each_emitted_table_once(self, monkeypatch):
+        # every emitted table, with an identity row or without, gets its
+        # canonical form from one one-cell search, and none a class key
         keyed, searched = [], []
         colour_cells, lex_min = canon._colour_cells, canon._lex_min
 
@@ -769,52 +768,28 @@ class TestScan:
             keyed.append(rows)
             return colour_cells(rows, *args)
 
-        def spy_lex_min(rows, *args):
-            searched.append(rows)
-            return lex_min(rows, *args)
+        def spy_lex_min(rows, cells, *args):
+            searched.append((rows, len(cells)))
+            return lex_min(rows, cells, *args)
 
         monkeypatch.setattr(canon, "_colour_cells", spy_cells)
         monkeypatch.setattr(canon, "_lex_min", spy_lex_min)
         identity = tuple(range(6))
-        # T of type (2,2,2) fixes no point, so no row is the identity
+        # T of type (2,2,2) fixes no point, so no row is the identity; in
+        # the identity slice 74 of the 113 tables have an identity row
         involution = from_cycles(6, [(0, 1), (2, 3), (4, 5)])
-        emitted = []
-        scan_cycle_sets(6, emitted.append, diagonal=involution)
-        assert len(emitted) == 109 and not any(identity in t for t in emitted)
-        assert enumerate_cycle_sets(6, diagonal=involution).count == 77
-        assert keyed == [] and sorted(searched) == sorted(emitted)
-        # the identity slice: 74 of its 113 tables have an identity row
-        keyed.clear()
-        searched.clear()
-        emitted.clear()
-        scan_cycle_sets(6, emitted.append, diagonal=identity)
-        with_identity = [t for t in emitted if identity in t]
-        assert (len(emitted), len(with_identity)) == (113, 74)
-        assert enumerate_cycle_sets(6, diagonal=identity).count == 68
-        assert sorted(keyed) == sorted(with_identity)
-        keys = {lex_min(t, colour_cells(t), None, None, canon.RowFacts())[1] for t in with_identity}
-        assert len(searched) == len(emitted) + len(keys)
-
-    def test_carried_automorphisms_are_automorphisms_of_the_key(self):
-        # the census seeds the canonical search of each key with the
-        # automorphisms found by the key search of its first table, carried
-        # to the key's labels
-        tables = []
-        scan_cycle_sets(6, tables.append)
-        # 1,214 before the residual-group pruning and the tie-break for point 0
-        assert len(tables) == 978
-        carried = 0
-        for t in tables:
-            autos = []
-            rho, key = canon._lex_min(t, canon._colour_cells(t), None, autos, canon.RowFacts())
-            for (g, fixed), (h, mask) in zip(autos, canon._carry_autos(autos, rho)):
-                assert all(
-                    key[h[x]][h[y]] == h[key[x][y]] for x in range(6) for y in range(6)
-                )
-                assert mask == sum(1 << x for x in range(6) if h[x] == x)
-                assert mask == sum(1 << rho[x] for x in range(6) if fixed >> x & 1)
-                carried += 1
-        assert carried > 0
+        for diagonal, tables, with_identity, classes in (
+            (identity, 113, 74, 68),
+            (involution, 109, 0, 77),
+        ):
+            emitted = []
+            scan_cycle_sets(6, emitted.append, diagonal=diagonal)
+            assert len(emitted) == tables
+            assert sum(identity in t for t in emitted) == with_identity
+            searched.clear()
+            assert enumerate_cycle_sets(6, diagonal=diagonal).count == classes
+            assert sorted(searched) == sorted((t, 1) for t in emitted)
+        assert keyed == []
 
     def test_row_zero_outranks_the_points_of_its_cycle_length(self):
         # centralizer elements of T move any point of a T-cycle as long as
@@ -848,9 +823,9 @@ class TestScan:
             assert len({canonical_table(t) for t in seen}) == classes
 
     def test_census_computes_the_colours_of_a_table_once(self, monkeypatch):
-        # the leaf's tie-break for point 0 hands its colours to the class
-        # key, so a census of a slice with peers of 0 computes no more
-        # colours than the scan of that slice, whose leaves compute them
+        # only the leaf's tie-break for point 0 computes colours, so a
+        # census of a slice with peers of 0 computes as many as the scan of
+        # that slice
         calls = []
         colours = canon.colours
 
