@@ -23,7 +23,9 @@ from typing import Iterable, Sequence
 from .core import CycleSet, cycle_set, product_table
 from .perm import Partition, Perm, Table, _compose_right, closure, identity, inverse, partition
 
-# most lambda-orbits whose unions cycle_bases scans (2^k - 1 unions)
+# most lambda-orbits whose unions cycle_bases scans (2^k - 1 unions): at the
+# cap, the 65,535 bases of the trivial brace on Z/17 take 0.1 s and hold
+# 8.2 MB (tracemalloc; 63 MB as frozensets) on a 2-core x86-64 machine
 MAX_LAMBDA_ORBITS = 16
 # most elements of the group that brace_of_cycle_set builds a brace on, and
 # so of the groups the fixed_point_orders and cabling_laws checkers compare
@@ -275,10 +277,16 @@ class LeftBrace:
 
 @dataclass(frozen=True, slots=True)
 class CycleBase:
-    """Union of lambda-orbits generating (B, +); transitive when one orbit."""
+    """Union of lambda-orbits generating (B, +); transitive when one orbit.
+    The union is the bit mask ``mask``, bit x set for each element x, and
+    ``elements`` builds its frozenset when read."""
 
-    elements: frozenset[int]
+    mask: int
     transitive: bool
+
+    @property
+    def elements(self) -> frozenset[int]:
+        return frozenset(x for x in range(self.mask.bit_length()) if self.mask >> x & 1)
 
 
 def _extend_span(B: LeftBrace, span: frozenset[int], gens: Iterable[int]) -> frozenset[int]:
@@ -301,44 +309,48 @@ def _extend_span(B: LeftBrace, span: frozenset[int], gens: Iterable[int]) -> fro
 
 
 def cycle_bases(B: LeftBrace) -> tuple[CycleBase, ...]:
-    """Every union of lambda-orbits whose additive span is all of B.
+    """Every union of lambda-orbits whose additive span is all of B, by
+    size and then by sorted elements.
 
     The unions are walked depth first, adding orbits in index order, and
     each span extends its parent's by one orbit, memoised by (span, orbit).
     Once a span is all of B, every union that adds later orbits spans B
-    too, so those are listed without extending spans.
+    too, so those are listed without extending spans.  Each union is the
+    OR of its orbits' codes, with bits x and 2n-1-x for each element x: its
+    low n bits are its ``CycleBase`` mask, and of two unions of one size the
+    greater code holds the least element they do not share, so sorts first.
     """
     orbits = B.lambda_orbits
     if len(orbits) > MAX_LAMBDA_ORBITS:
         raise ValueError(f"{len(orbits)} lambda-orbits exceed the union scan limit")
     n, k = B.n, len(orbits)
-    # (size, sorted elements, transitive): distinct unions of disjoint
-    # orbits have distinct elements, so the tuples sort by the first two
-    bases = []
+    codes = [sum(1 << x | 1 << (2 * n - 1 - x) for x in o) for o in orbits]
+    bases: list[int] = []
     memo: dict[tuple[frozenset[int], int], frozenset[int]] = {}
 
-    def spanning(start: int, union: tuple[int, ...]) -> None:
+    def spanning(start: int, union: int) -> None:
         for i in range(start, k):
-            grown = union + orbits[i]
-            bases.append((len(grown), sorted(grown), False))
+            grown = union | codes[i]
+            bases.append(grown)
             spanning(i + 1, grown)
 
-    def walk(start: int, union: tuple[int, ...], span: frozenset[int]) -> None:
+    def walk(start: int, union: int, span: frozenset[int]) -> None:
         for i in range(start, k):
             key = (span, i)
             wider = memo.get(key)
             if wider is None:
                 wider = memo[key] = _extend_span(B, span, orbits[i])
-            grown = union + orbits[i]
+            grown = union | codes[i]
             if len(wider) == n:
-                bases.append((len(grown), sorted(grown), not union))
+                bases.append(grown)
                 spanning(i + 1, grown)
             else:
                 walk(i + 1, grown, wider)
 
-    walk(0, (), frozenset({B.zero}))
-    bases.sort()
-    return tuple(CycleBase(frozenset(elems), transitive) for _, elems, transitive in bases)
+    walk(0, 0, frozenset({B.zero}))
+    bases.sort(key=lambda code: (code.bit_count(), -code))
+    single, low = set(codes), (1 << n) - 1  # one orbit: transitive
+    return tuple(CycleBase(code & low, code in single) for code in bases)
 
 
 def coset_construction(
@@ -353,8 +365,8 @@ def coset_construction(
     kset = frozenset(K)
     if a not in base.elements:
         raise BraceConstructionError("base", f"{a} is not in the given base")
-    if not base.transitive or base.elements not in {
-        frozenset(o) for o in B.lambda_orbits
+    if not base.transitive or base.mask not in {
+        sum(1 << x for x in o) for o in B.lambda_orbits
     }:
         raise BraceConstructionError("base", "base is not a single lambda-orbit")
     if B.additive_span(base.elements) != frozenset(range(B.n)):

@@ -28,7 +28,7 @@ from .brace import (
     brace_of_cycle_set,
     coset_construction,
 )
-from .core import InvalidCycleSet, direct_product, trivial_cycle_set
+from .core import CycleSet, InvalidCycleSet, direct_product, trivial_cycle_set
 from .enumeration import (
     MAX_N_ENV,
     EnumerationFilter,
@@ -39,15 +39,14 @@ from .enumeration import (
 from .verify import CHECKERS, cabling_indices, run_all
 
 
-# most points of a table that ``trivial`` and ``product`` build: a table has
-# n^2 cells, and at 1,024 points its JSON is about 6 MB
+# most points of a table or elements of a brace that a command builds or
+# reads: a table has n^2 cells, and at 1,024 points its JSON is about 6 MB
 TABLE_MAX_N = 1024
 
 
 def _check_size(n: int) -> None:
     """Refuse a table past ``TABLE_MAX_N`` points, before any of it is built."""
-    if n > TABLE_MAX_N:
-        raise ValueError(f"a table of {n} points exceeds the size cap {TABLE_MAX_N}")
+    formats.check_size(n, TABLE_MAX_N)
 
 
 def _check_jobs(jobs: int) -> None:
@@ -61,6 +60,10 @@ def _read(path: str) -> str:
         return sys.stdin.read()
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
+
+
+def _read_cycle_set(path: str) -> CycleSet:
+    return formats.parse_cycle_set(_read(path), max_n=TABLE_MAX_N)
 
 
 def _write(path: str | None, text: str) -> None:
@@ -105,7 +108,7 @@ def _parse_filter(ns: argparse.Namespace) -> EnumerationFilter:
 
 def _cmd_validate(ns: argparse.Namespace) -> int:
     try:
-        X = formats.parse_cycle_set(_read(ns.input))
+        X = _read_cycle_set(ns.input)
     except InvalidCycleSet as exc:
         print(f"invalid: {exc} [{exc.kind}, witness {exc.witness}]")
         return 1
@@ -114,7 +117,7 @@ def _cmd_validate(ns: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(ns: argparse.Namespace) -> int:
-    X = formats.parse_cycle_set(_read(ns.input))
+    X = _read_cycle_set(ns.input)
     report = analyze(X).to_dict()
     if ns.field:
         if ns.field not in report:
@@ -190,6 +193,7 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
         ids = None
     if ns.census:
         census = formats.parse_census_jsonl(_read(ns.census))
+        _check_size(census.n)
         # a census file is input like any other: run_all validates its tables
         tables = census.representatives
         scope = f"census file n={census.n}, count={census.count}"
@@ -216,13 +220,13 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
 
 
 def _cmd_cable(ns: argparse.Namespace) -> int:
-    X = formats.parse_cycle_set(_read(ns.input))
+    X = _read_cycle_set(ns.input)
     _write(ns.output, formats.dump_cycle_set(X.cabling(ns.k), fmt=ns.format, meta=_meta(ns)))
     return 0
 
 
 def _cmd_retract(ns: argparse.Namespace) -> int:
-    X = formats.parse_cycle_set(_read(ns.input))
+    X = _read_cycle_set(ns.input)
     Y, classes = X.retraction()
     meta = _meta(ns)
     meta["class_map"] = list(classes)
@@ -231,8 +235,8 @@ def _cmd_retract(ns: argparse.Namespace) -> int:
 
 
 def _cmd_product(ns: argparse.Namespace) -> int:
-    a = formats.parse_cycle_set(_read(ns.left))
-    b = formats.parse_cycle_set(_read(ns.right))
+    a = _read_cycle_set(ns.left)
+    b = _read_cycle_set(ns.right)
     _check_size(a.n * b.n)
     _write(ns.output, formats.dump_cycle_set(direct_product(a, b), fmt=ns.format, meta=_meta(ns)))
     return 0
@@ -240,14 +244,14 @@ def _cmd_product(ns: argparse.Namespace) -> int:
 
 def _cmd_brace(ns: argparse.Namespace) -> int:
     if ns.brace_cmd == "of-cycleset":
-        X = formats.parse_cycle_set(_read(ns.input))
+        X = _read_cycle_set(ns.input)
         gb = brace_of_cycle_set(X)
         meta = _meta(ns)
         meta["elements"] = [list(p) for p in gb.elements]
         _write(ns.output, formats.dump_brace(gb.brace, meta=meta))
         return 0
     try:
-        B = formats.parse_brace(_read(ns.input))
+        B = formats.parse_brace(_read(ns.input), max_n=TABLE_MAX_N)
     except InvalidBrace as exc:
         print(f"invalid: {exc} [{exc.kind}, witness {exc.witness}]")
         return 1
@@ -264,7 +268,7 @@ def _cmd_brace(ns: argparse.Namespace) -> int:
     if orbit is None or B.additive_span(orbit) != frozenset(range(B.n)):
         print(f"no transitive cycle base contains {ns.a}", file=sys.stderr)
         return 1
-    X, cosets = coset_construction(B, CycleBase(frozenset(orbit), True), ns.a, K)
+    X, cosets = coset_construction(B, CycleBase(sum(1 << x for x in orbit), True), ns.a, K)
     meta = _meta(ns)
     meta["cosets"] = [list(c) for c in cosets]
     _write(ns.output, formats.dump_cycle_set(X, fmt=ns.format, meta=meta))

@@ -67,12 +67,21 @@ def _require_ints(obj: dict, keys: tuple[str, ...], message: str, optional: bool
             raise ValueError(message)
 
 
-def parse_cycle_set(text: str) -> CycleSet:
-    """JSON or compact text, with # comments and unknown keys ignored."""
+def check_size(n: int, max_n: int | None) -> None:
+    """ValueError when a table of ``n`` points exceeds ``max_n``; None is no
+    cap."""
+    if max_n is not None and n > max_n:
+        raise ValueError(f"a table of {n} points exceeds the size cap {max_n}")
+
+
+def parse_cycle_set(text: str, max_n: int | None = None) -> CycleSet:
+    """JSON or compact text, with # comments and unknown keys ignored.  A
+    table of more than ``max_n`` points is refused before it is validated."""
     body = text.lstrip()
     if body.startswith("{"):
         obj = json.loads(body)
         table = _rows(obj, "table", "cycle set")
+        check_size(len(table), max_n)
         _require_ints(obj, ("n",), "declared n must be an integer", optional=True)
         if "n" in obj and obj["n"] != len(table):
             raise ValueError("declared n does not match the table")
@@ -87,6 +96,7 @@ def parse_cycle_set(text: str) -> CycleSet:
     else:
         n = len(lines[0].split())
         rows = lines
+    check_size(n, max_n)
     if len(rows) != n:
         raise ValueError(f"expected {n} rows, found {len(rows)}")
     table = []
@@ -150,9 +160,12 @@ def parse_permutation(text: str, n: int | None = None, one_based: bool = True) -
     raise ValueError("unrecognized permutation syntax")
 
 
-def parse_brace(text: str) -> LeftBrace:
+def parse_brace(text: str, max_n: int | None = None) -> LeftBrace:
+    """A brace of more than ``max_n`` elements is refused before it is
+    validated."""
     obj = json.loads(text)
     add, circ = _rows(obj, "add", "brace"), _rows(obj, "circ", "brace")
+    check_size(max(len(add), len(circ)), max_n)
     _require_ints(obj, ("n", "zero"), "declared n and zero must be integers", optional=True)
     B = left_brace(add, circ)
     if "n" in obj and obj["n"] != B.n:

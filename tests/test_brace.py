@@ -484,6 +484,28 @@ class TestCycleBases:
         with pytest.raises(dataclasses.FrozenInstanceError):
             base.transitive = False
 
+    @pytest.mark.parametrize(
+        "mask, elements",
+        [(0, set()), (0b1, {0}), (0b1010, {1, 3}), (1 << 16 | 1, {0, 16}), (1 << 70, {70})],
+    )
+    def test_cycle_base_elements_are_the_bits_of_its_mask(self, mask, elements):
+        base = CycleBase(mask, False)
+        assert base.elements == frozenset(elements)
+        assert type(base.elements) is frozenset
+        twin = CycleBase(int(str(mask)), False)
+        assert twin == base and hash(twin) == hash(base)
+        assert CycleBase(mask, True) != base
+        assert CycleBase(mask ^ 1 << 71, False) != base
+
+    def test_cycle_base_masks_are_the_unions_of_orbit_masks(self):
+        for B in (cyclic_brace(9), pp_brace(3), direct_product_brace(pp_brace(2), cyclic_brace(3))):
+            orbit_masks = [sum(1 << x for x in o) for o in B.lambda_orbits]
+            for cb in cycle_bases(B):
+                parts = [m for m in orbit_masks if m & cb.mask]
+                assert sum(parts) == cb.mask
+                assert cb.transitive == (len(parts) == 1)
+                assert cb.elements == frozenset(x for x in range(B.n) if cb.mask >> x & 1)
+
     def test_trivial_z3(self):
         B = cyclic_brace(3)
         bases = cycle_bases(B)
@@ -574,10 +596,11 @@ class TestCosetConstruction:
     @pytest.mark.parametrize(
         "B, base, a, K, kind, message",
         [
-            # the trivial brace on Z/3: the union of its orbits {1} and {2}
+            # the trivial brace on Z/3: the union of its orbits {1} and {2},
+            # bit x of a mask standing for element x
             (
                 cyclic_brace(3),
-                CycleBase(frozenset({1, 2}), False),
+                CycleBase(0b110, False),
                 1,
                 [0],
                 "base",
@@ -586,7 +609,7 @@ class TestCosetConstruction:
             # the orbit {2} of the trivial brace on Z/4 spans {0, 2}
             (
                 cyclic_brace(4),
-                CycleBase(frozenset({2}), True),
+                CycleBase(0b100, True),
                 2,
                 [0],
                 "base",
@@ -595,7 +618,7 @@ class TestCosetConstruction:
             # in Z/4 with x o y = x + y + 2xy, 1 o 1 = 0 and lambda_1(1) = 3
             (
                 pp_brace(2),
-                CycleBase(frozenset({1, 3}), True),
+                CycleBase(0b1010, True),
                 1,
                 [0, 1],
                 "stabilizer",
@@ -604,7 +627,7 @@ class TestCosetConstruction:
             # a trivial brace has trivial lambda maps and an abelian group
             (
                 cyclic_brace(4),
-                CycleBase(frozenset({1}), True),
+                CycleBase(0b10, True),
                 1,
                 [0, 2],
                 "core",

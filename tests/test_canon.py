@@ -201,7 +201,7 @@ def least_row_zero(t):
 def test_one_cell_search_keeps_row_zero_at_the_least_rooted_row(t):
     # every row is a permutation, so the search walks only the pre-orders
     # whose row 0 is the least rooted row, and the winner is among them
-    rho, table = _lex_min(t, [range(len(t))], None, None, RowFacts())
+    rho, table = _lex_min(t, [range(len(t))], None, RowFacts())
     assert table[0] == least_row_zero(t)
     assert (rho, table) == scan_relabeling(t)
 
@@ -214,7 +214,7 @@ def test_one_cell_search_keeps_row_zero_at_the_least_rooted_row_on_census_member
         rho = list(range(5))
         rng.shuffle(rho)
         u = relabel_table(t, rho)
-        assert _lex_min(u, [range(5)], None, None, RowFacts())[1][0] == least_row_zero(u) == t[0]
+        assert _lex_min(u, [range(5)], None, RowFacts())[1][0] == least_row_zero(u) == t[0]
 
 
 def test_seeded_relabelings_of_size_six_members_come_back(census6):
@@ -430,62 +430,16 @@ def test_colour_cells_match_the_reference(t):
     assert _colour_cells(t) == reference_colour_cells(t)
 
 
-def automorphisms(t):
-    """Every automorphism of t, by brute force over all relabelings."""
-    n = len(t)
-    return [
-        g
-        for g in itertools.permutations(range(n))
-        if all(t[g[x]][g[y]] == g[t[x][y]] for x in range(n) for y in range(n))
-    ]
-
-
-def seeds(autos):
-    """Automorphisms in the format of ``_lex_min``: the inverse map and the
-    mask of the fixed points."""
-    return [
-        (list(inverse(g)), sum(1 << x for x in range(len(g)) if g[x] == x))
-        for g in autos
-    ]
-
-
-def assert_seeded_exact(t, rng):
-    auts = automorphisms(t)
-    for cells in ([range(len(t))], _colour_cells(t)):
-        for chosen in (auts, [g for g in auts if rng.random() < 0.5], []):
-            known = seeds(chosen)
-            autos = list(known)
-            assert _lex_min(t, cells, None, autos, RowFacts()) == scan_relabeling(t, cells)
-            # the seeds are read, not replaced, and what is appended is real
-            assert autos[: len(known)] == known
-            assert all(tuple(inverse(g)) in auts for g, _ in autos)
-            assert seeds(inverse(g) for g, _ in autos) == autos
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 6).flatmap(tables_from_few_rows), st.randoms(use_true_random=False))
-def test_seeded_automorphisms_keep_the_labeling_on_repeated_rows(t, rng):
-    assert_seeded_exact(t, rng)
-
-
-def test_seeded_automorphisms_keep_the_labeling_on_census_members(censuses_small):
-    rng = random.Random(7)
-    for t in censuses_small[5].representatives:
-        assert_seeded_exact(t, rng)
-
-
 def assert_shared_facts_match(tables, facts):
     """The census path, one ``RowFacts`` kept across all ``tables``, for
-    their rows and their diagonals alike, gives the colour cells, the
-    labelings and the automorphisms found of the standalone path."""
+    their rows and their diagonals alike, gives the colour cells and the
+    labelings of the standalone path."""
     for t in tables:
         n = len(t)
         cells = _colour_cells(t, facts)
         assert cells == _colour_cells(t)
         for c in (cells, [range(n)]):
-            shared, alone = [], []
-            assert _lex_min(t, c, None, shared, facts) == _lex_min(t, c, None, alone, RowFacts())
-            assert shared == alone
+            assert _lex_min(t, c, None, facts) == _lex_min(t, c, None, RowFacts())
 
 
 def test_shared_row_facts_match_the_standalone_path_on_scanned_tables():

@@ -721,6 +721,85 @@ class TestBrace:
         assert "Traceback" not in err
 
 
+class TestInputSizeCap:
+    """Every command that reads a table or a brace refuses one of more than
+    ``TABLE_MAX_N`` points with exit 2, before it is validated."""
+
+    @pytest.fixture
+    def capped(self, monkeypatch):
+        # the validators still take tables within the cap
+        for name in ("cycle_set", "left_brace"):
+
+            def guarded(table, *args, _validate=getattr(cli.formats, name), **kwargs):
+                assert len(table) <= 3, "validated an input past the size cap"
+                return _validate(table, *args, **kwargs)
+
+            monkeypatch.setattr(cli.formats, name, guarded)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("validated a census past the size cap")
+
+        monkeypatch.setattr(cli, "TABLE_MAX_N", 3)
+        monkeypatch.setattr(cli, "run_all", forbidden)
+
+    @staticmethod
+    def assert_refused(result, n=4):
+        code, out, err = result
+        assert (code, out) == (2, "")
+        assert err == f"error: a table of {n} points exceeds the size cap 3\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["validate"], ["analyze"], ["cable", "-k", "2"], ["retract"], ["brace", "of-cycleset"]],
+        ids=["validate", "analyze", "cable", "retract", "brace-of-cycleset"],
+    )
+    def test_cycle_set_past_the_cap(self, run, tmp_path, table4, capped, argv, fmt):
+        path = tmp_path / f"table4.{fmt}"
+        path.write_text(dump_cycle_set(table4, fmt))
+        self.assert_refused(run(*argv, str(path)))
+
+    def test_product_of_a_factor_past_the_cap(self, run, tmp_path, table4, trivial2, capped):
+        big, small = tmp_path / "table4.json", tmp_path / "trivial2.json"
+        big.write_text(dump_cycle_set(table4))
+        small.write_text(dump_cycle_set(trivial2))
+        self.assert_refused(run("product", str(big), str(small)))
+        self.assert_refused(run("product", str(small), str(big)))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["brace", "validate"], ["brace", "socle"], ["brace", "cosets", "--a", "1"]],
+        ids=["validate", "socle", "cosets"],
+    )
+    def test_brace_past_the_cap(self, run, tmp_path, capped, argv):
+        path = tmp_path / "z4.json"
+        path.write_text(dump_brace(cyclic_brace(4)))
+        self.assert_refused(run(*argv, str(path)))
+
+    def test_census_file_past_the_cap(self, run, tmp_path, table4, capped):
+        path = tmp_path / "one.jsonl"
+        path.write_text(
+            json.dumps({"n": 4, "table": [list(r) for r in table4.table]})
+            + "\n"
+            + json.dumps({"summary": {"n": 4, "count": 1}})
+            + "\n"
+        )
+        self.assert_refused(run("verify", "--census", str(path)))
+
+    def test_declared_size_is_refused_before_the_rows_are_read(self, run, tmp_path, capped):
+        path = tmp_path / "huge.txt"
+        path.write_text("n=100000\n0 1\n")
+        self.assert_refused(run("validate", str(path)), n=100000)
+
+    def test_inputs_at_the_cap_are_read(self, run, tmp_path, monkeypatch, table4):
+        monkeypatch.setattr(cli, "TABLE_MAX_N", 4)
+        cs, brace = tmp_path / "table4.json", tmp_path / "z4.json"
+        cs.write_text(dump_cycle_set(table4))
+        brace.write_text(dump_brace(cyclic_brace(4)))
+        assert run("validate", str(cs))[0] == 0
+        assert run("brace", "validate", str(brace))[0] == 0
+
+
 class TestUsage:
     def test_no_arguments(self, run):
         code, _, _ = run()
