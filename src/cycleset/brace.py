@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
+from .canon import isomorphism
 from .core import CycleSet, cycle_set, product_table
 from .perm import Partition, Perm, Table, _compose_right, closure, identity, inverse, partition
 
@@ -505,59 +506,11 @@ def direct_product_brace(a: LeftBrace, b: LeftBrace) -> LeftBrace:
 
 
 def brace_is_isomorphic(a: LeftBrace, b: LeftBrace) -> tuple[int, ...] | None:
-    """A bijection respecting both operations, or None.
+    """A bijection respecting both operations, or None: ``canon.isomorphism``
+    of (add, circ), each element sent to one of its (additive order,
+    multiplicative order)."""
 
-    Backtracking over images of an additive generating sequence, pruned by
-    the (additive order, multiplicative order) profile.  Each image of a
-    generator g extends the additive map on the span so far along the steps
-    x -> x + g, then is checked for injectivity and for the products that
-    land in the larger span.
-    """
-    if a.n != b.n:
-        return None
-    n = a.n
+    def profile(B: LeftBrace) -> list[tuple[int, int]]:
+        return [(B.additive_order(x), B.multiplicative_order(x)) for x in range(B.n)]
 
-    def profile(B: LeftBrace, x: int) -> tuple[int, int]:
-        return (B.additive_order(x), B.multiplicative_order(x))
-
-    prof_a = [profile(a, x) for x in range(n)]
-    prof_b = [profile(b, x) for x in range(n)]
-    if sorted(prof_a) != sorted(prof_b):
-        return None
-
-    gens = _generators(a.add, a.zero)
-
-    def extend(phi: dict[int, int], gi: int) -> dict[int, int] | None:
-        if gi == len(gens):
-            return phi
-        g = gens[gi]
-        used = set(phi.values())
-        for img in range(n):
-            if img in used or prof_b[img] != prof_a[g]:
-                continue
-            new_phi = dict(phi)
-            # phi is additive on a subgroup S; walking x -> x + g from S
-            # reaches S + <g> and either defines the additive extension
-            # sending g to img or hits a conflict
-            frontier = list(phi)
-            for x in frontier:
-                s, si = a.add[x][g], b.add[new_phi[x]][img]
-                if s not in new_phi:
-                    new_phi[s] = si
-                    frontier.append(s)
-                elif new_phi[s] != si:
-                    break
-            else:
-                if len(set(new_phi.values())) == len(new_phi) and all(
-                    a.circ[x][y] not in new_phi
-                    or new_phi[a.circ[x][y]] == b.circ[new_phi[x]][new_phi[y]]
-                    for x in new_phi
-                    for y in new_phi
-                ):
-                    got = extend(new_phi, gi + 1)
-                    if got is not None:
-                        return got
-        return None
-
-    phi = extend({a.zero: b.zero}, 0)
-    return None if phi is None else tuple(phi[x] for x in range(n))
+    return isomorphism([a.add, a.circ], [b.add, b.circ], profile(a), profile(b))

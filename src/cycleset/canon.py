@@ -10,39 +10,33 @@ McKay's *Practical graph isomorphism*, 1981).  It returns the same table and
 the same relabeling as a scan of all n! relabelings in lex order, without
 visiting them all.  Each cell is compared once on a path: the rows a node
 finds determined and tied to the best table keep their values below it, so
-its children's comparisons resume after them.  With a single cell of
-permutation rows, the points whose row is the identity, if any, take the
-first labels, as no conjugate of another row is the identity, the least
-permutation.  Otherwise row 0 of the winner is the least rooted row (the
-least conjugate of a point's row that sends the point to 0,
-``_rooted_key``): label 0 goes only to the points whose rooted row is
-least, and the labels after it only where they keep row 0 that rooted row.
+its children's comparisons resume after them.  With permutation rows, the
+points whose row is the identity, if any, take the first labels, as no
+conjugate of another row is the identity, the least permutation.
+Otherwise row 0 of the winner is the least rooted row (the least conjugate
+of a point's row that sends the point to 0, ``_rooted_key``): label 0 goes
+only to the points whose rooted row is least, and the labels after it only
+where they keep row 0 that rooted row.
 Over the 3,456 classes of size 7, ``canonical_form`` of each
 representative visits 50 nodes on average (59 without the identity-row
 rule, 110 with only the rule on label 0, 130 with neither and 5,040 for the
 scan), and of a seeded relabeling of each about 65 (93, 176 and 259).
 
 A census deduplicates in ``Classes``, in one pass over the tables it emits:
-each gets its canonical form by one one-cell search, whether or not it has
-an identity row (a point x with x.y = y for all y).
+each gets its canonical form by one search, whether or not it has an
+identity row (a point x with x.y = y for all y).
 
-``class_key`` colours the points by invariants (``colours``: the length of
-the cycle of the squaring map T(x) = x.x through x, the cycle type of the
-row of x, and how many y have y.x = x; the census search picks its point 0
-by them too) and orders the colour cells by colour value, never by point
-index.  The key is the lex-least relabeled table over the relabelings that
-send each cell, in order, onto consecutive labels.  It is a complete
-invariant by construction.  Relabeling a table carries its colours, hence
-its admissible relabelings, along with it, so isomorphic tables have the
-same set of images and get the same key; and the key is itself a
-relabeling of its table, so tables with the same key are isomorphic.  A
-coarser colouring only makes the key slower, never wrong; refining the
-colours to a fixed point (the vertex-invariant step of McKay) cost more
-than the search it saved at every census size.  With a single cell the key
-is the canonical form.
+Two tables are matched without labeling either, by ``isomorphism``: a
+depth-first search that maps points only onto points of the same invariant
+colour and maps every product each choice forces, McKay's pruning by
+invariants (1981).  It serves cycle sets, coloured by ``colours`` (the
+length of the cycle of the squaring map T(x) = x.x through x, the cycle
+type of the row of x, and how many y have y.x = x), and braces.  It refines
+no colours: one round of joint refinement made it slower on every set
+measured.
 
-Every search polls ``cancel`` at its first node and then every 1,024
-nodes.  What depends only on a permutation, the length of the cycle
+Every labeling search polls ``cancel`` at its first node and then every
+1,024 nodes.  What depends only on a permutation, the length of the cycle
 through each point, its cycle type spelt descending and ascending, and its
 fixed points, is kept in a ``RowFacts`` table, and beside it the cycle
 starts and row 0 of each least rooted key.  The census engine keeps one
@@ -54,7 +48,8 @@ degree.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from collections import Counter
+from typing import Callable, Iterator, Sequence
 
 from .perm import Perm, Table, _orbit_sizes, inverse
 
@@ -71,7 +66,7 @@ class RowFacts(dict):
     first use and kept.  ``spellings`` maps each descending spelling to the
     pair of spellings, so the rows of one cycle type share both tuples.
     ``rooted`` maps each least rooted key to its ``_rooted_row``, filled by
-    the one-cell search; both hold a few entries per cycle type."""
+    the canonical search; both hold a few entries per cycle type."""
 
     def __init__(self):
         super().__init__()
@@ -147,12 +142,10 @@ def relabel_table(table: Sequence[Sequence[int]], rho: Sequence[int]) -> Table:
 
 def _lex_min(
     rows: Table,
-    cells: Sequence[Sequence[int]],
     cancel: Callable[[], bool] | None,
     facts: RowFacts,
 ) -> tuple[Perm, Table]:
-    """The lex-least relabeled table over the pre-orders that give the
-    points of each cell, cell after cell, consecutive labels, with its
+    """The lex-least relabeled table over all pre-orders, with its
     relabeling; pre[k] is the original point that receives label k, and the
     lex-first pre-order reaching the minimum wins.
 
@@ -166,9 +159,9 @@ def _lex_min(
     incumbent's keep their values in its subtree, and so does every
     incumbent found there, so the comparisons below it start after them.  A
     new incumbent is rebuilt from its first row that differs from the old
-    one.  With one cell and permutation rows, row k of a relabeled table is
-    a conjugate of the row of the point labelled k.  When m >= 1 points have
-    the identity as their row, they take labels 0..m-1.  A permutation p
+    one.  With permutation rows, row k of a relabeled table is a conjugate
+    of the row of the point labelled k.  When m >= 1 points have the
+    identity as their row, they take labels 0..m-1.  A permutation p
     other than the identity is above it: at the first x with p[x] != x,
     p[x] > x, as p keeps 0..x-1 in place.  The identity is the only conjugate of
     itself and no conjugate of another row, so the tables whose rows 0..m-1
@@ -203,12 +196,6 @@ def _lex_min(
     n = len(rows)
     if not n:
         return (), ()
-    # the points that may take label k, as a bit mask; under the rooted
-    # rule with no identity row, masks[k] for k >= 1 is set as label k - 1
-    # is placed
-    masks: list[int] = []
-    for cell in cells:
-        masks += [sum(1 << x for x in cell)] * len(cell)
     # the incumbent, row-major; n fills what no leaf has set yet
     best = [n] * (n * n)
     # tied[k]: how many leading rows are the incumbent's in every leaf below
@@ -218,13 +205,17 @@ def _lex_min(
     row_facts = [facts[r] for r in rows]
     fixes = [f[3] for f in row_facts]
     full = free = (1 << n) - 1
+    # the points that may take label k, as a bit mask; under the rooted
+    # rule with no identity row, masks[k] for k >= 1 is set as label k - 1
+    # is placed
+    masks = [full] * n
     # the points whose row is the identity, the row that fixes every point
     ones = sum(1 << x for x, f in enumerate(fixes) if f == full)
     # starts[k]: the length of the cycle of R that begins at label k, 0 for
     # a label inside a cycle; empty when the rooted rule does not apply
     starts: list[int] = []
-    # the rooted rule: one cell, and every row a permutation
-    rooted_rule = len(cells) == 1 and all(f[4] for f in row_facts)
+    # the rooted rule: every row a permutation
+    rooted_rule = all(f[4] for f in row_facts)
     if rooted_rule and ones:
         # the identity is the least rooted row, and rows 0..m-1 of the
         # winner are the identity: the m points with identity rows take
@@ -369,7 +360,7 @@ def canonical_relabeling(
 ) -> tuple[Perm, Table]:
     """Return (rho, canonical table) with the lex-least relabeled flattening."""
     rows = tuple(tuple(r) for r in table)
-    return _lex_min(rows, [range(len(rows))], cancel, RowFacts())
+    return _lex_min(rows, cancel, RowFacts())
 
 
 def canonical_form(
@@ -400,35 +391,79 @@ def colours(rows: Sequence[Perm], facts: RowFacts | None = None) -> list[tuple]:
     return [(t_len[x], facts[r][1], fixing[x]) for x, r in enumerate(rows)]
 
 
-def _colour_cells(rows: Table, facts: RowFacts | None = None) -> list[tuple[int, ...]]:
-    """The points grouped by ``colours``, cells in increasing colour."""
-    cells: dict[tuple, list[int]] = {}
-    for x, c in enumerate(colours(rows, facts)):
-        cells.setdefault(c, []).append(x)
-    return [tuple(cells[c]) for c in sorted(cells)]
+def isomorphism(
+    tables_a: Sequence[Sequence[Sequence[int]]],
+    tables_b: Sequence[Sequence[Sequence[int]]],
+    colours_a: Sequence,
+    colours_b: Sequence,
+) -> Perm | None:
+    """A bijection phi with phi[t[x][y]] == u[phi[x]][phi[y]] for every
+    pair (t, u) of ``tables_a`` and ``tables_b`` that sends each point to
+    one of its colour, or None.  Refused at once when the colour histograms
+    differ.  Depth first, it maps the unmapped point whose colour has the
+    fewest free images, then every pair the mapped points force (x.y to
+    phi(x).phi(y) in every table) to a fixpoint, and undoes the branch on
+    a clash.
 
+    >>> isomorphism([((1, 0), (1, 0))], [((0, 1), (0, 1))], [0, 0], [0, 0]) is None
+    True
+    """
+    n = len(colours_a)
+    if sorted(colours_a) != sorted(colours_b):
+        return None
+    pairs = list(zip(tables_a, tables_b))
+    phi, inv = [n] * n, [n] * n  # n marks an unmapped point
+    trail: list[int] = []  # the mapped points, in the order mapped
 
-def class_relabeling(
-    table: Sequence[Sequence[int]], cancel: Callable[[], bool] | None = None
-) -> tuple[Perm, Table]:
-    """Return (rho, key): a relabeled table that is equal for two tables
-    exactly when they are isomorphic, the lex-min over the relabelings that
-    keep the colour cells in colour order, with its relabeling.
-    Cheaper than ``canonical_relabeling`` but a different table in general."""
-    rows = tuple(tuple(r) for r in table)
-    facts = RowFacts()
-    return _lex_min(rows, _colour_cells(rows, facts), cancel, facts)
+    def place(x: int, y: int) -> bool:
+        if phi[x] == inv[y] == n and colours_a[x] == colours_b[y]:
+            phi[x], inv[y] = y, x
+            trail.append(x)
+            return True
+        return phi[x] == y
 
+    def extend(x: int, y: int, mark: int) -> bool:
+        """Take the map back to its first ``mark`` points, then map x to y
+        and every pair that forces, each point checked against those mapped
+        before it and itself; False on a clash."""
+        for z in trail[mark:]:
+            inv[phi[z]] = n
+            phi[z] = n
+        del trail[mark:]
+        ok = place(x, y)
+        while ok and mark < len(trail):
+            x = trail[mark]
+            mark += 1
+            ok = all(
+                place(t[x][z], u[phi[x]][phi[z]]) and place(t[z][x], u[phi[z]][phi[x]])
+                for z in trail[:mark]
+                for t, u in pairs
+            )
+        return ok
 
-def class_key(
-    table: Sequence[Sequence[int]], cancel: Callable[[], bool] | None = None
-) -> Table:
-    return class_relabeling(table, cancel)[1]
+    # one frame per branch: the point, its untried images, and the length
+    # of the trail before it
+    frames: list[tuple[int, Iterator[int], int]] = []
+    while len(trail) < n:
+        # branch on the unmapped point whose colour has the fewest free images
+        free = [x for x in range(n) if phi[x] == n]
+        left = Counter(colours_a[x] for x in free)
+        x = min(free, key=lambda z: left[colours_a[z]])
+        ys = [y for y in range(n) if inv[y] == n and colours_b[y] == colours_a[x]]
+        frames.append((x, iter(ys), len(trail)))
+        while frames:
+            x, it, mark = frames[-1]
+            if any(extend(x, y, mark) for y in it):
+                break
+            frames.pop()
+        else:
+            return None
+    return tuple(phi)
 
 
 class Classes:
     """The canonical forms of the isomorphism classes of the tables added,
-    kept in ``found`` as each table is added, each by one one-cell search,
+    kept in ``found`` as each table is added, each by one search,
     which the rooted rule keeps cheap whether or not the table has an
     identity row.  Every search polls ``cancel`` and reads ``facts``, a
     fresh ``RowFacts`` when None."""
@@ -441,4 +476,4 @@ class Classes:
     def add(self, table: Sequence[Sequence[int]]) -> None:
         """Keep the class of ``table``."""
         rows = tuple(map(tuple, table))
-        self.found.add(_lex_min(rows, [range(len(rows))], self.cancel, self.facts)[1])
+        self.found.add(_lex_min(rows, self.cancel, self.facts)[1])

@@ -175,7 +175,13 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
             f"(set {MAX_N_ENV} to raise the cap)"
         )
     _check_jobs(ns.jobs)
-    ks = cabling_indices(int(tok) for tok in ns.ks.replace(",", " ").split())
+    # no index, or one that is no integer or is below 1, is a usage error
+    try:
+        ks = cabling_indices(int(tok) for tok in ns.ks.replace(",", " ").split())
+    except ValueError:
+        ks = ()
+    if not ks:
+        raise ValueError(f"--ks must list integers, and cabling indices must be >= 1, got {ns.ks!r}")
     if ns.suite:
         wanted = []
         for pattern in ns.suite.split(","):

@@ -426,11 +426,9 @@ def canonical_form(X: CycleSet) -> CycleSet:
 
 
 def is_isomorphic(a: CycleSet, b: CycleSet) -> Perm | None:
-    """A relabeling carrying ``a`` to ``b``, or None."""
-    if a.n != b.n:
-        return None
-    ra, ka = canon.class_relabeling(a.table)
-    rb, kb = canon.class_relabeling(b.table)
-    if ka != kb:
-        return None
-    return compose(inverse(rb), ra)
+    """A relabeling carrying ``a`` to ``b``, or None: ``canon.isomorphism``
+    of their tables, each point sent to one of its ``canon.colours``."""
+    facts = canon.RowFacts()
+    return canon.isomorphism(
+        [a.table], [b.table], canon.colours(a.table, facts), canon.colours(b.table, facts)
+    )

@@ -661,6 +661,28 @@ class TestBraceIsomorphism:
                 assert w[A.add[x][y]] == P.add[w[x]][w[y]]
                 assert w[A.circ[x][y]] == P.circ[w[x]][w[y]]
 
+    def test_sorts_the_braces_of_size_six_into_43_classes(self, census6):
+        # the 595 classes of size 6 give 43 braces G(X) up to isomorphism;
+        # each brace is compared with one brace of every class found so far
+        found = []
+        for X in census6.cycle_sets():
+            B = brace_of_cycle_set(X).brace
+            for i, (R, members) in enumerate(found):
+                w = brace_is_isomorphic(B, R)
+                if w is not None:
+                    assert all(
+                        w[B.add[x][y]] == R.add[w[x]][w[y]]
+                        and w[B.circ[x][y]] == R.circ[w[x]][w[y]]
+                        for x in range(B.n)
+                        for y in range(B.n)
+                    )
+                    found[i] = (R, members + 1)
+                    break
+            else:
+                found.append((B, 1))
+        assert len(found) == 43
+        assert sum(members for _, members in found) == 595
+
     @staticmethod
     def _relabeled(B, rho):
         # the brace with every element x renamed rho[x]

@@ -10,15 +10,13 @@ from cycleset.canon import (
     Classes,
     RowFacts,
     SearchCancelled,
-    _colour_cells,
     _lex_min,
     _rooted_key,
     _rooted_row,
     canonical_form,
     canonical_relabeling,
-    class_key,
-    class_relabeling,
     colours,
+    isomorphism,
     relabel_table,
 )
 from cycleset.enumeration import _normal_forms
@@ -31,15 +29,13 @@ def random_tables(n):
     ).map(tuple)
 
 
-def scan_relabeling(t, cells=None):
+def scan_relabeling(t):
     """Reference: the lex-least relabeled table over every pre-order, where
     pre[i] is the point that gets label i, scanned in lex order so that the
-    first pre-order reaching the minimum wins.  With ``cells``, only the
-    pre-orders that give each cell, in order, consecutive labels."""
-    cells = cells or [tuple(range(len(t)))]
+    first pre-order reaching the minimum wins."""
     best = None
-    for parts in itertools.product(*(itertools.permutations(c) for c in cells)):
-        rho = inverse([x for part in parts for x in part])
+    for pre in itertools.permutations(range(len(t))):
+        rho = inverse(pre)
         table = relabel_table(t, rho)
         if best is None or table < best[1]:
             best = (rho, table)
@@ -48,7 +44,28 @@ def scan_relabeling(t, cells=None):
 
 def assert_exact(t):
     assert canonical_relabeling(t) == scan_relabeling(t)
-    assert class_relabeling(t) == scan_relabeling(t, _colour_cells(t))
+
+
+def colour_cells(rows):
+    """The points grouped by ``colours``, cells in increasing colour: the
+    points ``isomorphism`` may send onto one another."""
+    cells = {}
+    for x, c in enumerate(colours(rows)):
+        cells.setdefault(c, []).append(x)
+    return [tuple(cells[c]) for c in sorted(cells)]
+
+
+def assert_isomorphism(t, u):
+    """``isomorphism`` of t and u under their colours, with its witness
+    checked cell by cell, or None."""
+    phi = isomorphism([t], [u], colours(t), colours(u))
+    if phi is not None:
+        n = len(t)
+        assert sorted(phi) == list(range(n))
+        for x in range(n):
+            for y in range(n):
+                assert phi[t[x][y]] == u[phi[x]][phi[y]]
+    return phi
 
 
 def tables_from_few_rows(n):
@@ -131,17 +148,17 @@ def test_labelings_match_the_scan_when_rows_are_not_permutations(t):
 def test_single_point():
     # the least row 0 is then the whole table, and still needs its leaf
     assert canonical_relabeling(((0,),)) == ((0,), ((0,),))
-    assert class_relabeling(((0,),)) == ((0,), ((0,),))
+    assert isomorphism([((0,),)], [((0,),)], [0], [0]) == (0,)
 
 
 def test_empty_table():
     # the one relabeling of the empty table
     assert canonical_relabeling(()) == ((), ())
-    assert class_relabeling(()) == ((), ())
+    assert isomorphism([()], [()], [], []) == ()
 
 
 def test_rooted_keys_order_points_as_their_least_conjugates():
-    # the one-cell search gives label 0 only to points of least key, so the
+    # the canonical search gives label 0 only to points of least key, so the
     # keys must order every (permutation, point) pair, ties included, as
     # the least conjugate sending the point to 0 does
     facts = RowFacts()
@@ -201,7 +218,7 @@ def least_row_zero(t):
 def test_one_cell_search_keeps_row_zero_at_the_least_rooted_row(t):
     # every row is a permutation, so the search walks only the pre-orders
     # whose row 0 is the least rooted row, and the winner is among them
-    rho, table = _lex_min(t, [range(len(t))], None, RowFacts())
+    rho, table = _lex_min(t, None, RowFacts())
     assert table[0] == least_row_zero(t)
     assert (rho, table) == scan_relabeling(t)
 
@@ -214,7 +231,7 @@ def test_one_cell_search_keeps_row_zero_at_the_least_rooted_row_on_census_member
         rho = list(range(5))
         rng.shuffle(rho)
         u = relabel_table(t, rho)
-        assert _lex_min(u, [range(5)], None, RowFacts())[1][0] == least_row_zero(u) == t[0]
+        assert _lex_min(u, None, RowFacts())[1][0] == least_row_zero(u) == t[0]
 
 
 def test_seeded_relabelings_of_size_six_members_come_back(census6):
@@ -224,7 +241,7 @@ def test_seeded_relabelings_of_size_six_members_come_back(census6):
         rng.shuffle(rho)
         u = relabel_table(t, rho)
         assert canonical_form(u) == t
-        assert class_key(u) == class_key(t)
+        assert assert_isomorphism(t, u) is not None
 
 
 def test_canonical_labeling_matches_the_scan_on_scanned_tables():
@@ -296,34 +313,73 @@ def test_distinct_classes_stay_distinct():
     assert canonical_form(a) != canonical_form(b)
 
 
-@given(st.integers(2, 5).flatmap(random_tables))
-def test_class_key_is_relabel_invariant(t):
-    base = class_key(t)
+@given(st.integers(2, 5).flatmap(lambda n: st.one_of(random_tables(n), random_maps(n))))
+def test_isomorphism_finds_every_relabeling(t):
     for rho in itertools.permutations(range(len(t))):
-        assert class_key(relabel_table(t, rho)) == base
+        assert assert_isomorphism(t, relabel_table(t, rho)) is not None
 
 
-@given(st.integers(2, 5).flatmap(random_tables))
-def test_class_key_is_a_relabeling(t):
-    assert canonical_form(class_key(t)) == canonical_form(t)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.one_of(random_tables(n), random_maps(n)),
+            st.one_of(random_tables(n), random_maps(n)),
+            st.permutations(range(n)),
+            st.booleans(),
+        )
+    )
+)
+def test_isomorphism_agrees_with_the_canonical_forms(case):
+    # t against a relabeling of itself or of another table, rows that are no
+    # permutations too: the search reads only the cells, and the colours
+    # are invariants of any table
+    t, other, rho, itself = case
+    u = relabel_table(t if itself else other, rho)
+    same = canonical_form(t) == canonical_form(u)
+    assert (assert_isomorphism(t, u) is not None) == same
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_class_key_single_cell_is_the_canonical_form(n):
-    # all rows identity: one colour, so the key scans all of S_n
+def test_identity_table_is_canonical_and_self_isomorphic(n):
+    # all rows identity: one colour, and every relabeling is an automorphism
     t = tuple(tuple(range(n)) for _ in range(n))
-    assert _colour_cells(t) == [tuple(range(n))]
-    assert class_key(t) == canonical_form(t) == t
+    assert colour_cells(t) == [tuple(range(n))]
+    assert canonical_form(t) == t
+    assert assert_isomorphism(t, t) is not None
+
+
+def test_isomorphism_refuses_other_colour_histograms_at_once():
+    # one table, colours that no bijection keeps: refused before any search
+    t = ((1, 0), (1, 0))
+    assert isomorphism([t], [t], [0, 1], [0, 0]) is None
+    assert isomorphism([t], [t], [0, 1], [1, 0]) == (1, 0)
+
+
+def test_isomorphism_keeps_every_table_pair():
+    # Z/4, and on the same points the Klein group x o y = x + y + 2xy: a
+    # bijection must keep the tables of each pair, so none maps (Z/4, Z/4)
+    # onto (Z/4, Klein), though the first tables alone map onto each other
+    z4 = tuple(tuple((x + y) % 4 for y in range(4)) for x in range(4))
+    twisted = tuple(tuple((x + y + 2 * x * y) % 4 for y in range(4)) for x in range(4))
+    assert isomorphism([z4], [z4], [0] * 4, [0] * 4) is not None
+    assert isomorphism([z4, z4], [z4, twisted], [0] * 4, [0] * 4) is None
+    phi = isomorphism([z4, twisted], [z4, twisted], [0] * 4, [0] * 4)
+    assert all(
+        phi[t[x][y]] == t[phi[x]][phi[y]]
+        for t in (z4, twisted)
+        for x in range(4)
+        for y in range(4)
+    )
 
 
 def test_colour_cells_follow_colours_not_indices():
     # x.y = T(y) with T = (0 1)(2)(3): the fixed points of T come first
     t = tuple((1, 0, 2, 3) for _ in range(4))
-    assert _colour_cells(t) == [(2, 3), (0, 1)]
-    assert _colour_cells(relabel_table(t, (2, 3, 0, 1))) == [(0, 1), (2, 3)]
+    assert colour_cells(t) == [(2, 3), (0, 1)]
+    assert colour_cells(relabel_table(t, (2, 3, 0, 1))) == [(0, 1), (2, 3)]
 
 
-@pytest.mark.parametrize("labeler", [canonical_form, class_key])
+@pytest.mark.parametrize("labeler", [canonical_form, canonical_relabeling])
 def test_cancel_is_polled_at_the_first_relabeling(labeler):
     t = tuple(tuple(range(6)) for _ in range(6))
     with pytest.raises(SearchCancelled):
@@ -418,7 +474,7 @@ def test_colour_cells_match_the_reference_on_census_members(censuses_small):
             rho = list(range(n))
             rng.shuffle(rho)
             for u in (t, relabel_table(t, rho)):
-                assert _colour_cells(u) == reference_colour_cells(u)
+                assert colour_cells(u) == reference_colour_cells(u)
 
 
 @given(
@@ -427,19 +483,16 @@ def test_colour_cells_match_the_reference_on_census_members(censuses_small):
     )
 )
 def test_colour_cells_match_the_reference(t):
-    assert _colour_cells(t) == reference_colour_cells(t)
+    assert colour_cells(t) == reference_colour_cells(t)
 
 
 def assert_shared_facts_match(tables, facts):
     """The census path, one ``RowFacts`` kept across all ``tables``, for
-    their rows and their diagonals alike, gives the colour cells and the
+    their rows and their diagonals alike, gives the colours and the
     labelings of the standalone path."""
     for t in tables:
-        n = len(t)
-        cells = _colour_cells(t, facts)
-        assert cells == _colour_cells(t)
-        for c in (cells, [range(n)]):
-            assert _lex_min(t, c, None, facts) == _lex_min(t, c, None, RowFacts())
+        assert colours(t, facts) == colours(t)
+        assert _lex_min(t, None, facts) == _lex_min(t, None, RowFacts())
 
 
 def test_shared_row_facts_match_the_standalone_path_on_scanned_tables():
@@ -491,7 +544,7 @@ def test_classes_give_the_canonical_forms_in_any_order(n):
 @given(st.integers(1, 5).flatmap(random_tables), st.randoms(use_true_random=False))
 def test_colours_follow_their_points(t, rng):
     # colours are invariants: relabeling by rho gives point rho[x] the
-    # colour of x, which both the class keys and the search rely on
+    # colour of x, which both ``isomorphism`` and the census search rely on
     rho = list(range(len(t)))
     rng.shuffle(rho)
     c = colours(t)

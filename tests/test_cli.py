@@ -474,6 +474,19 @@ class TestVerify:
         assert out == ""
         assert "cabling indices must be >= 1" in err
 
+    @pytest.mark.parametrize("ks", ["1,x", "", " , ", "2.5"])
+    def test_cabling_indices_that_are_no_integers_or_none_are_a_usage_error(
+        self, run, monkeypatch, ks
+    ):
+        # refused before any census is built, the option echoed as given
+        built = []
+        monkeypatch.setattr(cli, "enumerate_cycle_sets", lambda *a, **k: built.append(a))
+        code, out, err = run("verify", "--max-size", "2", "--ks", ks)
+        assert (code, out, built) == (2, "", [])
+        assert err == (
+            f"error: --ks must list integers, and cabling indices must be >= 1, got {ks!r}\n"
+        )
+
     def test_usage_errors_come_before_the_census(self, run, monkeypatch):
         # a bad --ks or --suite must not cost a size-6 census first
         built = []

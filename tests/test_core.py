@@ -516,6 +516,14 @@ class TestConstructors:
         assert is_isomorphic(Y, cyclic3) is not None
 
 
+def assert_witness(X, Y, w):
+    """``w`` is a bijection carrying X to Y, checked cell by cell."""
+    assert sorted(w) == list(range(X.n))
+    for x in range(X.n):
+        for y in range(X.n):
+            assert w[X.table[x][y]] == Y.table[w[x]][w[y]]
+
+
 class TestIsomorphism:
     def test_relabel_roundtrip(self, table4):
         rho = (2, 0, 3, 1)
@@ -577,6 +585,53 @@ class TestIsomorphism:
 
     def test_non_isomorphic(self, size2_indec, trivial2):
         assert is_isomorphic(size2_indec, trivial2) is None
+
+    def test_agrees_with_the_census_up_to_size_five(self, censuses_small):
+        # every same-size pair of classes, the second relabeled: a census
+        # holds one canonical form per class, so exactly the pairs of a class
+        # with itself are isomorphic
+        rng = random.Random(38)
+        pairs = 0
+        for n, census in censuses_small.items():
+            members = census.cycle_sets()
+            for i, X in enumerate(members):
+                rho = list(range(n))
+                rng.shuffle(rho)
+                for j, Z in enumerate(members):
+                    Y = relabel(Z, rho)
+                    w = is_isomorphic(X, Y)
+                    assert (w is not None) == (i == j)
+                    if w is not None:
+                        assert_witness(X, Y, w)
+                    pairs += 1
+        assert pairs == 1 + 4 + 25 + 23**2 + 88**2
+
+    def test_agrees_with_the_census_at_size_six(self, census6):
+        # each class against a seeded relabeling of itself and of 30 others
+        rng = random.Random(38)
+        members = census6.cycle_sets()
+        for i, X in enumerate(members):
+            rho = list(range(6))
+            rng.shuffle(rho)
+            Y = relabel(X, rho)
+            assert_witness(X, Y, is_isomorphic(X, Y))
+            others = rng.sample([j for j in range(len(members)) if j != i], 30)
+            for j in others:
+                assert is_isomorphic(X, relabel(members[j], rho)) is None
+
+    def test_finds_relabeled_products_of_20_and_24_points(self, censuses_small, census6):
+        # products of a size-4 class with a size-5 or size-6 class, each
+        # against a seeded relabeling; a canonical labeling of either side
+        # ran past 10 s on some of these
+        rng = random.Random(38)
+        fours = censuses_small[4].cycle_sets()
+        for k in range(30):
+            other = censuses_small[5] if k % 2 else census6
+            P = direct_product(rng.choice(fours), rng.choice(other.cycle_sets()))
+            rho = list(range(P.n))
+            rng.shuffle(rho)
+            Q = relabel(P, rho)
+            assert_witness(P, Q, is_isomorphic(P, Q))
 
     @pytest.mark.parametrize("rho", [(0, 0, 1, 2), (1, 0, 2), (0, 1, 2, 4)])
     def test_relabel_refuses_a_non_permutation(self, table4, rho):

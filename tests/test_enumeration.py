@@ -760,19 +760,19 @@ class TestScan:
 
     def test_a_census_searches_each_emitted_table_once(self, monkeypatch):
         # every emitted table, with an identity row or without, gets its
-        # canonical form from one one-cell search, and none a class key
-        keyed, searched = [], []
-        colour_cells, lex_min = canon._colour_cells, canon._lex_min
+        # canonical form from one labeling search, and none a pair search
+        paired, searched = [], []
+        isomorphism, lex_min = canon.isomorphism, canon._lex_min
 
-        def spy_cells(rows, *args):
-            keyed.append(rows)
-            return colour_cells(rows, *args)
+        def spy_isomorphism(*args):
+            paired.append(args)
+            return isomorphism(*args)
 
-        def spy_lex_min(rows, cells, *args):
-            searched.append((rows, len(cells)))
-            return lex_min(rows, cells, *args)
+        def spy_lex_min(rows, *args):
+            searched.append(rows)
+            return lex_min(rows, *args)
 
-        monkeypatch.setattr(canon, "_colour_cells", spy_cells)
+        monkeypatch.setattr(canon, "isomorphism", spy_isomorphism)
         monkeypatch.setattr(canon, "_lex_min", spy_lex_min)
         identity = tuple(range(6))
         # T of type (2,2,2) fixes no point, so no row is the identity; in
@@ -788,8 +788,8 @@ class TestScan:
             assert sum(identity in t for t in emitted) == with_identity
             searched.clear()
             assert enumerate_cycle_sets(6, diagonal=diagonal).count == classes
-            assert sorted(searched) == sorted((t, 1) for t in emitted)
-        assert keyed == []
+            assert sorted(searched) == sorted(emitted)
+        assert paired == []
 
     def test_row_zero_outranks_the_points_of_its_cycle_length(self):
         # centralizer elements of T move any point of a T-cycle as long as

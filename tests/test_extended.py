@@ -14,7 +14,8 @@ jobs=2 2.3-3.4 s and the whole file about 12 s, 19 s with the squaring
 slices.  It also counts the labeled tables of each slice's unbroken scan
 by Burnside's orbit counting over the slice's classes, as tier-1 does for
 n <= 6; on the same machine those checks took 140 s, 111 s of it in the
-identity slice, and the whole file 153 s.
+identity slice, and the whole file 153 s.  It tells apart every pair of
+distinct size-6 classes by ``is_isomorphic``, about 9 s on the same machine.
 
 No test enumerates sizes 8 and 9, whose census has not been timed with
 this search; products and constant-row constructions in the default suite
@@ -31,6 +32,7 @@ from cycleset import (
     EnumerationFilter,
     enumerate_cycle_sets,
     from_cycles,
+    is_isomorphic,
     run_all,
     scan_cycle_sets,
 )
@@ -73,6 +75,18 @@ def test_seven_point_canonical_forms_survive_relabeling(census7):
         rho = list(range(7))
         rng.shuffle(rho)
         assert canonical_form(relabel_table(t, rho)) == t
+
+
+def test_six_point_classes_are_pairwise_non_isomorphic(census6):
+    # the isomorphism search tells apart all 176,715 pairs of distinct
+    # classes of size 6; tier-1 checks each against 30 of them
+    members = census6.cycle_sets()
+    pairs = 0
+    for i, X in enumerate(members):
+        for Z in members[i + 1 :]:
+            assert is_isomorphic(X, Z) is None
+            pairs += 1
+    assert pairs == 595 * 594 // 2 == 176_715
 
 
 def test_seven_point_emitted_tables():
